@@ -18,7 +18,7 @@ from .bitmatrix import (BitMatrix, ChunkMixSpec, format_edge_list_text,
                         from_edge_list, generate_chunk_mix, generate_er,
                         parse_edge_list_text)
 from .codec import CompressionStats
-from .patterns import pattern_set
+from .patterns import SET_IDS, pattern_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="compress an edge list into a container")
     p.add_argument("input", help="edge-list path")
     p.add_argument("output", help="container path to write")
-    p.add_argument("--set", type=int, choices=(1, 2, 3), required=True,
+    p.add_argument("--set", type=int, choices=SET_IDS, required=True,
                    help="pattern set id")
     p.add_argument("--reference", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_compress)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmatrix import BitMatrix
-from .patterns import PatternSet, classify_chunks
+from .patterns import SET_IDS, PatternSet, classify_chunks, pattern_set
 
 MAGIC = b"GPMC"
 VERSION = 1
@@ -26,6 +26,9 @@ HEADER_LEN = 24
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
 _BLOCK_FIELDS = 1 << 18  # fields per vectorized block; bounds transient memory
+# Below this many fields per run on average, the walk steps field by field:
+# one Python step per field then costs less than one per run.
+_RUN_FIELDS = 10
 
 
 class FormatError(ValueError):
@@ -55,8 +58,8 @@ class CompressedGraph:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
         if self.chunk_width != CHUNK_WIDTH:
             raise ValueError(f"chunk width must be {CHUNK_WIDTH}, got {self.chunk_width}")
-        if self.pattern_set_id not in (1, 2, 3):
-            raise ValueError(f"pattern set id must be 1, 2 or 3, got {self.pattern_set_id}")
+        if self.pattern_set_id not in SET_IDS:
+            raise ValueError(f"pattern set id must be in {SET_IDS}, got {self.pattern_set_id}")
         if len(self.payload) != (self.payload_bit_length + 7) // 8:
             raise ValueError("payload byte length disagrees with payload_bit_length")
 
@@ -72,6 +75,14 @@ class CompressionStats:
     original_bits: int
     compressed_bits: int
     ratio: float
+
+
+def _stats(n: int, hist: np.ndarray, bit_length: int) -> CompressionStats:
+    """Census of an n-vertex stream of bit_length bits; hist[i] fields match entry i."""
+    count, matched = total_chunks(n), int(hist.sum())
+    return CompressionStats(total_chunks=count, matched=matched, unmatched=count - matched,
+                            per_pattern=tuple(int(x) for x in hist), original_bits=n * n,
+                            compressed_bits=bit_length, ratio=1.0 - bit_length / (n * n))
 
 
 def chunks_per_row(n: int) -> int:
@@ -138,18 +149,8 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
     _scatter_fields(out, offsets[~matched_mask],
                     chunks[~matched_mask].astype(np.int64), RAW_FIELD_BITS)
 
-    matched = int(matched_mask.sum())
-    hist = np.bincount(idx[matched_mask], minlength=len(pset.patterns))
-    original = m.n * m.n
-    stats = CompressionStats(
-        total_chunks=int(chunks.size),
-        matched=matched,
-        unmatched=int(chunks.size) - matched,
-        per_pattern=tuple(int(c) for c in hist),
-        original_bits=original,
-        compressed_bits=bit_length,
-        ratio=1.0 - bit_length / original,
-    )
+    stats = _stats(m.n, np.bincount(idx[matched_mask], minlength=len(pset.patterns)),
+                   bit_length)
     graph = CompressedGraph(m.n, pset.id, pset.width,
                             np.packbits(out).tobytes(), bit_length)
     return graph, stats
@@ -164,136 +165,157 @@ def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
             f"container chunk width {c.chunk_width} != pattern width {pset.width}")
 
 
-def _payload_bit_array(c: CompressedGraph) -> np.ndarray:
-    bits = np.unpackbits(np.frombuffer(c.payload, dtype=np.uint8))
-    if bits.size < c.payload_bit_length:
-        raise TruncationError(
-            f"payload holds {bits.size} bits but declares {c.payload_bit_length}")
-    return bits
-
-
-def _scan_offsets(bit_bytes: bytes, bit_length: int, count: int,
-                  k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the stream reading only flag bits; bit offset and flag per field."""
-    matched_width = 1 + k
-    offsets = []
-    flags = []
-    pos = 0
-    for _ in range(count):
-        if pos >= bit_length:
-            raise TruncationError(
-                f"stream ended after {len(offsets)} of {count} chunks")
-        flag = bit_bytes[pos]
-        width = matched_width if flag else RAW_FIELD_BITS
-        if pos + width > bit_length:
-            raise TruncationError(f"chunk {len(offsets)} field truncated")
-        offsets.append(pos)
-        flags.append(flag)
-        pos += width
-    if pos != bit_length:
-        raise CorruptStreamError(
-            f"{bit_length - pos} unconsumed payload bits after the final chunk")
-    return np.array(offsets, dtype=np.int64), np.array(flags, dtype=bool)
-
-
-def _read_fields(bits: np.ndarray, offsets: np.ndarray, first: int,
-                 width: int) -> np.ndarray:
-    """Gather fixed-width big-endian fields starting first bits past each offset."""
-    weights = np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64)
-    cols = first + np.arange(width, dtype=np.int64)
-    out = np.empty(len(offsets), dtype=np.int64)
-    for s in range(0, len(offsets), _BLOCK_FIELDS):
-        offs = offsets[s : s + _BLOCK_FIELDS]
-        out[s : s + _BLOCK_FIELDS] = \
-            (bits[offs[:, None] + cols].astype(np.int64) * weights).sum(axis=1)
+def _unpack(payload: bytes, nbits: int) -> bytearray:
+    """One byte per payload bit, for the flag walk. Unpacked _BLOCK_FIELDS
+    payload bytes at a time, so no second full-size copy is ever held."""
+    out = bytearray(nbits)
+    view, src = np.frombuffer(out, dtype=np.uint8), np.frombuffer(payload, dtype=np.uint8)
+    for s in range(0, nbits, 8 * _BLOCK_FIELDS):
+        block = view[s : s + 8 * _BLOCK_FIELDS]
+        block[:] = np.unpackbits(src[s // 8 :], count=block.size)
     return out
 
 
-def _read_indicators(bits: np.ndarray, offsets: np.ndarray, pset: PatternSet) -> np.ndarray:
-    indicators = _read_fields(bits, offsets, 1, pset.indicator_bits)
-    if indicators.size and int(indicators.max()) >= len(pset.patterns):
-        bad = int(indicators[indicators >= len(pset.patterns)][0])
+def _short_runs(c: CompressedGraph, k: int) -> bool:
+    """Whether the stream's fields, matched and raw mixed at random, would
+    average fewer than _RUN_FIELDS per run of one width. The payload length
+    fixes how many fields are raw."""
+    count = total_chunks(c.n)
+    raw = min(max((c.payload_bit_length - (1 + k) * count) / (RAW_FIELD_BITS - 1 - k), 0), count)
+    return 2 * raw * (count - raw) * _RUN_FIELDS > count * count
+
+
+def _walk(payload: bytes, bit_length: int, count: int, k: int, short_runs: bool,
+          keep: bool = True) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """Bit offset and flag of each of the first count fields (None unless
+    keep), reading only flag bits, and the bit after the last field.
+
+    With short runs, one step per field costs least; a field takes at most 33
+    bits, so these steps go unchecked in batches that must fit. Otherwise, and
+    for the last few fields, the walk steps per run: in a run the flags sit at
+    a fixed stride, so bytes.find over strided slices, doubling while the run
+    lasts, finds its end.
+    """
+    matched_width, bit_bytes = 1 + k, _unpack(payload, bit_length)
+    # field d starts at bit d * (1 + k) or later, so no more can start in the stream
+    head = np.empty(min(count, -(-bit_length // matched_width)) if short_runs and keep else 0,
+                    np.int64)
+    out = memoryview(head)  # stores a Python int faster than ndarray indexing
+    pos = done = 0
+    while short_runs and (batch := min(count - done, (bit_length - pos) // RAW_FIELD_BITS)):
+        if keep:
+            for d in range(done, done + batch):
+                out[d] = pos
+                pos += matched_width if bit_bytes[pos] else RAW_FIELD_BITS
+        else:
+            for _ in range(batch):
+                pos += matched_width if bit_bytes[pos] else RAW_FIELD_BITS
+        done += batch
+    first, batched, starts = pos, done, []
+    while done < count:
+        if pos >= bit_length:
+            raise TruncationError(f"stream ended after {done} of {count} chunks")
+        flag = bit_bytes[pos]
+        width = matched_width if flag else RAW_FIELD_BITS
+        fit = min(count - done, (bit_length - pos) // width)
+        if not fit:
+            raise TruncationError(f"chunk {done} field truncated")
+        run, span = 1, 64
+        while run < fit:
+            stop = min(fit, run + span)
+            r = bit_bytes[pos + run * width : pos + stop * width : width].find(
+                b"\x00" if flag else b"\x01")
+            if r >= 0:
+                run += r
+                break
+            run, span = stop, 2 * span
+        starts.append(pos)
+        pos += run * width
+        done += run
+    if not keep:
+        return None, None, pos
+    starts = np.array(starts, dtype=np.int64)
+    widths = np.where(np.frombuffer(bit_bytes, np.uint8)[starts], matched_width, RAW_FIELD_BITS)
+    per_field = np.repeat(widths.astype(np.uint8), np.diff(starts, append=pos) // widths)
+    if short_runs:
+        head[batched:] = np.cumsum(per_field, dtype=np.int64) - per_field + first
+        return head, np.frombuffer(bit_bytes, np.bool_)[head], pos
+    del bit_bytes  # free the walked bytes before the per-field arrays are made
+    return np.cumsum(per_field, dtype=np.int64) - per_field, per_field != RAW_FIELD_BITS, pos
+
+
+def _gather(payload: bytes, offsets: np.ndarray, width: int) -> np.ndarray:
+    """width-bit (<= 57) big-endian fields at the given bit offsets, each cut
+    from the 64-bit window that starts at its first byte."""
+    windows = np.ndarray((len(payload) + 1,), dtype=">u8", buffer=payload + bytes(8),
+                         strides=(1,))
+    words = windows[offsets >> 3].astype(np.uint64)
+    np.left_shift(words, offsets & 7, out=words, dtype=np.uint64, casting="unsafe")
+    words >>= np.uint64(64 - width)
+    return words
+
+
+def _indicators(payload: bytes, offsets: np.ndarray, pset: PatternSet) -> np.ndarray:
+    """Indicators of the matched fields at offsets, each read with its flag bit."""
+    indicators = _gather(payload, offsets, 1 + pset.indicator_bits)
+    indicators ^= np.uint64(1 << pset.indicator_bits)  # drop the flag bit
+    bad = indicators[indicators >= len(pset.patterns)]
+    if bad.size:
         raise CorruptStreamError(
-            f"indicator {bad} out of range for {len(pset.patterns)} patterns")
-    return indicators
+            f"indicator {bad[0]} out of range for {len(pset.patterns)} patterns")
+    return indicators.view(np.int64)
+
+
+def _fields(c: CompressedGraph, pset: PatternSet) -> tuple[np.ndarray, np.ndarray]:
+    """Bit offset and flag of every field, after walking the whole stream."""
+    _check_set(c, pset)
+    length, k = c.payload_bit_length, pset.indicator_bits
+    offsets, flags, end = _walk(c.payload, length, total_chunks(c.n), k, _short_runs(c, k))
+    if end != length:
+        raise CorruptStreamError(f"{length - end} unconsumed payload bits after the final chunk")
+    return offsets, flags
 
 
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
     """Exact inverse of compress for a well-formed stream."""
-    _check_set(c, pset)
-    count = total_chunks(c.n)
-    bits = _payload_bit_array(c)
-    offsets, flags = _scan_offsets(bits.tobytes(), c.payload_bit_length,
-                                   count, pset.indicator_bits)
-    values = np.zeros(count, dtype=np.int64)
-    if flags.any():
-        indicators = _read_indicators(bits, offsets[flags], pset)
-        values[flags] = pset._values[indicators].astype(np.int64)
-    if not flags.all():
-        values[~flags] = _read_fields(bits, offsets[~flags], 1, CHUNK_WIDTH)
-    return chunks_to_matrix(values.astype(np.uint32), c.n)
+    offsets, flags = _fields(c, pset)
+    values = np.empty(flags.size, dtype=np.uint32)
+    values[flags] = pset.values[_indicators(c.payload, offsets[flags], pset)]
+    # a raw field read whole is the chunk itself: its top bit is the 0 flag
+    values[~flags] = _gather(c.payload, offsets[~flags], RAW_FIELD_BITS)
+    del offsets, flags
+    return chunks_to_matrix(values, c.n)
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     """Recompute compression stats from the stream without rebuilding the matrix."""
-    _check_set(c, pset)
-    count = total_chunks(c.n)
-    bits = _payload_bit_array(c)
-    offsets, flags = _scan_offsets(bits.tobytes(), c.payload_bit_length,
-                                   count, pset.indicator_bits)
-    hist = np.zeros(len(pset.patterns), dtype=np.int64)
-    if flags.any():
-        indicators = _read_indicators(bits, offsets[flags], pset)
-        hist = np.bincount(indicators, minlength=len(pset.patterns))
-    matched = int(flags.sum())
-    original = c.n * c.n
-    return CompressionStats(
-        total_chunks=count,
-        matched=matched,
-        unmatched=count - matched,
-        per_pattern=tuple(int(x) for x in hist),
-        original_bits=original,
-        compressed_bits=c.payload_bit_length,
-        ratio=1.0 - c.payload_bit_length / original,
-    )
+    offsets, flags = _fields(c, pset)
+    hist = np.bincount(_indicators(c.payload, offsets[flags], pset),
+                       minlength=len(pset.patterns))
+    return _stats(c.n, hist, c.payload_bit_length)
 
 
 def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
-    """Edge bit (i, j) read by scanning the stream up to its chunk.
+    """Edge bit (i, j) read from the stream up to its chunk.
 
-    No full matrix is materialized; worst-case work is linear in the payload
-    length.
+    No matrix is materialized, and only the payload prefix that can hold the
+    chunk (33 bits per chunk up to it, at most) is unpacked and walked.
     """
     _check_set(c, pset)
-    n = c.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"index ({i}, {j}) out of range for n={n}")
-    target = i * chunks_per_row(n) + j // CHUNK_WIDTH
-    offset_in_chunk = j % CHUNK_WIDTH
-    bit_bytes = _payload_bit_array(c).tobytes()
-    length = c.payload_bit_length
-    matched_width = 1 + pset.indicator_bits
-
-    pos = 0
-    for _ in range(target):
-        if pos >= length:
-            raise TruncationError("stream ended before the requested chunk")
-        pos += matched_width if bit_bytes[pos] else RAW_FIELD_BITS
-    if pos >= length:
-        raise TruncationError("stream ended before the requested chunk")
-    if bit_bytes[pos]:
-        if pos + matched_width > length:
-            raise TruncationError("indicator field truncated")
-        index = 0
-        for b in range(1, matched_width):
-            index = (index << 1) | bit_bytes[pos + b]
-        if index >= len(pset.patterns):
-            raise CorruptStreamError(
-                f"indicator {index} out of range for {len(pset.patterns)} patterns")
-        return (pset.patterns[index] >> (CHUNK_WIDTH - 1 - offset_in_chunk)) & 1
-    if pos + RAW_FIELD_BITS > length:
-        raise TruncationError("raw chunk field truncated")
-    return bit_bytes[pos + 1 + offset_in_chunk]
+    if not (0 <= i < c.n and 0 <= j < c.n):
+        raise IndexError(f"index ({i}, {j}) out of range for n={c.n}")
+    target = i * chunks_per_row(c.n) + j // CHUNK_WIDTH
+    length = min(c.payload_bit_length, RAW_FIELD_BITS * (target + 1))
+    prefix = c.payload[: (length + 7) // 8]
+    k = pset.indicator_bits
+    *_, pos = _walk(prefix, length, target, k, _short_runs(c, k), keep=False)
+    field = int(_gather(prefix, np.array([pos]), RAW_FIELD_BITS)[0])  # zeros past the end
+    if pos + (1 + k if field >> CHUNK_WIDTH else RAW_FIELD_BITS) > length:
+        raise TruncationError(f"stream ends inside or before chunk {target}")
+    if not field >> CHUNK_WIDTH:  # a raw field read whole is the chunk itself
+        return (field >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
+    index = int(_indicators(prefix, np.array([pos]), pset)[0])
+    return (pset.patterns[index] >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
 
 
 def write_container(c: CompressedGraph) -> bytes:
@@ -314,8 +336,8 @@ def read_container(data: bytes) -> CompressedGraph:
     version, set_id, width, _reserved = data[4:8]
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
-    if set_id not in (1, 2, 3):
-        raise FormatError(f"pattern set id must be 1, 2 or 3, got {set_id}")
+    if set_id not in SET_IDS:
+        raise FormatError(f"pattern set id must be in {SET_IDS}, got {set_id}")
     if width != CHUNK_WIDTH:
         raise FormatError(f"chunk width must be {CHUNK_WIDTH}, got {width}")
     n, bit_length = struct.unpack(">QQ", data[8:HEADER_LEN])
@@ -326,6 +348,12 @@ def read_container(data: bytes) -> CompressedGraph:
         raise TruncationError(
             f"container is {len(data)} bytes, expected {expected} "
             f"for {bit_length} payload bits")
+    # every field takes 1 + k to 33 bits, so this bounds all decode work
+    count, k = total_chunks(n), pattern_set(set_id).indicator_bits
+    if bit_length < count * (1 + k):
+        raise TruncationError(f"{bit_length} payload bits cannot hold {count} chunks")
+    if bit_length > count * RAW_FIELD_BITS:
+        raise CorruptStreamError(f"{bit_length} payload bits exceed {count} raw chunks")
     payload = bytes(data[HEADER_LEN:])
     pad = (-bit_length) % 8
     if pad and payload[-1] & ((1 << pad) - 1):

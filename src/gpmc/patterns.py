@@ -19,11 +19,12 @@ class PatternSet:
     """Ordered dictionary of distinct chunk-width bit patterns.
 
     indicator_bits is ceil(log2(len(patterns))): the width of the index
-    field a matched chunk is replaced with.
+    field a matched chunk is replaced with. values holds the patterns as a
+    read-only uint32 array, in declaration order.
     """
 
-    __slots__ = ("id", "width", "patterns", "indicator_bits",
-                 "_index", "_values", "_sorted_values", "_sorted_to_index")
+    __slots__ = ("id", "width", "patterns", "indicator_bits", "values",
+                 "_index", "_sorted_values", "_sorted_to_index")
 
     def __init__(self, set_id: int, patterns, width: int = CHUNK_BITS):
         self.id = set_id
@@ -38,9 +39,10 @@ class PatternSet:
                 raise ValueError(f"pattern {p:#x} does not fit in {width} bits")
         self.indicator_bits = (len(self.patterns) - 1).bit_length()
         self._index = {p: i for i, p in enumerate(self.patterns)}
-        self._values = np.array(self.patterns, dtype=np.uint32)
-        order = np.argsort(self._values, kind="stable")
-        self._sorted_values = self._values[order]
+        self.values = np.array(self.patterns, dtype=np.uint32)
+        self.values.flags.writeable = False
+        order = np.argsort(self.values, kind="stable")
+        self._sorted_values = self.values[order]
         self._sorted_to_index = order.astype(np.int64)
 
     def __len__(self):
@@ -73,6 +75,7 @@ def build_pattern_set_3() -> PatternSet:
 
 
 _BUILDERS = {1: build_pattern_set_1, 2: build_pattern_set_2, 3: build_pattern_set_3}
+SET_IDS = tuple(sorted(_BUILDERS))  # the pattern set ids a container may name
 
 
 def pattern_set(set_id: int) -> PatternSet:

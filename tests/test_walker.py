@@ -1,0 +1,289 @@
+"""Differential and robustness tests for the stream walker.
+
+The decoder's walker either steps field by field in unchecked batches or
+skips whole runs of equal-width fields. A naive walk that steps one field at
+a time, checking each, is kept here as the reference: on any bit string both
+strategies must find the same fields, or stop with the same error.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, PatternSet,
+                  TruncationError, compress, decompress, generate_er, pattern_set, query_edge,
+                  read_container, scan_stats, total_chunks, write_container)
+from gpmc.cli import build_parser
+from gpmc.codec import _fields, _short_runs, _walk, chunks_per_row, chunks_to_matrix
+from gpmc.patterns import _BUILDERS, SET_IDS
+
+TYPED = (FormatError, TruncationError, CorruptStreamError)
+
+
+def reference_walk(bits, bit_length, count, k):
+    """Offset and flag of the first count fields, one field per step."""
+    offsets, flags, pos = [], [], 0
+    for _ in range(count):
+        if pos >= bit_length:
+            raise TruncationError(f"stream ended after {len(offsets)} of {count} chunks")
+        width = 1 + k if bits[pos] else 33
+        if pos + width > bit_length:
+            raise TruncationError(f"chunk {len(offsets)} field truncated")
+        offsets.append(pos)
+        flags.append(bool(bits[pos]))
+        pos += width
+    return offsets, flags, pos
+
+
+def reference_decode(bits, n, pset):
+    """Chunk values of a whole stream, or the error the decoder must raise."""
+    offsets, flags, end = reference_walk(bits, len(bits), total_chunks(n), pset.indicator_bits)
+    if end != len(bits):
+        raise CorruptStreamError(
+            f"{len(bits) - end} unconsumed payload bits after the final chunk")
+    values = []
+    for pos, flag in zip(offsets, flags):
+        width = pset.indicator_bits if flag else 32
+        value = int("".join(map(str, bits[pos + 1 : pos + 1 + width])) or "0", 2)
+        values.append(value)
+    indices = [v for v, f in zip(values, flags) if f]
+    bad = [i for i in indices if i >= len(pset.patterns)]
+    if bad:
+        raise CorruptStreamError(
+            f"indicator {bad[0]} out of range for {len(pset.patterns)} patterns")
+    return offsets, flags, [pset.patterns[v] if f else v for v, f in zip(values, flags)]
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except TYPED as exc:
+        return type(exc), str(exc)
+
+
+def packed(bits):
+    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+
+
+def graph_of(bits, n):
+    return CompressedGraph(n, 1, 32, packed(bits), len(bits))
+
+
+@st.composite
+def streams(draw):
+    """(bits, n, pset): a stream of fields with the given flag shape, then
+    perhaps cut short, lengthened or flipped; or plain random bits."""
+    k = draw(st.integers(1, 6))
+    pset = PatternSet(1, range(draw(st.integers((1 << (k - 1)) + 1, 1 << k))))
+    n = draw(st.integers(1, 90))
+    count = total_chunks(n)
+    shape = draw(st.sampled_from(("random", "runs", "ones", "zeros", "alternating", "noise")))
+    pool = np.unpackbits(np.frombuffer(draw(st.binary(min_size=5 * count, max_size=5 * count)),
+                                       dtype=np.uint8)).tolist()
+    if shape == "noise":
+        return pool[: draw(st.integers(0, len(pool)))], n, pset
+    if shape == "random":
+        flags = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    elif shape == "runs":
+        lengths = draw(st.lists(st.integers(1, 200), min_size=1, max_size=count))
+        flags = [r % 2 == 0 for r, length in enumerate(lengths) for _ in range(length)]
+        flags = (flags * count)[:count]
+    else:
+        flags = [shape == "ones" or (shape == "alternating" and i % 2 == 0)
+                 for i in range(count)]
+    bits = []
+    for flag in flags:
+        width = 1 + k if flag else 33
+        bits += [int(flag)] + pool[len(bits) + 1 : len(bits) + width]
+    edit = draw(st.sampled_from(("none", "cut", "extend", "flip")))
+    if edit == "cut":
+        bits = bits[: draw(st.integers(0, len(bits)))]
+    elif edit == "extend":
+        bits = bits + pool[: draw(st.integers(1, 40))]
+    elif edit == "flip" and bits:
+        at = draw(st.integers(0, len(bits) - 1))
+        bits[at] ^= 1
+    return bits, n, pset
+
+
+def check_against_reference(bits, n, pset):
+    c = graph_of(bits, n)
+    expected = outcome(reference_decode, bits, n, pset)
+    if expected[0] == "ok":
+        offsets, flags, values = expected[1]
+        got_offsets, got_flags = _fields(c, pset)
+        assert got_offsets.tolist() == offsets
+        assert got_flags.tolist() == flags
+        assert decompress(c, pset) == chunks_to_matrix(np.array(values, dtype=np.uint32), n)
+        hist = np.bincount([pset.patterns.index(v) for v, f in zip(values, flags) if f],
+                           minlength=len(pset.patterns))
+        assert scan_stats(c, pset).per_pattern == tuple(int(x) for x in hist)
+    else:
+        assert outcome(decompress, c, pset) == expected
+        assert outcome(scan_stats, c, pset) == expected
+
+
+class TestWalkAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(streams())
+    def test_same_fields_or_same_error(self, stream):
+        check_against_reference(*stream)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("shape", ("ones", "zeros", "alternating"))
+    def test_uniform_shapes_every_k(self, k, shape):
+        pset = PatternSet(1, range(1 << k))
+        n = 70  # 210 fields: runs longer than the first 64-field window
+        bits = []
+        for i in range(total_chunks(n)):
+            flag = shape == "ones" or (shape == "alternating" and i % 2 == 0)
+            bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
+        check_against_reference(bits, n, pset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(streams(), st.booleans())
+    def test_both_strategies_match_the_reference(self, stream, short_runs):
+        bits, n, pset = stream
+        count, k = total_chunks(n), pset.indicator_bits
+        expected = outcome(reference_walk, bits, len(bits), count, k)
+        got = outcome(_walk, packed(bits), len(bits), count, k, short_runs)
+        if expected[0] == "ok":
+            offsets, flags, end = expected[1]
+            assert got[0] == "ok"
+            assert got[1][0].tolist() == offsets and got[1][1].tolist() == flags
+            assert got[1][2] == end
+            assert outcome(_walk, packed(bits), len(bits), count, k, short_runs,
+                           False) == ("ok", (None, None, end))
+        else:
+            assert got == expected
+            assert outcome(_walk, packed(bits), len(bits), count, k, short_runs,
+                           False) == expected
+
+    def test_strategy_follows_the_raw_fraction(self):
+        n, k = 1000, 6  # 32 000 fields
+
+        def short(bits):
+            return _short_runs(CompressedGraph(n, 1, 32, bytes((bits + 7) // 8), bits), k)
+
+        def bits_for(raw):
+            return (32_000 - raw) * (1 + k) + raw * 33
+        assert not short(bits_for(0)) and not short(bits_for(32_000))
+        assert not short(bits_for(1280))  # ~2458 runs: 13 fields per run
+        assert short(bits_for(4160))  # ~7238 runs: 4 fields per run
+        assert short(bits_for(16_000))
+        assert not short(1) and not short(40 * 32_000)  # lengths no stream of 32 000 fields has
+
+    @pytest.mark.parametrize("short_runs", (False, True))
+    def test_huge_count_on_a_short_stream_fails_fast(self, short_runs):
+        # 15 matched fields fit in 105 bits; space is never set aside for 2^35
+        bits = ([1] + [0] * 6) * 15
+        with pytest.raises(TruncationError, match="stream ended after 15 of 34359738368"):
+            _walk(packed(bits), len(bits), 1 << 35, 6, short_runs)
+
+    def test_truncation_at_every_position(self):
+        pset = PatternSet(1, range(32))
+        flags = [1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1]  # n = 12: one field per row
+        bits = []
+        for i, flag in enumerate(flags):
+            bits += [1] + [(i >> b) & 1 for b in range(5)] if flag else [0] + [1, 0] * 16
+        for cut in range(len(bits) + 1):
+            check_against_reference(bits[:cut], len(flags), pset)
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams(), st.data())
+    def test_query_edge_agrees_or_raises_typed(self, stream, data):
+        bits, n, pset = stream
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        c = graph_of(bits, n)
+        target = i * chunks_per_row(n) + j // 32
+        try:
+            offsets, flags, _ = reference_walk(bits, len(bits), target + 1, pset.indicator_bits)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                query_edge(c, pset, i, j)
+            return
+        pos = offsets[-1] + 1
+        if not flags[-1]:
+            assert query_edge(c, pset, i, j) == bits[pos + j % 32]
+            return
+        index = int("".join(map(str, bits[pos : pos + pset.indicator_bits])), 2)
+        if index >= len(pset.patterns):
+            with pytest.raises(CorruptStreamError):
+                query_edge(c, pset, i, j)
+        else:
+            assert query_edge(c, pset, i, j) == (pset.patterns[index] >> (31 - j % 32)) & 1
+
+
+@st.composite
+def damaged_containers(draw):
+    n = draw(st.integers(1, 48))
+    m = generate_er(n, draw(st.sampled_from((0.0, 0.02, 0.2, 0.6))),
+                    seed=draw(st.integers(0, 1000)))
+    blob = bytearray(write_container(compress(m, pattern_set(draw(st.sampled_from(SET_IDS))))[0]))
+    damage = draw(st.sampled_from(("flip", "truncate", "header_n")))
+    if damage == "flip":
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, 8 * len(blob) - 1))
+            blob[at // 8] ^= 0x80 >> (at % 8)
+    elif damage == "truncate":
+        blob = blob[: draw(st.integers(0, len(blob) - 1))]
+    else:
+        blob[8:16] = struct.pack(">Q", draw(st.one_of(st.integers(0, 200),
+                                                      st.integers(0, (1 << 64) - 1))))
+    return bytes(blob), draw(st.integers(0, 1 << 20)), draw(st.integers(0, 1 << 20))
+
+
+class TestDamagedContainers:
+    @settings(max_examples=300, deadline=None)
+    @given(damaged_containers())
+    def test_every_reader_returns_or_raises_one_typed_error(self, case):
+        blob, i, j = case
+        try:
+            graph = read_container(blob)
+        except TYPED:
+            return
+        pset = pattern_set(graph.pattern_set_id)
+        for op in (lambda: decompress(graph, pset), lambda: scan_stats(graph, pset),
+                   lambda: query_edge(graph, pset, i % graph.n, j % graph.n)):
+            try:
+                op()
+            except TYPED:
+                pass
+
+    def test_header_claiming_huge_n_is_rejected_at_parse(self):
+        blob = b"GPMC" + bytes((1, 3, 32, 0)) + struct.pack(">QQ", 1 << 20, 8) + b"\x00"
+        assert len(blob) == 25
+        with pytest.raises(TruncationError):
+            read_container(blob)
+
+    @pytest.mark.parametrize("bits, error", ((5, TruncationError), (34, CorruptStreamError)))
+    def test_length_outside_bounds_is_rejected_at_parse(self, bits, error):
+        # n = 1 under set 1: one field of 1 + 5 to 33 bits
+        blob = b"GPMC" + bytes((1, 1, 32, 0)) + struct.pack(">QQ", 1, bits)
+        with pytest.raises(error):
+            read_container(blob + bytes((bits + 7) // 8))
+
+    @pytest.mark.parametrize("bits, payload", ((6, b"\x80"), (33, bytes(5))))
+    def test_length_bounds_are_inclusive(self, bits, payload):
+        # one matched all-zero chunk (1 + k = 6 bits) and one raw zero chunk (33 bits)
+        blob = b"GPMC" + bytes((1, 1, 32, 0)) + struct.pack(">QQ", 1, bits) + payload
+        assert decompress(read_container(blob), pattern_set(1)) == BitMatrix.zeros(1)
+
+
+class TestPatternSetTable:
+    def test_set_ids_come_from_the_builders(self):
+        assert SET_IDS == tuple(sorted(_BUILDERS)) == (1, 2, 3)
+        parser = build_parser()
+        for set_id in SET_IDS:
+            assert parser.parse_args(["compress", "in", "out", "--set", str(set_id)]).set == set_id
+        with pytest.raises(SystemExit):
+            parser.parse_args(["compress", "in", "out", "--set", str(max(SET_IDS) + 1)])
+
+    def test_values_are_public_and_read_only(self, set3):
+        assert set3.values.tolist() == list(set3.patterns)
+        with pytest.raises(ValueError):
+            set3.values[0] = 1
