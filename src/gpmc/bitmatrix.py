@@ -127,15 +127,17 @@ def from_edge_list(el: EdgeList) -> BitMatrix:
     n = el.n
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    bits = np.zeros(n * n, dtype=np.uint8)
+    packed = np.zeros((n * n + 7) // 8, dtype=np.uint8)
     if el.edges:
         pairs = np.asarray(el.edges, dtype=np.int64).reshape(-1, 2)
         bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
         if bad.any():
             u, v = (int(x) for x in pairs[int(np.nonzero(bad)[0][0])])
             raise EdgeRangeError(f"edge ({u}, {v}) out of range for n={n}")
-        bits[pairs[:, 0] * n + pairs[:, 1]] = 1
-    return BitMatrix.from_bit_array(n, bits)
+        flat = pairs[:, 0] * n + pairs[:, 1]
+        # OR, not assignment: a byte may hold several edges, and repeats collapse
+        np.bitwise_or.at(packed, flat >> 3, (0x80 >> (flat & 7)).astype(np.uint8))
+    return BitMatrix(n, packed.tobytes())
 
 
 def generate_er(n: int, p: float, seed: int) -> BitMatrix:

@@ -14,9 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, metrics, oracle
-from .bitmatrix import (BitMatrix, ChunkMixSpec, format_edge_list_text,
-                        from_edge_list, generate_chunk_mix, generate_er,
-                        parse_edge_list_text)
+from .bitmatrix import BitMatrix, format_edge_list_text, from_edge_list, parse_edge_list_text
 from .codec import CompressionStats
 from .patterns import SET_IDS, pattern_set
 
@@ -54,14 +52,14 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _generator_spec(args, kind: str) -> metrics.GeneratorSpec:
+    return metrics.GeneratorSpec(kind=kind, p=args.p, f_zero=args.f_zero,
+                                 f_single=args.f_single, f_pair=args.f_pair, seed=args.seed)
+
+
 def cmd_generate(args) -> int:
-    if args.kind == "er":
-        m = generate_er(args.n, args.p, args.seed)
-    elif args.kind == "zero":
-        m = BitMatrix.zeros(args.n)
-    else:
-        m = generate_chunk_mix(
-            ChunkMixSpec(args.n, args.f_zero, args.f_single, args.f_pair, args.seed))
+    # the set id only picks a calibrated mix, and generate offers no calibrated kind
+    m = metrics.make_matrix(_generator_spec(args, args.kind), args.n, set_id=0)
     Path(args.output).write_text(format_edge_list_text(m))
     return EXIT_OK
 
@@ -119,10 +117,8 @@ def cmd_experiment(args) -> int:
         print("error: --sizes and --sets must be nonempty", file=sys.stderr)
         return EXIT_USAGE
     sets = [pattern_set(i) for i in set_ids]
-    spec = metrics.GeneratorSpec(kind=args.generator, p=args.p, f_zero=args.f_zero,
-                                 f_single=args.f_single, f_pair=args.f_pair,
-                                 seed=args.seed)
-    rows = metrics.run_experiment(sizes, sets, spec, repetitions=args.reps)
+    rows = metrics.run_experiment(sizes, sets, _generator_spec(args, args.generator),
+                                  repetitions=args.reps)
     for row in rows:
         print(f"cell n={row.n} set={row.pattern_set_id} ratio={row.ratio:.6f}",
               file=sys.stderr)

@@ -25,7 +25,7 @@ CHUNK_WIDTH = 32
 HEADER_LEN = 24
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
-_BLOCK_FIELDS = 1 << 18  # fields per vectorized block; bounds transient memory
+_BLOCK_BITS = 1 << 21  # payload bits unpacked per block by the walk; bounds transient memory
 # Below this many fields per run on average, the walk steps field by field:
 # one Python step per field then costs less than one per run.
 _RUN_FIELDS = 10
@@ -119,16 +119,22 @@ def chunks_to_matrix(chunks: np.ndarray, n: int) -> BitMatrix:
     return BitMatrix.from_bit_array(n, bits)
 
 
-def _scatter_fields(out: np.ndarray, offsets: np.ndarray, values: np.ndarray,
-                    width: int) -> None:
-    """Write fixed-width big-endian fields into a per-bit array at bit offsets."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    cols = np.arange(width, dtype=np.int64)
-    for s in range(0, len(offsets), _BLOCK_FIELDS):
-        offs = offsets[s : s + _BLOCK_FIELDS]
-        vals = values[s : s + _BLOCK_FIELDS]
-        out[(offs[:, None] + cols).ravel()] = \
-            ((vals[:, None] >> shifts) & 1).astype(np.uint8).ravel()
+def _scatter(offsets: np.ndarray, values: np.ndarray, widths: np.ndarray, nbits: int) -> bytes:
+    """Inverse of _gather: nbits of payload holding each width-bit (<= 33)
+    big-endian value at its bit offset. A field lies inside the 64 bits from
+    the 32-bit word holding its first bit, so its halves add into that word
+    and the next; fields never overlap, so adding them ORs them."""
+    words = np.zeros(nbits // 32 + 2, dtype=np.uint32)
+    windows = np.left_shift(values, (64 - widths - (offsets & 31)).view(np.uint64),
+                            dtype=np.uint64, casting="unsafe")
+    at = offsets >> 5
+    # each window's low half, then its high half, whatever the host byte order
+    halves = windows.astype("<u8", copy=False).view("<u4")
+    np.add.at(words, at, halves[1::2])
+    at += 1
+    np.add.at(words, at, halves[::2])
+    del at, windows, halves
+    return words.astype(">u4").view(np.uint8)[: (nbits + 7) // 8].tobytes()
 
 
 def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, CompressionStats]:
@@ -136,24 +142,19 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
     k = pset.indicator_bits
     chunks = matrix_chunks(m)
     idx = classify_chunks(chunks, pset)
-    matched_mask = idx >= 0
-
-    widths = np.where(matched_mask, 1 + k, RAW_FIELD_BITS).astype(np.int64)
-    bit_length = int(widths.sum())
-    offsets = np.cumsum(widths) - widths
-    out = np.zeros(bit_length, dtype=np.uint8)
+    matched = idx >= 0
+    hist = np.bincount(idx[matched], minlength=len(pset.patterns))
     # a matched field is flag 1 + k indicator bits, i.e. the (k+1)-bit value
     # (1 << k) | index; a raw field is the chunk itself widened to 33 bits,
     # whose top bit is the 0 flag
-    _scatter_fields(out, offsets[matched_mask], (1 << k) | idx[matched_mask], 1 + k)
-    _scatter_fields(out, offsets[~matched_mask],
-                    chunks[~matched_mask].astype(np.int64), RAW_FIELD_BITS)
-
-    stats = _stats(m.n, np.bincount(idx[matched_mask], minlength=len(pset.patterns)),
-                   bit_length)
+    values = np.where(matched, (1 << k) | idx, chunks)
+    del chunks, idx
+    widths = np.where(matched, np.uint8(1 + k), np.uint8(RAW_FIELD_BITS))
+    offsets = np.cumsum(widths, dtype=np.int64) - widths
+    bit_length = int(offsets[-1] + widths[-1])
     graph = CompressedGraph(m.n, pset.id, pset.width,
-                            np.packbits(out).tobytes(), bit_length)
-    return graph, stats
+                            _scatter(offsets, values, widths, bit_length), bit_length)
+    return graph, _stats(m.n, hist, bit_length)
 
 
 def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
@@ -166,12 +167,12 @@ def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
 
 
 def _unpack(payload: bytes, nbits: int) -> bytearray:
-    """One byte per payload bit, for the flag walk. Unpacked _BLOCK_FIELDS
-    payload bytes at a time, so no second full-size copy is ever held."""
+    """One byte per payload bit, for the flag walk. Unpacked _BLOCK_BITS
+    bits at a time, so no second full-size copy is ever held."""
     out = bytearray(nbits)
     view, src = np.frombuffer(out, dtype=np.uint8), np.frombuffer(payload, dtype=np.uint8)
-    for s in range(0, nbits, 8 * _BLOCK_FIELDS):
-        block = view[s : s + 8 * _BLOCK_FIELDS]
+    for s in range(0, nbits, _BLOCK_BITS):
+        block = view[s : s + _BLOCK_BITS]
         block[:] = np.unpackbits(src[s // 8 :], count=block.size)
     return out
 

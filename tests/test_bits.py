@@ -1,0 +1,43 @@
+"""The encoder's field scatter against the decoder's field gather.
+
+_scatter packs big-endian fields of 1 to 33 bits, back to back, into 32-bit
+words; _gather cuts them out again from 64-bit windows. Each must undo the
+other, and the bits past the last field must stay zero, since read_container
+rejects a payload with dirty padding.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gpmc.codec import _gather, _scatter
+
+
+@st.composite
+def fields(draw):
+    """(widths, values): fields of 1 to 33 bits, each value below 2**width."""
+    widths = draw(st.lists(st.integers(1, 33), min_size=1, max_size=300))
+    return widths, [draw(st.integers(0, (1 << w) - 1)) for w in widths]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields())
+@example(([31, 33], [(1 << 31) - 1, (1 << 33) - 1]))  # a 33-bit field at bit 31; 64 bits
+@example(([31, 33, 1], [0, (1 << 33) - 1, 1]))  # 65 bits
+@example(([31], [(1 << 31) - 1]))  # 31 bits
+@example(([33] * 32, [(1 << 33) - 1] * 32))  # every 33-bit field crosses a word
+@example(([1], [1]))
+def test_gather_undoes_scatter(case):
+    widths, values = np.array(case[0], dtype=np.int64), case[1]
+    offsets = np.cumsum(widths) - widths
+    nbits = int(widths.sum())
+    payload = _scatter(offsets, np.array(values, dtype=np.uint64), widths, nbits)
+    assert len(payload) == (nbits + 7) // 8
+    for width in set(case[0]):
+        at = np.flatnonzero(widths == width)
+        assert _gather(payload, offsets[at], width).tolist() == [values[i] for i in at]
+    padding = 8 * len(payload) - nbits
+    assert int.from_bytes(payload, "big") & ((1 << padding) - 1) == 0
+    # and bit for bit, the fields written one after another
+    expected = "".join(format(v, f"0{w}b") for v, w in zip(values, case[0])) + "0" * padding
+    assert payload == int(expected, 2).to_bytes(len(payload), "big")

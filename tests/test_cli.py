@@ -2,9 +2,11 @@ from pathlib import Path
 
 import pytest
 
-from gpmc import (compress, from_edge_list, parse_edge_list_text, pattern_set,
-                  query_edge, read_container, write_container)
+from gpmc import (GeneratorSpec, compress, format_edge_list_text, from_edge_list,
+                  parse_edge_list_text, pattern_set, query_edge, read_container,
+                  write_container)
 from gpmc.cli import main
+from gpmc.metrics import make_matrix
 
 
 def write_zero_graph(path: Path, n: int) -> None:
@@ -27,6 +29,18 @@ class TestGenerate:
         assert code == 0
         el = parse_edge_list_text(out.read_text())
         assert el.n == 64
+
+    @pytest.mark.parametrize("kind, options, spec", (
+        ("er", ["--p", "0.05"], GeneratorSpec("er", p=0.05, seed=3)),
+        ("chunk-mix", ["--f-zero", "0.4", "--f-single", "0.2", "--f-pair", "0.1"],
+         GeneratorSpec("chunk-mix", f_zero=0.4, f_single=0.2, f_pair=0.1, seed=3)),
+        ("zero", [], GeneratorSpec("zero", seed=3)),
+    ))
+    def test_writes_the_experiment_generator(self, tmp_path, kind, options, spec):
+        out = tmp_path / "g.edges"
+        assert main(["generate", str(out), "--kind", kind, "--n", "96", "--seed", "3",
+                     *options]) == 0
+        assert out.read_text() == format_edge_list_text(make_matrix(spec, 96, 1))
 
     def test_bad_fraction_is_input_error(self, tmp_path):
         out = tmp_path / "mix.edges"
