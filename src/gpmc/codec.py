@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmatrix import BitMatrix
-from .patterns import SET_IDS, PatternSet, classify_chunks, pattern_set
+from .patterns import CHUNK_BITS, SET_IDS, PatternSet, classify_chunks, pattern_set
 
 MAGIC = b"GPMC"
 VERSION = 1
-CHUNK_WIDTH = 32
+CHUNK_WIDTH = CHUNK_BITS
 HEADER_LEN = 24
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
@@ -152,7 +152,7 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
     widths = np.where(matched, np.uint8(1 + k), np.uint8(RAW_FIELD_BITS))
     offsets = np.cumsum(widths, dtype=np.int64) - widths
     bit_length = int(offsets[-1] + widths[-1])
-    graph = CompressedGraph(m.n, pset.id, pset.width,
+    graph = CompressedGraph(m.n, pset.id, CHUNK_WIDTH,
                             _scatter(offsets, values, widths, bit_length), bit_length)
     return graph, _stats(m.n, hist, bit_length)
 
@@ -161,9 +161,6 @@ def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
     if c.pattern_set_id != pset.id:
         raise FormatError(
             f"container names pattern set {c.pattern_set_id}, got set {pset.id}")
-    if c.chunk_width != pset.width:
-        raise FormatError(
-            f"container chunk width {c.chunk_width} != pattern width {pset.width}")
 
 
 def _unpack(payload: bytes, nbits: int) -> bytearray:
@@ -186,10 +183,10 @@ def _short_runs(c: CompressedGraph, k: int) -> bool:
     return 2 * raw * (count - raw) * _RUN_FIELDS > count * count
 
 
-def _walk(payload: bytes, bit_length: int, count: int, k: int, short_runs: bool,
-          keep: bool = True) -> tuple[np.ndarray | None, np.ndarray | None, int]:
-    """Bit offset and flag of each of the first count fields (None unless
-    keep), reading only flag bits, and the bit after the last field.
+def _walk(payload: bytes, bit_length: int, count: int, k: int,
+          short_runs: bool) -> tuple[bytearray, int]:
+    """Flag of each of the first count fields, one byte per field (1 for a
+    matched field), reading only flag bits, and the bit after the last field.
 
     With short runs, one step per field costs least; a field takes at most 33
     bits, so these steps go unchecked in batches that must fit. Otherwise, and
@@ -198,21 +195,18 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int, short_runs: bool,
     lasts, finds its end.
     """
     matched_width, bit_bytes = 1 + k, _unpack(payload, bit_length)
-    # field d starts at bit d * (1 + k) or later, so no more can start in the stream
-    head = np.empty(min(count, -(-bit_length // matched_width)) if short_runs and keep else 0,
-                    np.int64)
-    out = memoryview(head)  # stores a Python int faster than ndarray indexing
+    # field d starts at bit d * (1 + k) or later, so no more can start in the
+    # stream; all start matched and the walk zeroes only the raw ones
+    flags = bytearray(b"\x01") * min(count, -(-bit_length // matched_width))
     pos = done = 0
     while short_runs and (batch := min(count - done, (bit_length - pos) // RAW_FIELD_BITS)):
-        if keep:
-            for d in range(done, done + batch):
-                out[d] = pos
-                pos += matched_width if bit_bytes[pos] else RAW_FIELD_BITS
-        else:
-            for _ in range(batch):
-                pos += matched_width if bit_bytes[pos] else RAW_FIELD_BITS
+        for d in range(done, done + batch):
+            if bit_bytes[pos]:
+                pos += matched_width
+            else:
+                flags[d] = 0
+                pos += RAW_FIELD_BITS
         done += batch
-    first, batched, starts = pos, done, []
     while done < count:
         if pos >= bit_length:
             raise TruncationError(f"stream ended after {done} of {count} chunks")
@@ -230,19 +224,11 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int, short_runs: bool,
                 run += r
                 break
             run, span = stop, 2 * span
-        starts.append(pos)
+        if not flag:
+            flags[done : done + run] = bytes(run)
         pos += run * width
         done += run
-    if not keep:
-        return None, None, pos
-    starts = np.array(starts, dtype=np.int64)
-    widths = np.where(np.frombuffer(bit_bytes, np.uint8)[starts], matched_width, RAW_FIELD_BITS)
-    per_field = np.repeat(widths.astype(np.uint8), np.diff(starts, append=pos) // widths)
-    if short_runs:
-        head[batched:] = np.cumsum(per_field, dtype=np.int64) - per_field + first
-        return head, np.frombuffer(bit_bytes, np.bool_)[head], pos
-    del bit_bytes  # free the walked bytes before the per-field arrays are made
-    return np.cumsum(per_field, dtype=np.int64) - per_field, per_field != RAW_FIELD_BITS, pos
+    return flags, pos
 
 
 def _gather(payload: bytes, offsets: np.ndarray, width: int) -> np.ndarray:
@@ -268,13 +254,17 @@ def _indicators(payload: bytes, offsets: np.ndarray, pset: PatternSet) -> np.nda
 
 
 def _fields(c: CompressedGraph, pset: PatternSet) -> tuple[np.ndarray, np.ndarray]:
-    """Bit offset and flag of every field, after walking the whole stream."""
+    """Bit offset and flag of every field, after walking the whole stream;
+    the offsets are the running sum of the widths the flags give."""
     _check_set(c, pset)
     length, k = c.payload_bit_length, pset.indicator_bits
-    offsets, flags, end = _walk(c.payload, length, total_chunks(c.n), k, _short_runs(c, k))
+    flags, end = _walk(c.payload, length, total_chunks(c.n), k, _short_runs(c, k))
     if end != length:
         raise CorruptStreamError(f"{length - end} unconsumed payload bits after the final chunk")
-    return offsets, flags
+    widths = RAW_FIELD_BITS - (CHUNK_WIDTH - k) * np.frombuffer(flags, np.uint8)
+    offsets = np.zeros(widths.size, np.int64)  # each field starts where the ones before end
+    np.cumsum(widths[:-1], dtype=np.int64, out=offsets[1:])
+    return offsets, np.frombuffer(flags, np.bool_)
 
 
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
@@ -309,7 +299,7 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     length = min(c.payload_bit_length, RAW_FIELD_BITS * (target + 1))
     prefix = c.payload[: (length + 7) // 8]
     k = pset.indicator_bits
-    *_, pos = _walk(prefix, length, target, k, _short_runs(c, k), keep=False)
+    _, pos = _walk(prefix, length, target, k, _short_runs(c, k))
     field = int(_gather(prefix, np.array([pos]), RAW_FIELD_BITS)[0])  # zeros past the end
     if pos + (1 + k if field >> CHUNK_WIDTH else RAW_FIELD_BITS) > length:
         raise TruncationError(f"stream ends inside or before chunk {target}")

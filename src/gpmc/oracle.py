@@ -10,7 +10,7 @@ checked against it bit for bit.
 from __future__ import annotations
 
 from .bitmatrix import BitMatrix
-from .codec import CompressedGraph, CompressionStats, chunks_per_row
+from .codec import CHUNK_WIDTH, CompressedGraph, CompressionStats, chunks_per_row
 from .patterns import PatternSet
 
 
@@ -27,9 +27,9 @@ def reference_compress(m: BitMatrix,
 
     for i in range(n):
         row = [m.get(i, j) for j in range(n)]
-        row.extend([0] * (cpr * pset.width - n))
+        row.extend([0] * (cpr * CHUNK_WIDTH - n))
         for t in range(cpr):
-            chunk_bits = row[pset.width * t : pset.width * (t + 1)]
+            chunk_bits = row[CHUNK_WIDTH * t : CHUNK_WIDTH * (t + 1)]
             value = 0
             for b in chunk_bits:
                 value = (value << 1) | b
@@ -64,5 +64,5 @@ def reference_compress(m: BitMatrix,
         compressed_bits=len(out_bits),
         ratio=1.0 - len(out_bits) / original,
     )
-    graph = CompressedGraph(n, pset.id, pset.width, bytes(payload), len(out_bits))
+    graph = CompressedGraph(n, pset.id, CHUNK_WIDTH, bytes(payload), len(out_bits))
     return graph, stats

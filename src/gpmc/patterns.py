@@ -23,20 +23,19 @@ class PatternSet:
     read-only uint32 array, in declaration order.
     """
 
-    __slots__ = ("id", "width", "patterns", "indicator_bits", "values",
+    __slots__ = ("id", "patterns", "indicator_bits", "values",
                  "_index", "_sorted_values", "_sorted_to_index")
 
-    def __init__(self, set_id: int, patterns, width: int = CHUNK_BITS):
+    def __init__(self, set_id: int, patterns):
         self.id = set_id
-        self.width = width
         self.patterns = tuple(int(p) for p in patterns)
         if not self.patterns:
             raise ValueError("a pattern set needs at least one entry")
         if len(set(self.patterns)) != len(self.patterns):
             raise ValueError("patterns must be distinct")
         for p in self.patterns:
-            if not 0 <= p < (1 << width):
-                raise ValueError(f"pattern {p:#x} does not fit in {width} bits")
+            if not 0 <= p < (1 << CHUNK_BITS):
+                raise ValueError(f"pattern {p:#x} does not fit in {CHUNK_BITS} bits")
         self.indicator_bits = (len(self.patterns) - 1).bit_length()
         self._index = {p: i for i, p in enumerate(self.patterns)}
         self.values = np.array(self.patterns, dtype=np.uint32)
@@ -103,5 +102,9 @@ def classify_chunks(chunks: np.ndarray, pset: PatternSet) -> np.ndarray:
     """
     arr = np.ascontiguousarray(chunks, dtype=np.uint32)
     pos = np.searchsorted(pset._sorted_values, arr)
-    pos = np.minimum(pos, len(pset._sorted_values) - 1)
-    return np.where(pset._sorted_values[pos] == arr, pset._sorted_to_index[pos], -1)
+    np.minimum(pos, len(pset._sorted_values) - 1, out=pos)
+    hit = pset._sorted_values[pos] == arr
+    idx = pset._sorted_to_index[pos]
+    del pos
+    idx[~hit] = -1
+    return idx

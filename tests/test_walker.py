@@ -7,6 +7,7 @@ strategies must find the same fields, or stop with the same error.
 """
 
 import struct
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -55,6 +56,19 @@ def reference_decode(bits, n, pset):
         raise CorruptStreamError(
             f"indicator {bad[0]} out of range for {len(pset.patterns)} patterns")
     return offsets, flags, [pset.patterns[v] if f else v for v, f in zip(values, flags)]
+
+
+def reference_query(bits, n, pset, i, j):
+    """Edge bit (i, j) read from the fields the reference walk finds."""
+    target = i * chunks_per_row(n) + j // 32
+    offsets, flags, _ = reference_walk(bits, len(bits), target + 1, pset.indicator_bits)
+    pos = offsets[-1] + 1
+    if not flags[-1]:
+        return bits[pos + j % 32]
+    index = int("".join(map(str, bits[pos : pos + pset.indicator_bits])), 2)
+    if index >= len(pset.patterns):
+        raise CorruptStreamError(f"indicator {index} out of range")
+    return (pset.patterns[index] >> (31 - j % 32)) & 1
 
 
 def outcome(fn, *args):
@@ -143,6 +157,31 @@ class TestWalkAgainstReference:
             bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
         check_against_reference(bits, n, pset)
 
+    @pytest.mark.parametrize("short_runs", (False, True))
+    @pytest.mark.parametrize("cut", (False, True))
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("shape", ("ones", "zeros", "alternating"))
+    def test_each_forced_strategy_matches_the_reference(self, shape, k, cut, short_runs):
+        # patched rather than chosen from the payload length, so every reader
+        # also runs the strategy its stream would not pick
+        pset = PatternSet(1, range(1 << k))
+        n = 70
+        bits = []
+        for i in range(total_chunks(n)):
+            flag = shape == "ones" or (shape == "alternating" and i % 2 == 0)
+            bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
+        if cut:
+            bits = bits[: len(bits) // 2 + 1]
+        c = graph_of(bits, n)
+        with patch("gpmc.codec._short_runs", return_value=short_runs) as choice:
+            check_against_reference(bits, n, pset)
+            for i in range(n):
+                j = 37 * i % n
+                got, expected = outcome(query_edge, c, pset, i, j), outcome(
+                    reference_query, bits, n, pset, i, j)
+                assert got == expected if expected[0] == "ok" else got[0] == expected[0]
+        assert choice.called
+
     @settings(max_examples=300, deadline=None)
     @given(streams(), st.booleans())
     def test_both_strategies_match_the_reference(self, stream, short_runs):
@@ -151,16 +190,10 @@ class TestWalkAgainstReference:
         expected = outcome(reference_walk, bits, len(bits), count, k)
         got = outcome(_walk, packed(bits), len(bits), count, k, short_runs)
         if expected[0] == "ok":
-            offsets, flags, end = expected[1]
-            assert got[0] == "ok"
-            assert got[1][0].tolist() == offsets and got[1][1].tolist() == flags
-            assert got[1][2] == end
-            assert outcome(_walk, packed(bits), len(bits), count, k, short_runs,
-                           False) == ("ok", (None, None, end))
+            _, flags, end = expected[1]
+            assert got == ("ok", (bytearray(flags), end))
         else:
             assert got == expected
-            assert outcome(_walk, packed(bits), len(bits), count, k, short_runs,
-                           False) == expected
 
     def test_strategy_follows_the_raw_fraction(self):
         n, k = 1000, 6  # 32 000 fields
