@@ -13,10 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codec, metrics, oracle
+from . import codec, metrics
 from .bitmatrix import BitMatrix, format_edge_list_text, from_edge_list, parse_edge_list_text
-from .codec import CompressionStats
-from .patterns import SET_IDS, pattern_set
+from .patterns import SET_IDS, PatternSet, pattern_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _summary_line(n: int, set_id: int, stats: CompressionStats) -> str:
+def _summary_line(n: int, set_id: int, stats: codec.CompressionStats) -> str:
     return (f"n={n} set={set_id} chunks={stats.total_chunks} "
             f"matched={stats.matched} unmatched={stats.unmatched} "
             f"original_bits={stats.original_bits} "
@@ -48,8 +47,13 @@ def _load_container(path: str) -> codec.CompressedGraph:
     return codec.read_container(Path(path).read_bytes())
 
 
+# argparse type= functions: a ValueError they raise is a usage error
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    return [int(part) for part in text.split(",")]
+
+
+def _pattern_sets(text: str) -> list[PatternSet]:
+    return [pattern_set(set_id) for set_id in _int_list(text)]
 
 
 def _generator_spec(args, kind: str) -> metrics.GeneratorSpec:
@@ -66,9 +70,7 @@ def cmd_generate(args) -> int:
 
 def cmd_compress(args) -> int:
     m = _load_matrix(args.input)
-    pset = pattern_set(args.set)
-    encode = oracle.reference_compress if args.reference else codec.compress
-    graph, stats = encode(m, pset)
+    graph, stats = codec.compress(m, pattern_set(args.set))
     Path(args.output).write_bytes(codec.write_container(graph))
     print(_summary_line(graph.n, graph.pattern_set_id, stats))
     return EXIT_OK
@@ -111,13 +113,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    sizes = _int_list(args.sizes)
-    set_ids = _int_list(args.sets)
-    if not sizes or not set_ids:
-        print("error: --sizes and --sets must be nonempty", file=sys.stderr)
-        return EXIT_USAGE
-    sets = [pattern_set(i) for i in set_ids]
-    rows = metrics.run_experiment(sizes, sets, _generator_spec(args, args.generator),
+    rows = metrics.run_experiment(args.sizes, args.sets, _generator_spec(args, args.generator),
                                   repetitions=args.reps)
     for row in rows:
         print(f"cell n={row.n} set={row.pattern_set_id} ratio={row.ratio:.6f}",
@@ -151,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="container path to write")
     p.add_argument("--set", type=int, choices=SET_IDS, required=True,
                    help="pattern set id")
-    p.add_argument("--reference", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="expand a container back to edge-list text")
@@ -176,9 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the compression benchmark grid")
     p.add_argument("output", help="CSV path to write")
-    p.add_argument("--sizes", default="1024,2048,4096,8192",
+    p.add_argument("--sizes", type=_int_list, default="1024,2048,4096,8192",
                    help="comma-separated vertex counts")
-    p.add_argument("--sets", default="1,2,3", help="comma-separated pattern set ids")
+    p.add_argument("--sets", type=_pattern_sets, default="1,2,3",
+                   help="comma-separated pattern set ids")
     p.add_argument("--generator", choices=metrics.GENERATOR_KINDS, default="calibrated")
     p.add_argument("--reps", type=int, default=1, help="repetitions per cell")
     _add_mix_options(p)

@@ -119,13 +119,22 @@ def chunks_to_matrix(chunks: np.ndarray, n: int) -> BitMatrix:
     return BitMatrix.from_bit_array(n, bits)
 
 
-def _scatter(offsets: np.ndarray, values: np.ndarray, widths: np.ndarray, nbits: int) -> bytes:
-    """Inverse of _gather: nbits of payload holding each width-bit (<= 33)
-    big-endian value at its bit offset. A field lies inside the 64 bits from
-    the 32-bit word holding its first bit, so its halves add into that word
-    and the next; fields never overlap, so adding them ORs them."""
+def _layout(matched: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Bit offset of each field and the stream's bit length. A matched field
+    takes 1 + k bits, a raw one 33, and each starts where the ones before end."""
+    offsets = np.zeros(matched.size + 1, np.int64)
+    np.cumsum(RAW_FIELD_BITS - (CHUNK_WIDTH - k) * matched.view(np.uint8), dtype=np.int64,
+              out=offsets[1:])
+    return offsets[:-1], int(offsets[-1])
+
+
+def _scatter(offsets: np.ndarray, windows: np.ndarray, nbits: int) -> bytes:
+    """Inverse of _gather: nbits of payload holding each 33-bit window at its
+    bit offset. A window lies inside the 64 bits from the 32-bit word holding
+    its first bit, so its halves add into that word and the next; it reaches
+    past its field only with zeros, and fields never overlap, so adding ORs."""
     words = np.zeros(nbits // 32 + 2, dtype=np.uint32)
-    windows = np.left_shift(values, (64 - widths - (offsets & 31)).view(np.uint64),
+    windows = np.left_shift(windows, (64 - RAW_FIELD_BITS - (offsets & 31)).view(np.uint64),
                             dtype=np.uint64, casting="unsafe")
     at = offsets >> 5
     # each window's low half, then its high half, whatever the host byte order
@@ -144,16 +153,14 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
     idx = classify_chunks(chunks, pset)
     matched = idx >= 0
     hist = np.bincount(idx[matched], minlength=len(pset.patterns))
-    # a matched field is flag 1 + k indicator bits, i.e. the (k+1)-bit value
-    # (1 << k) | index; a raw field is the chunk itself widened to 33 bits,
-    # whose top bit is the 0 flag
-    values = np.where(matched, (1 << k) | idx, chunks)
+    # a field's 33-bit window: flag 1, the k-bit index and zeros, or flag 0 and the chunk
+    idx |= 1 << k
+    idx <<= CHUNK_WIDTH - k
+    windows = np.where(matched, idx, chunks)
     del chunks, idx
-    widths = np.where(matched, np.uint8(1 + k), np.uint8(RAW_FIELD_BITS))
-    offsets = np.cumsum(widths, dtype=np.int64) - widths
-    bit_length = int(offsets[-1] + widths[-1])
+    offsets, bit_length = _layout(matched, k)
     graph = CompressedGraph(m.n, pset.id, CHUNK_WIDTH,
-                            _scatter(offsets, values, widths, bit_length), bit_length)
+                            _scatter(offsets, windows, bit_length), bit_length)
     return graph, _stats(m.n, hist, bit_length)
 
 
@@ -231,57 +238,58 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int,
     return flags, pos
 
 
-def _gather(payload: bytes, offsets: np.ndarray, width: int) -> np.ndarray:
-    """width-bit (<= 57) big-endian fields at the given bit offsets, each cut
-    from the 64-bit window that starts at its first byte."""
+def _gather(payload: bytes, offsets: np.ndarray) -> np.ndarray:
+    """The 33-bit window at each bit offset, cut from the 64 bits that start
+    at its first byte; past the payload, windows read zeros."""
     windows = np.ndarray((len(payload) + 1,), dtype=">u8", buffer=payload + bytes(8),
                          strides=(1,))
     words = windows[offsets >> 3].astype(np.uint64)
     np.left_shift(words, offsets & 7, out=words, dtype=np.uint64, casting="unsafe")
-    words >>= np.uint64(64 - width)
+    words >>= np.uint64(64 - RAW_FIELD_BITS)
     return words
 
 
-def _indicators(payload: bytes, offsets: np.ndarray, pset: PatternSet) -> np.ndarray:
-    """Indicators of the matched fields at offsets, each read with its flag bit."""
-    indicators = _gather(payload, offsets, 1 + pset.indicator_bits)
-    indicators ^= np.uint64(1 << pset.indicator_bits)  # drop the flag bit
-    bad = indicators[indicators >= len(pset.patterns)]
+def _indicators(windows: np.ndarray, pset: PatternSet) -> np.ndarray:
+    """Dictionary index in each matched field's window, decoded in place."""
+    windows >>= np.uint64(CHUNK_WIDTH - pset.indicator_bits)
+    windows ^= np.uint64(1 << pset.indicator_bits)  # drop the flag bit
+    bad = windows[windows >= len(pset.patterns)]
     if bad.size:
         raise CorruptStreamError(
             f"indicator {bad[0]} out of range for {len(pset.patterns)} patterns")
-    return indicators.view(np.int64)
+    return windows.view(np.int64)
+
+
+def _chunks(payload: bytes, offsets: np.ndarray, matched: np.ndarray,
+            pset: PatternSet) -> np.ndarray:
+    """Chunk of each field at offsets: a raw window is the chunk, a matched one names it."""
+    windows = _gather(payload, offsets)
+    chunks = windows.astype(np.uint32)
+    chunks[matched] = pset.values[_indicators(windows[matched], pset)]
+    return chunks
 
 
 def _fields(c: CompressedGraph, pset: PatternSet) -> tuple[np.ndarray, np.ndarray]:
-    """Bit offset and flag of every field, after walking the whole stream;
-    the offsets are the running sum of the widths the flags give."""
+    """Bit offset and flag of every field, after walking the whole stream."""
     _check_set(c, pset)
     length, k = c.payload_bit_length, pset.indicator_bits
     flags, end = _walk(c.payload, length, total_chunks(c.n), k, _short_runs(c, k))
     if end != length:
         raise CorruptStreamError(f"{length - end} unconsumed payload bits after the final chunk")
-    widths = RAW_FIELD_BITS - (CHUNK_WIDTH - k) * np.frombuffer(flags, np.uint8)
-    offsets = np.zeros(widths.size, np.int64)  # each field starts where the ones before end
-    np.cumsum(widths[:-1], dtype=np.int64, out=offsets[1:])
-    return offsets, np.frombuffer(flags, np.bool_)
+    matched = np.frombuffer(flags, np.bool_)
+    return _layout(matched, k)[0], matched
 
 
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
     """Exact inverse of compress for a well-formed stream."""
-    offsets, flags = _fields(c, pset)
-    values = np.empty(flags.size, dtype=np.uint32)
-    values[flags] = pset.values[_indicators(c.payload, offsets[flags], pset)]
-    # a raw field read whole is the chunk itself: its top bit is the 0 flag
-    values[~flags] = _gather(c.payload, offsets[~flags], RAW_FIELD_BITS)
-    del offsets, flags
-    return chunks_to_matrix(values, c.n)
+    # the 8-byte-per-field arrays die with the _chunks call, before the repack
+    return chunks_to_matrix(_chunks(c.payload, *_fields(c, pset), pset), c.n)
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     """Recompute compression stats from the stream without rebuilding the matrix."""
-    offsets, flags = _fields(c, pset)
-    hist = np.bincount(_indicators(c.payload, offsets[flags], pset),
+    offsets, matched = _fields(c, pset)
+    hist = np.bincount(_indicators(_gather(c.payload, offsets[matched]), pset),
                        minlength=len(pset.patterns))
     return _stats(c.n, hist, c.payload_bit_length)
 
@@ -299,14 +307,9 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     length = min(c.payload_bit_length, RAW_FIELD_BITS * (target + 1))
     prefix = c.payload[: (length + 7) // 8]
     k = pset.indicator_bits
-    _, pos = _walk(prefix, length, target, k, _short_runs(c, k))
-    field = int(_gather(prefix, np.array([pos]), RAW_FIELD_BITS)[0])  # zeros past the end
-    if pos + (1 + k if field >> CHUNK_WIDTH else RAW_FIELD_BITS) > length:
-        raise TruncationError(f"stream ends inside or before chunk {target}")
-    if not field >> CHUNK_WIDTH:  # a raw field read whole is the chunk itself
-        return (field >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
-    index = int(_indicators(prefix, np.array([pos]), pset)[0])
-    return (pset.patterns[index] >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
+    matched = np.frombuffer(_walk(prefix, length, target + 1, k, _short_runs(c, k))[0], np.bool_)
+    chunk = _chunks(prefix, _layout(matched, k)[0][target:], matched[target:], pset)
+    return (int(chunk[0]) >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
 
 
 def write_container(c: CompressedGraph) -> bytes:

@@ -1,9 +1,11 @@
-"""The encoder's field scatter against the decoder's field gather.
+"""The encoder's window scatter against the decoder's window gather.
 
-_scatter packs big-endian fields of 1 to 33 bits, back to back, into 32-bit
-words; _gather cuts them out again from 64-bit windows. Each must undo the
-other, and the bits past the last field must stay zero, since read_container
-rejects a payload with dirty padding.
+Every field is handled as the 33-bit window at its bit offset: its own
+bits, then zeros up to 33 bits. _scatter packs such windows, fields of 1 to
+33 bits back to back, into 32-bit words; _gather cuts the 33 bits at each
+offset out again from 64-bit windows. Each must undo the other, and the bits
+past the last field must stay zero, since read_container rejects a payload
+with dirty padding.
 """
 
 import numpy as np
@@ -31,13 +33,17 @@ def test_gather_undoes_scatter(case):
     widths, values = np.array(case[0], dtype=np.int64), case[1]
     offsets = np.cumsum(widths) - widths
     nbits = int(widths.sum())
-    payload = _scatter(offsets, np.array(values, dtype=np.uint64), widths, nbits)
+    windows = [v << (33 - w) for v, w in zip(values, case[0])]
+    payload = _scatter(offsets, np.array(windows, dtype=np.uint64), nbits)
     assert len(payload) == (nbits + 7) // 8
-    for width in set(case[0]):
-        at = np.flatnonzero(widths == width)
-        assert _gather(payload, offsets[at], width).tolist() == [values[i] for i in at]
     padding = 8 * len(payload) - nbits
     assert int.from_bytes(payload, "big") & ((1 << padding) - 1) == 0
     # and bit for bit, the fields written one after another
     expected = "".join(format(v, f"0{w}b") for v, w in zip(values, case[0])) + "0" * padding
     assert payload == int(expected, 2).to_bytes(len(payload), "big")
+    # each gathered window is the 33 bits from its offset, zeros past the payload,
+    # so its top bits are the field
+    gathered = _gather(payload, offsets).tolist()
+    bits = expected + "0" * 33
+    assert gathered == [int(bits[o : o + 33], 2) for o in offsets.tolist()]
+    assert [g >> (33 - w) for g, w in zip(gathered, case[0])] == values

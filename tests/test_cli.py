@@ -78,14 +78,6 @@ class TestCompress:
         expected, _ = compress(m, pattern_set(3))
         assert read_container(out.read_bytes()) == expected
 
-    def test_reference_flag_bit_identical(self, tmp_path, small_graph):
-        fast = tmp_path / "fast.gpmc"
-        slow = tmp_path / "slow.gpmc"
-        assert main(["compress", str(small_graph), str(fast), "--set", "2"]) == 0
-        assert main(["compress", str(small_graph), str(slow), "--set", "2",
-                     "--reference"]) == 0
-        assert fast.read_bytes() == slow.read_bytes()
-
     def test_missing_input(self, tmp_path, capsys):
         out = tmp_path / "never.gpmc"
         code = main(["compress", str(tmp_path / "missing.edges"), str(out),
@@ -202,6 +194,13 @@ class TestExperiment:
 
     def test_empty_sizes_is_usage_error(self, tmp_path):
         assert main(["experiment", str(tmp_path / "x.csv"), "--sizes", ""]) == 1
+
+    @pytest.mark.parametrize("option, value", (("--sizes", "1,x"), ("--sets", "4"),
+                                               ("--sets", "1,x")))
+    def test_bad_list_is_usage_error(self, tmp_path, option, value):
+        out = tmp_path / "x.csv"
+        assert main(["experiment", str(out), option, value]) == 1
+        assert not out.exists()
 
 
 class TestUsage:

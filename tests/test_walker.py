@@ -235,9 +235,11 @@ class TestWalkAgainstReference:
         target = i * chunks_per_row(n) + j // 32
         try:
             offsets, flags, _ = reference_walk(bits, len(bits), target + 1, pset.indicator_bits)
-        except TruncationError:
-            with pytest.raises(TruncationError):
+        except TruncationError as exc:
+            # the walk to chunk (i, j) stops with the reference's own message
+            with pytest.raises(TruncationError) as raised:
                 query_edge(c, pset, i, j)
+            assert str(raised.value) == str(exc)
             return
         pos = offsets[-1] + 1
         if not flags[-1]:
