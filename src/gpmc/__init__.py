@@ -8,7 +8,6 @@ compressed-domain edge queries, and a benchmark harness.
 
 from .bitmatrix import (
     BitMatrix,
-    ChunkMixSpec,
     EdgeList,
     EdgeRangeError,
     ParseError,
@@ -54,7 +53,6 @@ from .patterns import (
 __all__ = [
     "BitMatrix",
     "CALIBRATION_MIXES",
-    "ChunkMixSpec",
     "CompressedGraph",
     "CompressionStats",
     "CorruptStreamError",

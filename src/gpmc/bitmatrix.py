@@ -8,7 +8,9 @@ are pure functions of their arguments.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -20,7 +22,7 @@ class ParseError(ValueError):
 
 
 class EdgeRangeError(ValueError):
-    """Edge endpoint outside [0, n)."""
+    """Edge endpoint not an integer in [0, n)."""
 
 
 @dataclass
@@ -33,24 +35,6 @@ class EdgeList:
 
     n: int
     edges: list[tuple[int, int]] = field(default_factory=list)
-
-
-@dataclass
-class ChunkMixSpec:
-    """Recipe for a matrix with controlled fractions of 32-bit chunk classes.
-
-    f_zero, f_single and f_pair select all-zero chunks, chunks with a single
-    1, and chunks with the leading bit plus one more 1. Whatever remains
-    becomes filler chunks with exactly three 1 bits, which no dictionary
-    entry can match. n must be a positive multiple of 32 so the fractions
-    apply to whole chunks.
-    """
-
-    n: int
-    f_zero: float = 0.0
-    f_single: float = 0.0
-    f_pair: float = 0.0
-    seed: int = 0
 
 
 class BitMatrix:
@@ -122,21 +106,35 @@ class BitMatrix:
         return f"BitMatrix(n={self.n}, edges={self.popcount()})"
 
 
+def _int_pair(edge) -> tuple[int, int]:
+    """The edge if both endpoints fit an int64, else (-1, -1), which no n admits."""
+    try:
+        return tuple(array("q", edge))
+    except (TypeError, OverflowError):
+        return -1, -1
+
+
 def from_edge_list(el: EdgeList) -> BitMatrix:
     """Materialize an edge list; duplicate edges collapse to one bit."""
-    n = el.n
+    n, edges = el.n, el.edges
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
+    if isinstance(edges, np.ndarray) and edges.dtype.kind in "biu":
+        pairs = edges.astype(np.int64, copy=False)
+    else:
+        try:  # array("q") refuses floats and ints past 64 bits, which numpy would cast
+            pairs = np.frombuffer(array("q", chain.from_iterable(edges)), np.int64)
+        except (TypeError, OverflowError):
+            pairs = np.array([_int_pair(e) for e in edges], np.int64)
+    pairs = pairs.reshape(-1, 2)
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        u, v = edges[int(np.argmax(bad))]
+        raise EdgeRangeError(f"edge ({u}, {v}) out of range for n={n}")
     packed = np.zeros((n * n + 7) // 8, dtype=np.uint8)
-    if el.edges:
-        pairs = np.asarray(el.edges, dtype=np.int64).reshape(-1, 2)
-        bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        if bad.any():
-            u, v = (int(x) for x in pairs[int(np.nonzero(bad)[0][0])])
-            raise EdgeRangeError(f"edge ({u}, {v}) out of range for n={n}")
-        flat = pairs[:, 0] * n + pairs[:, 1]
-        # OR, not assignment: a byte may hold several edges, and repeats collapse
-        np.bitwise_or.at(packed, flat >> 3, (0x80 >> (flat & 7)).astype(np.uint8))
+    flat = pairs[:, 0] * n + pairs[:, 1]
+    # OR, not assignment: a byte may hold several edges, and repeats collapse
+    np.bitwise_or.at(packed, flat >> 3, (0x80 >> (flat & 7)).astype(np.uint8))
     return BitMatrix(n, packed.tobytes())
 
 
@@ -161,18 +159,21 @@ def generate_er(n: int, p: float, seed: int) -> BitMatrix:
     return BitMatrix(n, bytes(out))
 
 
-def generate_chunk_mix(spec: ChunkMixSpec) -> BitMatrix:
-    """Matrix whose 32-bit chunk census follows the spec's fractions exactly.
+def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,
+                       f_pair: float = 0.0, seed: int = 0) -> BitMatrix:
+    """Matrix whose 32-bit chunk census follows the given fractions exactly.
 
-    Class counts are round(f * total_chunks); leftover chunks get exactly
-    three 1 bits at distinct positions. Chunk placement is a seeded
-    permutation, so the matrix looks unstructured while the census stays
-    exact.
+    f_zero, f_single and f_pair select all-zero chunks, chunks with a single
+    1, and chunks with the leading bit plus one more 1. Class counts are
+    round(f * total_chunks); the leftover chunks get exactly three 1 bits at
+    distinct positions, which no dictionary entry can match. n must be a
+    positive multiple of 32 so the fractions apply to whole chunks. Chunk
+    placement is a seeded permutation, so the matrix looks unstructured
+    while the census stays exact.
     """
-    n = spec.n
     if n < 32 or n % 32 != 0:
         raise ValueError(f"n must be a positive multiple of 32, got {n}")
-    fractions = (spec.f_zero, spec.f_single, spec.f_pair)
+    fractions = (f_zero, f_single, f_pair)
     for name, f in zip(("f_zero", "f_single", "f_pair"), fractions):
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"{name} must be in [0, 1], got {f}")
@@ -180,14 +181,12 @@ def generate_chunk_mix(spec: ChunkMixSpec) -> BitMatrix:
         raise ValueError(f"chunk fractions sum to {sum(fractions)}, must be <= 1")
 
     total = n * n // 32
-    n_zero = round(spec.f_zero * total)
-    n_single = round(spec.f_single * total)
-    n_pair = round(spec.f_pair * total)
+    n_zero, n_single, n_pair = (round(f * total) for f in fractions)
     n_filler = total - n_zero - n_single - n_pair
     if n_filler < 0:
         raise ValueError("rounded chunk counts exceed the total chunk count")
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     singles = 1 << (31 - rng.integers(0, 32, size=n_single, dtype=np.int64))
     pairs = (1 << 31) | (1 << (31 - rng.integers(1, 32, size=n_pair, dtype=np.int64)))
     # three distinct positions per filler chunk: draw from shrinking ranges and

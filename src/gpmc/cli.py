@@ -47,13 +47,19 @@ def _load_container(path: str) -> codec.CompressedGraph:
     return codec.read_container(Path(path).read_bytes())
 
 
-# argparse type= functions: a ValueError they raise is a usage error
+# argparse type= functions: a usage error shows an ArgumentTypeError's message as is
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
 def _pattern_sets(text: str) -> list[PatternSet]:
-    return [pattern_set(set_id) for set_id in _int_list(text)]
+    try:
+        return [pattern_set(set_id) for set_id in _int_list(text)]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _generator_spec(args, kind: str) -> metrics.GeneratorSpec:

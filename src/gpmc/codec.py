@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitmatrix import BitMatrix
-from .patterns import CHUNK_BITS, SET_IDS, PatternSet, classify_chunks, pattern_set
+from .patterns import CHUNK_WIDTH, SET_IDS, PatternSet, classify_chunks, pattern_set
 
 MAGIC = b"GPMC"
 VERSION = 1
-CHUNK_WIDTH = CHUNK_BITS
 HEADER_LEN = 24
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
@@ -49,17 +48,14 @@ class CompressedGraph:
 
     n: int
     pattern_set_id: int
-    chunk_width: int
     payload: bytes
     payload_bit_length: int
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
-        if self.chunk_width != CHUNK_WIDTH:
-            raise ValueError(f"chunk width must be {CHUNK_WIDTH}, got {self.chunk_width}")
+            raise FormatError(f"vertex count must be >= 1, got {self.n}")
         if self.pattern_set_id not in SET_IDS:
-            raise ValueError(f"pattern set id must be in {SET_IDS}, got {self.pattern_set_id}")
+            raise FormatError(f"pattern set id must be in {SET_IDS}, got {self.pattern_set_id}")
         if len(self.payload) != (self.payload_bit_length + 7) // 8:
             raise ValueError("payload byte length disagrees with payload_bit_length")
 
@@ -159,8 +155,7 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
     windows = np.where(matched, idx, chunks)
     del chunks, idx
     offsets, bit_length = _layout(matched, k)
-    graph = CompressedGraph(m.n, pset.id, CHUNK_WIDTH,
-                            _scatter(offsets, windows, bit_length), bit_length)
+    graph = CompressedGraph(m.n, pset.id, _scatter(offsets, windows, bit_length), bit_length)
     return graph, _stats(m.n, hist, bit_length)
 
 
@@ -315,7 +310,7 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
 def write_container(c: CompressedGraph) -> bytes:
     """Serialize: magic, version, set id, chunk width, reserved byte, then
     n and payload_bit_length as big-endian u64, then the packed payload."""
-    header = MAGIC + bytes((VERSION, c.pattern_set_id, c.chunk_width, 0))
+    header = MAGIC + bytes((VERSION, c.pattern_set_id, CHUNK_WIDTH, 0))
     header += struct.pack(">QQ", c.n, c.payload_bit_length)
     return header + c.payload
 
@@ -330,26 +325,22 @@ def read_container(data: bytes) -> CompressedGraph:
     version, set_id, width, _reserved = data[4:8]
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
-    if set_id not in SET_IDS:
-        raise FormatError(f"pattern set id must be in {SET_IDS}, got {set_id}")
     if width != CHUNK_WIDTH:
         raise FormatError(f"chunk width must be {CHUNK_WIDTH}, got {width}")
     n, bit_length = struct.unpack(">QQ", data[8:HEADER_LEN])
-    if n < 1:
-        raise FormatError(f"vertex count must be >= 1, got {n}")
     expected = HEADER_LEN + (bit_length + 7) // 8
     if len(data) != expected:
         raise TruncationError(
             f"container is {len(data)} bytes, expected {expected} "
             f"for {bit_length} payload bits")
+    c = CompressedGraph(n, set_id, bytes(data[HEADER_LEN:]), bit_length)
     # every field takes 1 + k to 33 bits, so this bounds all decode work
     count, k = total_chunks(n), pattern_set(set_id).indicator_bits
     if bit_length < count * (1 + k):
         raise TruncationError(f"{bit_length} payload bits cannot hold {count} chunks")
     if bit_length > count * RAW_FIELD_BITS:
         raise CorruptStreamError(f"{bit_length} payload bits exceed {count} raw chunks")
-    payload = bytes(data[HEADER_LEN:])
     pad = (-bit_length) % 8
-    if pad and payload[-1] & ((1 << pad) - 1):
+    if pad and c.payload[-1] & ((1 << pad) - 1):
         raise CorruptStreamError("nonzero padding bits in final payload byte")
-    return CompressedGraph(int(n), int(set_id), int(width), payload, int(bit_length))
+    return c

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitmatrix import BitMatrix, ChunkMixSpec, generate_chunk_mix, generate_er
-from .codec import compress
-from .patterns import CHUNK_BITS, PatternSet
+from .bitmatrix import BitMatrix, generate_chunk_mix, generate_er
+from .codec import compress, total_chunks
+from .patterns import CHUNK_WIDTH, PatternSet
 
 CSV_HEADER = ("n,pattern_set,total_chunks,matched,unmatched,"
               "original_bits,compressed_bits,ratio")
@@ -60,7 +60,7 @@ def ratio_for_match_fraction(f: float, indicator_bits: int) -> float:
     A matched chunk costs 1 + indicator_bits bits, an unmatched one 33, so
     ratio = ((32 - indicator_bits) * f - 1) / 32.
     """
-    return ((CHUNK_BITS - indicator_bits) * f - 1.0) / CHUNK_BITS
+    return ((CHUNK_WIDTH - indicator_bits) * f - 1.0) / CHUNK_WIDTH
 
 
 def make_matrix(spec: GeneratorSpec, n: int, set_id: int, rep: int = 0) -> BitMatrix:
@@ -71,11 +71,9 @@ def make_matrix(spec: GeneratorSpec, n: int, set_id: int, rep: int = 0) -> BitMa
     if spec.kind == "zero":
         return BitMatrix.zeros(n)
     if spec.kind == "chunk-mix":
-        return generate_chunk_mix(
-            ChunkMixSpec(n, spec.f_zero, spec.f_single, spec.f_pair, seed))
+        return generate_chunk_mix(n, spec.f_zero, spec.f_single, spec.f_pair, seed)
     if spec.kind == "calibrated":
-        f_zero, f_single, f_pair = CALIBRATION_MIXES[set_id]
-        return generate_chunk_mix(ChunkMixSpec(n, f_zero, f_single, f_pair, seed))
+        return generate_chunk_mix(n, *CALIBRATION_MIXES[set_id], seed=seed)
     raise ValueError(f"unknown generator kind {spec.kind!r}")
 
 
@@ -95,19 +93,16 @@ def run_experiment(sizes: Sequence[int], sets: Sequence[PatternSet],
     rows = []
     for n in sorted(sizes):
         for pset in sorted(sets, key=lambda s: s.id):
-            matched = unmatched = compressed = ratio = 0.0
-            chunk_total = 0
+            matched = compressed = ratio = 0.0
             for rep in range(repetitions):
                 m = make_matrix(generator, n, pset.id, rep)
                 _, stats = compress(m, pset)
-                chunk_total = stats.total_chunks
                 matched += stats.matched
-                unmatched += stats.unmatched
                 compressed += stats.compressed_bits
                 ratio += stats.ratio
-            r = repetitions
-            rows.append(ExperimentRow(n, pset.id, chunk_total, matched / r,
-                                      unmatched / r, n * n, compressed / r, ratio / r))
+            r, count = repetitions, total_chunks(n)
+            rows.append(ExperimentRow(n, pset.id, count, matched / r,
+                                      count - matched / r, n * n, compressed / r, ratio / r))
     return rows
 
 

@@ -64,5 +64,5 @@ def reference_compress(m: BitMatrix,
         compressed_bits=len(out_bits),
         ratio=1.0 - len(out_bits) / original,
     )
-    graph = CompressedGraph(n, pset.id, CHUNK_WIDTH, bytes(payload), len(out_bits))
+    graph = CompressedGraph(n, pset.id, bytes(payload), len(out_bits))
     return graph, stats

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-CHUNK_BITS = 32
-
-_LEADING_BIT = 1 << (CHUNK_BITS - 1)
+CHUNK_WIDTH = 32
 
 
 class PatternSet:
@@ -23,8 +21,7 @@ class PatternSet:
     read-only uint32 array, in declaration order.
     """
 
-    __slots__ = ("id", "patterns", "indicator_bits", "values",
-                 "_index", "_sorted_values", "_sorted_to_index")
+    __slots__ = ("id", "patterns", "indicator_bits", "values", "_sorted_values", "_sorted_to_index")
 
     def __init__(self, set_id: int, patterns):
         self.id = set_id
@@ -34,10 +31,9 @@ class PatternSet:
         if len(set(self.patterns)) != len(self.patterns):
             raise ValueError("patterns must be distinct")
         for p in self.patterns:
-            if not 0 <= p < (1 << CHUNK_BITS):
-                raise ValueError(f"pattern {p:#x} does not fit in {CHUNK_BITS} bits")
+            if not 0 <= p < (1 << CHUNK_WIDTH):
+                raise ValueError(f"pattern {p:#x} does not fit in {CHUNK_WIDTH} bits")
         self.indicator_bits = (len(self.patterns) - 1).bit_length()
-        self._index = {p: i for i, p in enumerate(self.patterns)}
         self.values = np.array(self.patterns, dtype=np.uint32)
         self.values.flags.writeable = False
         order = np.argsort(self.values, kind="stable")
@@ -54,18 +50,18 @@ class PatternSet:
 
 def _bit(position: int) -> int:
     """Chunk value with a single 1 at the given row position."""
-    return 1 << (CHUNK_BITS - 1 - position)
+    return 1 << (CHUNK_WIDTH - 1 - position)
 
 
 def build_pattern_set_1() -> PatternSet:
     """All-zero chunk at index 0; leading bit paired with bit i at index i."""
-    patterns = [0] + [_LEADING_BIT | _bit(i) for i in range(1, CHUNK_BITS)]
+    patterns = [0] + [_bit(0) | _bit(i) for i in range(1, CHUNK_WIDTH)]
     return PatternSet(1, patterns)
 
 
 def build_pattern_set_2() -> PatternSet:
     """Single 1 at position i, stored at index i. No all-zero entry."""
-    return PatternSet(2, [_bit(i) for i in range(CHUNK_BITS)])
+    return PatternSet(2, [_bit(i) for i in range(CHUNK_WIDTH)])
 
 
 def build_pattern_set_3() -> PatternSet:
@@ -86,12 +82,8 @@ def pattern_set(set_id: int) -> PatternSet:
 
 
 def classify(chunk: int, pset: PatternSet) -> int | None:
-    """Index of the dictionary entry bit-equal to chunk, or None.
-
-    Hash lookup; extensionally identical to a linear scan because entries
-    are distinct.
-    """
-    return pset._index.get(chunk)
+    """Index of the dictionary entry bit-equal to chunk, or None."""
+    return pset.patterns.index(chunk) if chunk in pset.patterns else None
 
 
 def classify_chunks(chunks: np.ndarray, pset: PatternSet) -> np.ndarray:

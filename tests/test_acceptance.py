@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from gpmc import (BitMatrix, ChunkMixSpec, CorruptStreamError, FormatError,
+from gpmc import (BitMatrix, CorruptStreamError, FormatError,
                   TruncationError, compress, decompress, generate_chunk_mix,
                   generate_er, pattern_set, query_edge, read_container,
                   reference_compress, write_container)
@@ -101,7 +101,7 @@ def test_criterion_04_calibrated_ratio_targets(sets):
     measured = {}
     for pset in sets:
         fz, fs, fp = mixes[pset.id]
-        m = generate_chunk_mix(ChunkMixSpec(1024, fz, fs, fp, seed=pset.id))
+        m = generate_chunk_mix(1024, fz, fs, fp, seed=pset.id)
         _, stats = compress(m, pset)
         measured[pset.id] = stats.ratio
     elapsed = time.perf_counter() - start
@@ -114,8 +114,8 @@ def test_criterion_04_calibrated_ratio_targets(sets):
 def test_criterion_05_calibration_point_9500(sets):
     # 6000 all-zero + 3500 leading-pair chunks match set 1; singles do not
     total = 32768
-    m = generate_chunk_mix(ChunkMixSpec(
-        1024, f_zero=6000 / total, f_single=5000 / total, f_pair=3500 / total, seed=12))
+    m = generate_chunk_mix(
+        1024, f_zero=6000 / total, f_single=5000 / total, f_pair=3500 / total, seed=12)
     _, stats = compress(m, sets[0])
     target = (27 * (9500 / total) - 1) / 32
     ok = stats.matched == 9500 and abs(stats.ratio - target) <= 0.001

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpmc import (BitMatrix, ChunkMixSpec, EdgeList, EdgeRangeError, ParseError,
+from gpmc import (BitMatrix, EdgeList, EdgeRangeError, ParseError,
                   classify_chunks, format_edge_list_text, from_edge_list,
                   generate_chunk_mix, generate_er, parse_edge_list_text)
 from gpmc.codec import matrix_chunks
@@ -45,6 +45,27 @@ class TestFromEdgeList:
             from_edge_list(EdgeList(4, [(0, 1), (0, 7)]))
         with pytest.raises(EdgeRangeError):
             from_edge_list(EdgeList(4, [(-1, 0)]))
+
+    def test_non_integer_endpoint(self):
+        with pytest.raises(EdgeRangeError, match=r"\(0\.9, 1\.7\)"):
+            from_edge_list(EdgeList(4, [(0, 1), (0.9, 1.7)]))
+        with pytest.raises(EdgeRangeError, match=r"\(0\.0, 3\.0\)"):
+            from_edge_list(EdgeList(4, np.array([[0.0, 3.0]])))
+
+    def test_endpoint_past_int64(self):
+        with pytest.raises(EdgeRangeError, match=rf"\(0, {2**70}\)"):
+            from_edge_list(EdgeList(4, [(0, 2), (0, 2**70), (0.5, 1)]))
+        with pytest.raises(EdgeRangeError, match=r"\(0, 7\)"):  # the first bad edge
+            from_edge_list(EdgeList(4, [(0, 7), (0, 2**70)]))
+
+    def test_integer_inputs(self):
+        expected = from_edge_list(EdgeList(5, [(0, 4), (3, 1)]))
+        assert from_edge_list(EdgeList(5, [(np.int64(0), np.uint8(4)), (3, np.int32(1))])) == expected
+        for dtype in (np.int32, np.uint64, np.int64):
+            pairs = np.array([[0, 4], [3, 1]], dtype=dtype)
+            assert from_edge_list(EdgeList(5, pairs)) == expected
+        with pytest.raises(EdgeRangeError):
+            from_edge_list(EdgeList(5, np.array([[0, 2**64 - 1]], dtype=np.uint64)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 20), st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19))))
@@ -120,19 +141,18 @@ class TestGenerateEr:
 
 class TestGenerateChunkMix:
     def test_all_zero(self):
-        m = generate_chunk_mix(ChunkMixSpec(64, f_zero=1.0, seed=3))
+        m = generate_chunk_mix(64, f_zero=1.0, seed=3)
         assert m.popcount() == 0
 
     def test_all_filler_matches_nothing(self, all_sets):
-        m = generate_chunk_mix(ChunkMixSpec(256, seed=5))
+        m = generate_chunk_mix(256, seed=5)
         chunks = matrix_chunks(m)
         assert (chunk_popcounts(chunks) == 3).all()
         for pset in all_sets:
             assert (classify_chunks(chunks, pset) == -1).all()
 
     def test_census_exact(self):
-        spec = ChunkMixSpec(1024, f_zero=0.5, f_single=0.3, f_pair=0.1, seed=7)
-        m = generate_chunk_mix(spec)
+        m = generate_chunk_mix(1024, f_zero=0.5, f_single=0.3, f_pair=0.1, seed=7)
         chunks = matrix_chunks(m)
         pc = chunk_popcounts(chunks)
         total = chunks.size
@@ -146,28 +166,28 @@ class TestGenerateChunkMix:
         assert n_zero + n_single + n_pair + n_filler == total
 
     def test_match_fraction_under_union_set(self, set3):
-        m = generate_chunk_mix(ChunkMixSpec(1024, 0.5, 0.3, 0.1, seed=7))
+        m = generate_chunk_mix(1024, 0.5, 0.3, 0.1, seed=7)
         chunks = matrix_chunks(m)
         matched = int((classify_chunks(chunks, set3) >= 0).sum())
         assert abs(matched / chunks.size - 0.9) < 1e-4
 
     def test_deterministic(self):
-        spec = ChunkMixSpec(96, 0.2, 0.2, 0.2, seed=21)
-        assert generate_chunk_mix(spec) == generate_chunk_mix(spec)
+        args = (96, 0.2, 0.2, 0.2, 21)
+        assert generate_chunk_mix(*args) == generate_chunk_mix(*args)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            generate_chunk_mix(ChunkMixSpec(33, f_zero=0.5))
+            generate_chunk_mix(33, f_zero=0.5)
         with pytest.raises(ValueError):
-            generate_chunk_mix(ChunkMixSpec(64, f_zero=0.9, f_single=0.2))
+            generate_chunk_mix(64, f_zero=0.9, f_single=0.2)
         with pytest.raises(ValueError):
-            generate_chunk_mix(ChunkMixSpec(64, f_zero=-0.1))
+            generate_chunk_mix(64, f_zero=-0.1)
 
     def test_rejects_rounded_count_overflow(self):
         # at 32 chunks each third rounds up to 11, overflowing the total
         third = 1.0 / 3.0
         with pytest.raises(ValueError, match="rounded"):
-            generate_chunk_mix(ChunkMixSpec(32, third, third, third, seed=0))
+            generate_chunk_mix(32, third, third, third, seed=0)
 
 
 class TestEdgeListText:

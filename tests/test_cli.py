@@ -197,10 +197,13 @@ class TestExperiment:
 
     @pytest.mark.parametrize("option, value", (("--sizes", "1,x"), ("--sets", "4"),
                                                ("--sets", "1,x")))
-    def test_bad_list_is_usage_error(self, tmp_path, option, value):
+    def test_bad_list_is_usage_error(self, tmp_path, capsys, option, value):
         out = tmp_path / "x.csv"
         assert main(["experiment", str(out), option, value]) == 1
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err
+        assert "_int_list" not in err and "_pattern_sets" not in err
 
 
 class TestUsage:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpmc import (BitMatrix, ChunkMixSpec, CompressedGraph, CorruptStreamError,
+from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError,
                   FormatError, PatternSet, TruncationError, compress, decompress,
                   generate_chunk_mix, generate_er, pattern_set, query_edge,
                   ratio_for_match_fraction, scan_stats, total_chunks)
@@ -41,7 +41,7 @@ class TestCompress:
             assert stats.total_chunks == expected == total_chunks(n)
 
     def test_chunk_mix_ratio_matches_cost_model(self, set3):
-        m = generate_chunk_mix(ChunkMixSpec(1024, 0.5, 0.3, 0.1, seed=2))
+        m = generate_chunk_mix(1024, 0.5, 0.3, 0.1, seed=2)
         _, stats = compress(m, set3)
         f = stats.matched / stats.total_chunks
         assert abs(f - 0.9) < 1e-4
@@ -52,7 +52,7 @@ class TestCompress:
     def test_ratio_formula_is_exact_on_aligned_sizes(self, all_sets):
         for seed, (fz, fs, fp) in enumerate([(0.25, 0.25, 0.25), (0.0, 0.8, 0.0),
                                              (0.9, 0.0, 0.05)]):
-            m = generate_chunk_mix(ChunkMixSpec(256, fz, fs, fp, seed=seed))
+            m = generate_chunk_mix(256, fz, fs, fp, seed=seed)
             for pset in all_sets:
                 _, stats = compress(m, pset)
                 f = stats.matched / stats.total_chunks
@@ -97,7 +97,7 @@ class TestRoundTrip:
         matrices = [
             generate_er(96, 0.02, seed=1),
             generate_er(128, 0.2, seed=2),
-            generate_chunk_mix(ChunkMixSpec(256, 0.4, 0.3, 0.2, seed=3)),
+            generate_chunk_mix(256, 0.4, 0.3, 0.2, seed=3),
             BitMatrix.zeros(40),
         ]
         for m in matrices:
@@ -122,23 +122,27 @@ class TestChunking:
 class TestDecompressStreams:
     def test_single_matched_chunk_stream(self, set1):
         # flag 1 + indicator 00000, padded: one all-zero chunk for n=1
-        c = CompressedGraph(1, 1, 32, bytes([0b10000000]), 6)
+        c = CompressedGraph(1, 1, bytes([0b10000000]), 6)
         assert decompress(c, set1) == BitMatrix.zeros(1)
 
     def test_single_raw_chunk_stream(self, set1):
         # flag 0, then raw chunk 10000... : bit (0, 0) set for n=1
         payload = bytes([0b01000000, 0, 0, 0, 0])
-        c = CompressedGraph(1, 1, 32, payload, 33)
+        c = CompressedGraph(1, 1, payload, 33)
         m = decompress(c, set1)
         assert m.get(0, 0) == 1 and m.popcount() == 1
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            CompressedGraph(0, 1, 32, b"", 0)
+        with pytest.raises(FormatError, match="vertex count must be >= 1, got 0"):
+            CompressedGraph(0, 1, b"", 0)
+
+    def test_rejects_unknown_set_id(self):
+        with pytest.raises(FormatError, match="pattern set id must be in"):
+            CompressedGraph(1, 4, bytes([0b10000000]), 6)
 
     def test_rejects_payload_length_mismatch(self):
         with pytest.raises(ValueError):
-            CompressedGraph(1, 1, 32, bytes(2), 6)
+            CompressedGraph(1, 1, bytes(2), 6)
 
     def test_pattern_set_mismatch(self, set1, set2):
         c, _ = compress(BitMatrix.zeros(32), set1)
@@ -147,19 +151,19 @@ class TestDecompressStreams:
 
     def test_truncated_mid_field(self, set1):
         # flag says matched but only 4 of 6 bits are present
-        c = CompressedGraph(1, 1, 32, bytes([0b10000000]), 4)
+        c = CompressedGraph(1, 1, bytes([0b10000000]), 4)
         with pytest.raises(TruncationError):
             decompress(c, set1)
 
     def test_stream_ends_before_all_chunks(self, set1):
         # n=32 needs 32 chunks; supply only one
-        c = CompressedGraph(32, 1, 32, bytes([0b10000000]), 6)
+        c = CompressedGraph(32, 1, bytes([0b10000000]), 6)
         with pytest.raises(TruncationError):
             decompress(c, set1)
 
     def test_trailing_bits_rejected(self, set1):
         # n=1 consumes 6 bits; 6 more are left over
-        c = CompressedGraph(1, 1, 32, bytes([0b10000010, 0b00000000]), 12)
+        c = CompressedGraph(1, 1, bytes([0b10000010, 0b00000000]), 12)
         with pytest.raises(CorruptStreamError):
             decompress(c, set1)
 
@@ -167,7 +171,7 @@ class TestDecompressStreams:
         # 3-entry dictionary: 2-bit indicators, value 3 is unused
         pset = PatternSet(1, [0, 1 << 31, 1 << 30])
         assert pset.indicator_bits == 2
-        c = CompressedGraph(1, 1, 32, bytes([0b11100000]), 3)
+        c = CompressedGraph(1, 1, bytes([0b11100000]), 3)
         with pytest.raises(CorruptStreamError):
             decompress(c, pset)
 
@@ -180,7 +184,7 @@ class TestScanStats:
             assert scan_stats(c, pset) == stats
 
     def test_detects_trailing_bits(self, set1):
-        c = CompressedGraph(1, 1, 32, bytes([0b10000010, 0b00000000]), 12)
+        c = CompressedGraph(1, 1, bytes([0b10000010, 0b00000000]), 12)
         with pytest.raises(CorruptStreamError):
             scan_stats(c, set1)
 

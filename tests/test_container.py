@@ -65,6 +65,11 @@ class TestRead:
         with pytest.raises(FormatError):
             read_container(bytes(blob))
 
+    def test_zero_vertex_count(self):
+        blob = b"GPMC" + bytes((1, 1, 32, 0)) + bytes(16)  # n = 0, no payload bits
+        with pytest.raises(FormatError, match="vertex count must be >= 1, got 0"):
+            read_container(blob)
+
     def test_truncated_payload(self, set1):
         c, _ = compress(BitMatrix.zeros(64), set1)
         blob = write_container(c)

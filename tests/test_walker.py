@@ -83,7 +83,7 @@ def packed(bits):
 
 
 def graph_of(bits, n):
-    return CompressedGraph(n, 1, 32, packed(bits), len(bits))
+    return CompressedGraph(n, 1, packed(bits), len(bits))
 
 
 @st.composite
@@ -199,7 +199,7 @@ class TestWalkAgainstReference:
         n, k = 1000, 6  # 32 000 fields
 
         def short(bits):
-            return _short_runs(CompressedGraph(n, 1, 32, bytes((bits + 7) // 8), bits), k)
+            return _short_runs(CompressedGraph(n, 1, bytes((bits + 7) // 8), bits), k)
 
         def bits_for(raw):
             return (32_000 - raw) * (1 + k) + raw * 33
