@@ -107,9 +107,9 @@ class BitMatrix:
 
 
 def _int_pair(edge) -> tuple[int, int]:
-    """The edge if both endpoints fit an int64, else (-1, -1), which no n admits."""
+    """The edge if it is two int64 endpoints, else (-1, -1), which no n admits."""
     try:
-        return tuple(array("q", edge))
+        return tuple(array("q", edge)) if len(edge) == 2 else (-1, -1)
     except (TypeError, OverflowError):
         return -1, -1
 
@@ -119,18 +119,18 @@ def from_edge_list(el: EdgeList) -> BitMatrix:
     n, edges = el.n, el.edges
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
-    if isinstance(edges, np.ndarray) and edges.dtype.kind in "biu":
-        pairs = edges.astype(np.int64, copy=False)
-    else:
-        try:  # array("q") refuses floats and ints past 64 bits, which numpy would cast
-            pairs = np.frombuffer(array("q", chain.from_iterable(edges)), np.int64)
-        except (TypeError, OverflowError):
-            pairs = np.array([_int_pair(e) for e in edges], np.int64)
+    # array("q") refuses floats and ints past int64; a flat read needs every edge to be a pair
+    try:
+        if set(map(len, edges)) - {2}:
+            raise ValueError("not every edge is a pair")
+        pairs = np.frombuffer(array("q", chain.from_iterable(edges)), np.int64)
+    except (TypeError, ValueError, OverflowError):
+        pairs = np.array([_int_pair(e) for e in edges], np.int64)
     pairs = pairs.reshape(-1, 2)
     bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if bad.any():
-        u, v = edges[int(np.argmax(bad))]
-        raise EdgeRangeError(f"edge ({u}, {v}) out of range for n={n}")
+        edge = ", ".join(map(str, edges[int(np.argmax(bad))]))
+        raise EdgeRangeError(f"edge ({edge}) out of range for n={n}")
     packed = np.zeros((n * n + 7) // 8, dtype=np.uint8)
     flat = pairs[:, 0] * n + pairs[:, 1]
     # OR, not assignment: a byte may hold several edges, and repeats collapse

@@ -58,6 +58,14 @@ class TestFromEdgeList:
         with pytest.raises(EdgeRangeError, match=r"\(0, 7\)"):  # the first bad edge
             from_edge_list(EdgeList(4, [(0, 7), (0, 2**70)]))
 
+    def test_edge_not_a_pair(self):
+        with pytest.raises(EdgeRangeError, match=r"edge \(0, 1, 2\)"):
+            from_edge_list(EdgeList(4, [(0, 1, 2), (3,)]))
+        with pytest.raises(EdgeRangeError, match=r"edge \(3\)"):
+            from_edge_list(EdgeList(4, [(0, 1), (3,), (2, 1, 0)]))
+        with pytest.raises(EdgeRangeError, match=r"edge \(0, 1, 2\)"):
+            from_edge_list(EdgeList(4, np.array([[0, 1, 2]])))
+
     def test_integer_inputs(self):
         expected = from_edge_list(EdgeList(5, [(0, 4), (3, 1)]))
         assert from_edge_list(EdgeList(5, [(np.int64(0), np.uint8(4)), (3, np.int32(1))])) == expected
