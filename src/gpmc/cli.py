@@ -55,6 +55,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _pattern_sets(text: str) -> list[PatternSet]:
     try:
         return [pattern_set(set_id) for set_id in _int_list(text)]
@@ -112,8 +122,10 @@ def cmd_verify(args) -> int:
     if decoded == original:
         print("OK")
         return EXIT_OK
-    diff = np.nonzero(original.bit_array() != decoded.bit_array())[0]
-    i, j = divmod(int(diff[0]), original.n)
+    # the first differing byte of the packed bits, then the first differing bit in it
+    a, b = (np.frombuffer(m.data, dtype=np.uint8) for m in (original, decoded))
+    k = int(np.argmax(a != b))
+    i, j = divmod(8 * k + 8 - int(a[k] ^ b[k]).bit_length(), original.n)
     print(f"mismatch at ({i}, {j})")
     return EXIT_MISMATCH
 
@@ -144,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a synthetic graph as edge-list text")
     p.add_argument("output", help="edge-list path to write")
     p.add_argument("--kind", choices=("er", "chunk-mix", "zero"), default="er")
-    p.add_argument("--n", type=int, required=True, help="vertex count")
+    p.add_argument("--n", type=_positive_int, required=True, help="vertex count")
     _add_mix_options(p)
     p.set_defaults(func=cmd_generate)
 
@@ -182,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sets", type=_pattern_sets, default="1,2,3",
                    help="comma-separated pattern set ids")
     p.add_argument("--generator", choices=metrics.GENERATOR_KINDS, default="calibrated")
-    p.add_argument("--reps", type=int, default=1, help="repetitions per cell")
+    p.add_argument("--reps", type=_positive_int, default=1, help="repetitions per cell")
     _add_mix_options(p)
     p.set_defaults(func=cmd_experiment)
 

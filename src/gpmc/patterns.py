@@ -11,6 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 CHUNK_WIDTH = 32
+# Multiply-shift hashing (Dietzfelbinger et al., J. Algorithms 1997): a
+# chunk's home slot is the top bits of chunk * _MULTIPLIER mod 2**32. The
+# multiplier is the first odd draw of np.random.default_rng(0) that gives
+# each of the three paper sets a table without collisions;
+# tests/test_patterns.py draws it again.
+_MULTIPLIER = np.uint32(0x4ECDE8B9)
+
+
+def _slot(chunks: np.ndarray, shift: np.uint32) -> np.ndarray:
+    """Home slot of each uint32 chunk in a table of 2 ** (32 - shift) slots."""
+    slot = chunks * _MULTIPLIER
+    slot >>= shift
+    return slot
 
 
 class PatternSet:
@@ -19,9 +32,16 @@ class PatternSet:
     indicator_bits is ceil(log2(len(patterns))): the width of the index
     field a matched chunk is replaced with. values holds the patterns as a
     read-only uint32 array, in declaration order.
+
+    The constructor also builds the slot table classify_chunks looks chunks
+    up in: 2 ** (indicator_bits + 1) slots, so it is at most half full. An
+    entry sits in its home slot, _slot(value), or in the first free slot
+    after it (linear probing, wrapping around); _rounds is the longest probe
+    any entry needs, 1 for the three paper sets. A free slot holds index 0:
+    a lookup accepts a slot only if the entry it names equals the chunk.
     """
 
-    __slots__ = ("id", "patterns", "indicator_bits", "values", "_sorted_values", "_sorted_to_index")
+    __slots__ = ("id", "patterns", "indicator_bits", "values", "_shift", "_table", "_rounds")
 
     def __init__(self, set_id: int, patterns):
         self.id = set_id
@@ -36,9 +56,21 @@ class PatternSet:
         self.indicator_bits = (len(self.patterns) - 1).bit_length()
         self.values = np.array(self.patterns, dtype=np.uint32)
         self.values.flags.writeable = False
-        order = np.argsort(self.values, kind="stable")
-        self._sorted_values = self.values[order]
-        self._sorted_to_index = order.astype(np.int64)
+        table_bits = self.indicator_bits + 1
+        self._shift = np.uint32(CHUNK_WIDTH - table_bits)
+        table = np.full(1 << table_bits, -1, dtype=np.int64)
+        slot, pending = _slot(self.values, self._shift), np.arange(len(self.values))
+        self._rounds = 0
+        while pending.size:  # one round per probe step; the last write to a slot wins it
+            self._rounds += 1
+            free = table[slot] < 0
+            table[slot[free]] = pending[free]
+            waiting = table[slot] != pending
+            slot = (slot[waiting] + np.uint32(1)) & np.uint32(table.size - 1)
+            pending = pending[waiting]
+        table[table < 0] = 0
+        table.flags.writeable = False
+        self._table = table
 
     def __len__(self):
         return len(self.patterns)
@@ -53,20 +85,24 @@ def _bit(position: int) -> int:
     return 1 << (CHUNK_WIDTH - 1 - position)
 
 
+# the entries of sets 1 and 2 in index order; set 3 is the two in a row
+_ZERO_AND_PAIRS = (0,) + tuple(_bit(0) | _bit(i) for i in range(1, CHUNK_WIDTH))
+_SINGLE_ONES = tuple(_bit(i) for i in range(CHUNK_WIDTH))
+
+
 def build_pattern_set_1() -> PatternSet:
     """All-zero chunk at index 0; leading bit paired with bit i at index i."""
-    patterns = [0] + [_bit(0) | _bit(i) for i in range(1, CHUNK_WIDTH)]
-    return PatternSet(1, patterns)
+    return PatternSet(1, _ZERO_AND_PAIRS)
 
 
 def build_pattern_set_2() -> PatternSet:
     """Single 1 at position i, stored at index i. No all-zero entry."""
-    return PatternSet(2, [_bit(i) for i in range(CHUNK_WIDTH)])
+    return PatternSet(2, _SINGLE_ONES)
 
 
 def build_pattern_set_3() -> PatternSet:
     """Set 1 followed by set 2: 64 entries, 6-bit indicators."""
-    return PatternSet(3, build_pattern_set_1().patterns + build_pattern_set_2().patterns)
+    return PatternSet(3, _ZERO_AND_PAIRS + _SINGLE_ONES)
 
 
 _BUILDERS = {1: build_pattern_set_1, 2: build_pattern_set_2, 3: build_pattern_set_3}
@@ -89,14 +125,25 @@ def classify(chunk: int, pset: PatternSet) -> int | None:
 def classify_chunks(chunks: np.ndarray, pset: PatternSet) -> np.ndarray:
     """Vectorized classify: int64 indices, -1 where nothing matches.
 
-    Binary search against the sorted dictionary, mapped back to declaration
-    order so results agree with classify() exactly.
+    Each chunk is looked up in the set's slot table: one multiply, one
+    shift and one table gather per probe round, then one check that the
+    entry found equals the chunk. The cost does not depend on what the
+    chunks hold. Results agree with classify() exactly.
     """
     arr = np.ascontiguousarray(chunks, dtype=np.uint32)
-    pos = np.searchsorted(pset._sorted_values, arr)
-    np.minimum(pos, len(pset._sorted_values) - 1, out=pos)
-    hit = pset._sorted_values[pos] == arr
-    idx = pset._sorted_to_index[pos]
-    del pos
-    idx[~hit] = -1
+    idx = pset._table[_slot(arr, pset._shift)]
+    miss = pset.values[idx] != arr
+    # entries displaced by a collision sit in the slots after their home slot
+    for step in range(1, pset._rounds):
+        slot = _slot(arr, pset._shift)
+        slot += np.uint32(step)
+        slot &= np.uint32(pset._table.size - 1)
+        candidate = pset._table[slot]
+        del slot
+        found = pset.values[candidate] == arr
+        found &= miss
+        np.copyto(idx, candidate, where=found)
+        miss ^= found
+        del candidate, found
+    idx[miss] = -1
     return idx

@@ -170,6 +170,18 @@ class TestVerify:
         assert main(["verify", str(a), str(container)]) == 3
         assert "(0, 1)" in capsys.readouterr().out
 
+    def test_mismatch_in_last_bit(self, tmp_path, capsys):
+        # n=100 pads each row to four chunks; (99, 99) is the last matrix bit
+        a = tmp_path / "a.edges"
+        b = tmp_path / "b.edges"
+        a.write_text("100\n0 5\n99 99\n")
+        b.write_text("100\n0 5\n")
+        container = tmp_path / "b.gpmc"
+        assert main(["compress", str(b), str(container), "--set", "1"]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(a), str(container)]) == 3
+        assert capsys.readouterr().out.strip() == "mismatch at (99, 99)"
+
     def test_size_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.edges"
         b = tmp_path / "b.edges"
@@ -204,6 +216,23 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert f"argument {option}: " in err
         assert "_int_list" not in err and "_pattern_sets" not in err
+
+
+class TestPositiveCounts:
+    @pytest.mark.parametrize("argv, option", (
+        (["generate", "g.edges", "--n", "0"], "--n"),
+        (["generate", "g.edges", "--n", "x"], "--n"),
+        (["experiment", "x.csv", "--reps", "0"], "--reps"),
+        (["experiment", "x.csv", "--reps", "-2"], "--reps"),
+    ))
+    def test_nonpositive_count_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                               argv, option):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert not (tmp_path / argv[1]).exists()
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err
+        assert "_positive_int" not in err
 
 
 class TestUsage:

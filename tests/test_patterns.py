@@ -1,8 +1,14 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpmc import PatternSet, classify, classify_chunks
-from gpmc.patterns import _bit
+from gpmc import PatternSet, classify, classify_chunks, generate_er, pattern_set
+from gpmc.codec import matrix_chunks
+from gpmc.patterns import _MULTIPLIER, _bit
 
 LEADING = 1 << 31
 
@@ -141,3 +147,75 @@ class TestClassify:
         for pset in all_sets:
             for chunk in sample:
                 assert classify(int(chunk), pset) == scan_classify(pset.patterns, chunk)
+
+
+def home_slot(value, pset, multiplier=int(_MULTIPLIER)):
+    """Multiply-shift home slot, in plain integers."""
+    return (value * multiplier) % (1 << 32) >> int(pset._shift)
+
+
+def slot_mate(value, pset, low):
+    """A value other than value with the same home slot: multiplying by the
+    odd multiplier is a bijection mod 2**32, so change the product's bits
+    below the slot and multiply back by the inverse."""
+    product = (value * int(_MULTIPLIER)) % (1 << 32) ^ low
+    return product * pow(int(_MULTIPLIER), -1, 1 << 32) % (1 << 32)
+
+
+class TestSlotTable:
+    def test_multiplier_is_first_seeded_draw_without_paper_collisions(self):
+        paper = [pattern_set(set_id) for set_id in (1, 2, 3)]
+        rng = np.random.default_rng(0)
+        while True:
+            a = int(rng.integers(0, 1 << 32, dtype=np.uint64)) | 1
+            if all(len({home_slot(v, p, a) for v in p.patterns}) == len(p) for p in paper):
+                break
+        assert a == int(_MULTIPLIER)
+
+    def test_paper_sets_take_one_round(self, all_sets):
+        for pset in all_sets:
+            assert pset._rounds == 1
+            assert pset._table.size == 2 << pset.indicator_bits
+            slots = [home_slot(v, pset) for v in pset.patterns]
+            assert [int(pset._table[s]) for s in slots] == list(range(len(pset)))
+
+    def test_builds_are_identical(self):
+        rng = np.random.default_rng(3)
+        custom = rng.choice(1 << 32, size=200, replace=False).tolist()
+        for build in (lambda: pattern_set(3), lambda: PatternSet(9, custom)):
+            first, second = build(), build()
+            assert np.array_equal(first._table, second._table)
+            assert first._rounds == second._rounds
+        assert PatternSet(9, custom)._rounds > 1  # the custom set does probe
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_custom_sets_agree_with_scalar_classify(self, data):
+        values = data.draw(st.lists(st.integers(0, (1 << 32) - 1), min_size=1,
+                                    max_size=300, unique=True))
+        pset = PatternSet(9, values)
+        low = st.integers(1, (1 << int(pset._shift)) - 1)
+        entries = data.draw(st.lists(st.sampled_from(values), max_size=100))
+        sources = data.draw(st.lists(st.sampled_from(values), max_size=100))
+        mates = [slot_mate(v, pset, data.draw(low)) for v in sources]
+        for v, mate in zip(sources, mates):
+            assert mate != v and home_slot(mate, pset) == home_slot(v, pset)
+        others = data.draw(st.lists(st.integers(0, (1 << 32) - 1), max_size=100))
+        chunks = data.draw(st.permutations(entries + mates + others))
+        fast = classify_chunks(np.array(chunks, dtype=np.uint32), pset)
+        assert fast.dtype == np.int64
+        expected = [classify(c, pset) for c in chunks]
+        assert fast.tolist() == [-1 if i is None else i for i in expected]
+
+    def test_peak_below_four_times_input(self, all_sets):
+        chunks = matrix_chunks(generate_er(4096, 0.02, 1))
+        for pset in all_sets:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                classify_chunks(chunks, pset)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * chunks.nbytes
