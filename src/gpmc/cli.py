@@ -65,6 +65,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _sizes(text: str) -> list[int]:
+    if min(sizes := _int_list(text)) < 1:
+        raise argparse.ArgumentTypeError(f"vertex counts must be >= 1, got {text!r}")
+    return sizes
+
+
+def _fraction(text: str) -> float:
+    try:
+        if 0.0 <= (value := float(text)) <= 1.0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
+
+
 def _pattern_sets(text: str) -> list[PatternSet]:
     try:
         return [pattern_set(set_id) for set_id in _int_list(text)]
@@ -141,10 +156,10 @@ def cmd_experiment(args) -> int:
 
 
 def _add_mix_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p", type=float, default=0.01, help="edge probability (er)")
-    p.add_argument("--f-zero", type=float, default=0.0, help="all-zero chunk fraction")
-    p.add_argument("--f-single", type=float, default=0.0, help="single-one chunk fraction")
-    p.add_argument("--f-pair", type=float, default=0.0, help="leading-pair chunk fraction")
+    p.add_argument("--p", type=_fraction, default=0.01, help="edge probability (er)")
+    p.add_argument("--f-zero", type=_fraction, default=0.0, help="all-zero chunk fraction")
+    p.add_argument("--f-single", type=_fraction, default=0.0, help="single-one chunk fraction")
+    p.add_argument("--f-pair", type=_fraction, default=0.0, help="leading-pair chunk fraction")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
 
 
@@ -189,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the compression benchmark grid")
     p.add_argument("output", help="CSV path to write")
-    p.add_argument("--sizes", type=_int_list, default="1024,2048,4096,8192",
+    p.add_argument("--sizes", type=_sizes, default="1024,2048,4096,8192",
                    help="comma-separated vertex counts")
     p.add_argument("--sets", type=_pattern_sets, default="1,2,3",
                    help="comma-separated pattern set ids")

@@ -24,7 +24,7 @@ VERSION = 1
 HEADER_LEN = 24
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
-_BLOCK_BITS = 1 << 21  # payload bits unpacked per block by the walk; bounds transient memory
+_BLOCK_BITS = 1 << 18  # payload bits in the walk's reused unpack window; a multiple of 8, >= 40
 # Below this many fields per run on average, the walk steps field by field:
 # one Python step per field then costs less than one per run.
 _RUN_FIELDS = 10
@@ -115,21 +115,25 @@ def chunks_to_matrix(chunks: np.ndarray, n: int) -> BitMatrix:
     return BitMatrix.from_bit_array(n, bits)
 
 
-def _layout(matched: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """Bit offset of each field and the stream's bit length. A matched field
-    takes 1 + k bits, a raw one 33, and each starts where the ones before end."""
-    offsets = np.zeros(matched.size + 1, np.int64)
-    np.cumsum(RAW_FIELD_BITS - (CHUNK_WIDTH - k) * matched.view(np.uint8), dtype=np.int64,
-              out=offsets[1:])
+def _layout(matched: np.ndarray, k: int, start: int = 0) -> tuple[np.ndarray, int]:
+    """Bit offset of each field, the first at start, and the bit after the last.
+    A matched field takes 1 + k bits, a raw one 33, each after the one before."""
+    offsets = np.empty(matched.size + 1, np.int64)
+    offsets[0], offsets[1:] = start, RAW_FIELD_BITS - (CHUNK_WIDTH - k) * matched.view(np.uint8)
+    np.cumsum(offsets, out=offsets)
     return offsets[:-1], int(offsets[-1])
 
 
-def _scatter(offsets: np.ndarray, windows: np.ndarray, nbits: int) -> bytes:
-    """Inverse of _gather: nbits of payload holding each 33-bit window at its
-    bit offset. A window lies inside the 64 bits from the 32-bit word holding
-    its first bit, so its halves add into that word and the next; it reaches
-    past its field only with zeros, and fields never overlap, so adding ORs."""
-    words = np.zeros(nbits // 32 + 2, dtype=np.uint32)
+def _field_blocks(count: int):
+    """Slices of count fields in eighths of at most 2^16, so block arrays stay in cache."""
+    step = min(1 << 16, -(-count // 8))
+    return (slice(s, s + step) for s in range(0, count, step))
+
+
+def _scatter(words: np.ndarray, offsets: np.ndarray, windows: np.ndarray) -> None:
+    """Inverse of _gather: add each 33-bit window into words at its bit offset. It lies
+    in the 64 bits from the word holding its first bit, so its halves add into that word
+    and the next; past its field it holds zeros, and fields never overlap: adding ORs."""
     windows = np.left_shift(windows, (64 - RAW_FIELD_BITS - (offsets & 31)).view(np.uint64),
                             dtype=np.uint64, casting="unsafe")
     at = offsets >> 5
@@ -138,24 +142,25 @@ def _scatter(offsets: np.ndarray, windows: np.ndarray, nbits: int) -> bytes:
     np.add.at(words, at, halves[1::2])
     at += 1
     np.add.at(words, at, halves[::2])
-    del at, windows, halves
-    return words.astype(">u4").view(np.uint8)[: (nbits + 7) // 8].tobytes()
 
 
 def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, CompressionStats]:
     """Encode a matrix against a dictionary; returns the stream and its census."""
-    k = pset.indicator_bits
-    chunks = matrix_chunks(m)
-    idx = classify_chunks(chunks, pset)
-    matched = idx >= 0
-    hist = np.bincount(idx[matched], minlength=len(pset.patterns))
-    # a field's 33-bit window: flag 1, the k-bit index and zeros, or flag 0 and the chunk
-    idx |= 1 << k
-    idx <<= CHUNK_WIDTH - k
-    windows = np.where(matched, idx, chunks)
-    del chunks, idx
-    offsets, bit_length = _layout(matched, k)
-    graph = CompressedGraph(m.n, pset.id, _scatter(offsets, windows, bit_length), bit_length)
+    k, chunks, bit_length = pset.indicator_bits, matrix_chunks(m), 0
+    words = np.zeros(chunks.size * RAW_FIELD_BITS // 32 + 2, np.uint32)  # room for all raw
+    hist = np.zeros(len(pset.patterns), np.int64)
+    for part in _field_blocks(chunks.size):
+        block = chunks[part]
+        idx = classify_chunks(block, pset)
+        matched = idx >= 0
+        hist += np.bincount(idx[matched], minlength=len(pset.patterns))
+        # a field's 33-bit window: flag 1, the k-bit index and zeros, or flag 0 and the chunk
+        idx |= 1 << k
+        idx <<= CHUNK_WIDTH - k
+        offsets, bit_length = _layout(matched, k, bit_length)
+        _scatter(words, offsets, np.where(matched, idx, block))
+    payload = words[: -(-bit_length // 32)].astype(">u4").view(np.uint8)
+    graph = CompressedGraph(m.n, pset.id, payload[: (bit_length + 7) // 8].tobytes(), bit_length)
     return graph, _stats(m.n, hist, bit_length)
 
 
@@ -163,17 +168,6 @@ def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
     if c.pattern_set_id != pset.id:
         raise FormatError(
             f"container names pattern set {c.pattern_set_id}, got set {pset.id}")
-
-
-def _unpack(payload: bytes, nbits: int) -> bytearray:
-    """One byte per payload bit, for the flag walk. Unpacked _BLOCK_BITS
-    bits at a time, so no second full-size copy is ever held."""
-    out = bytearray(nbits)
-    view, src = np.frombuffer(out, dtype=np.uint8), np.frombuffer(payload, dtype=np.uint8)
-    for s in range(0, nbits, _BLOCK_BITS):
-        block = view[s : s + _BLOCK_BITS]
-        block[:] = np.unpackbits(src[s // 8 :], count=block.size)
-    return out
 
 
 def _short_runs(c: CompressedGraph, k: int) -> bool:
@@ -190,37 +184,46 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int,
     """Flag of each of the first count fields, one byte per field (1 for a
     matched field), reading only flag bits, and the bit after the last field.
 
-    With short runs, one step per field costs least; a field takes at most 33
-    bits, so these steps go unchecked in batches that must fit. Otherwise, and
-    for the last few fields, the walk steps per run: in a run the flags sit at
-    a fixed stride, so bytes.find over strided slices, doubling while the run
-    lasts, finds its end.
+    The flags are read from one reused window of unpacked bits, one byte per
+    bit, refilled from the walk's byte whenever fewer than 33 bits are left,
+    so it holds a whole field or the rest of the stream. With short runs, one
+    step per field costs least; a field takes at most 33 bits, so these steps
+    go unchecked in batches that fit in the window. Otherwise, and for the
+    last few fields, the walk steps per run: in a run the flags sit at a
+    fixed stride, so bytes.find over strided slices, doubling while the run
+    lasts, finds its end or the window's.
     """
-    matched_width, bit_bytes = 1 + k, _unpack(payload, bit_length)
+    matched_width, src = 1 + k, np.frombuffer(payload, np.uint8)
+    window = bytearray(min(_BLOCK_BITS, bit_length))
     # field d starts at bit d * (1 + k) or later, so no more can start in the
     # stream; all start matched and the walk zeroes only the raw ones
     flags = bytearray(b"\x01") * min(count, -(-bit_length // matched_width))
-    pos = done = 0
-    while short_runs and (batch := min(count - done, (bit_length - pos) // RAW_FIELD_BITS)):
-        for d in range(done, done + batch):
-            if bit_bytes[pos]:
-                pos += matched_width
-            else:
-                flags[d] = 0
-                pos += RAW_FIELD_BITS
-        done += batch
+    done = base = at = size = 0  # window: bits base to base + size; walk: bit base + at
     while done < count:
-        if pos >= bit_length:
+        if size - at < RAW_FIELD_BITS and base + size < bit_length:
+            base, at = base + (at & ~7), at & 7
+            size = min(bit_length - base, len(window))
+            np.frombuffer(window, np.uint8)[:size] = np.unpackbits(src[base >> 3 :], count=size)
+        if short_runs and (batch := min(count - done, (size - at) // RAW_FIELD_BITS)):
+            for d in range(done, done + batch):
+                if window[at]:
+                    at += matched_width
+                else:
+                    flags[d] = 0
+                    at += RAW_FIELD_BITS
+            done += batch
+            continue
+        if base + at >= bit_length:
             raise TruncationError(f"stream ended after {done} of {count} chunks")
-        flag = bit_bytes[pos]
+        flag = window[at]
         width = matched_width if flag else RAW_FIELD_BITS
-        fit = min(count - done, (bit_length - pos) // width)
+        fit = min(count - done, (size - at) // width)
         if not fit:
             raise TruncationError(f"chunk {done} field truncated")
         run, span = 1, 64
         while run < fit:
             stop = min(fit, run + span)
-            r = bit_bytes[pos + run * width : pos + stop * width : width].find(
+            r = window[at + run * width : at + stop * width : width].find(
                 b"\x00" if flag else b"\x01")
             if r >= 0:
                 run += r
@@ -228,16 +231,19 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int,
             run, span = stop, 2 * span
         if not flag:
             flags[done : done + run] = bytes(run)
-        pos += run * width
+        at += run * width
         done += run
-    return flags, pos
+    return flags, base + at
 
 
-def _gather(payload: bytes, offsets: np.ndarray) -> np.ndarray:
-    """The 33-bit window at each bit offset, cut from the 64 bits that start
-    at its first byte; past the payload, windows read zeros."""
-    windows = np.ndarray((len(payload) + 1,), dtype=">u8", buffer=payload + bytes(8),
-                         strides=(1,))
+def _windows(payload: bytes) -> np.ndarray:
+    """The 64 bits from each payload byte on, big-endian; zeros past the payload."""
+    return np.ndarray((len(payload) + 1,), ">u8", payload + bytes(8), strides=(1,))
+
+
+def _gather(windows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The 33-bit window at each bit offset, cut from the 64 bits of _windows
+    that start at its first byte."""
     words = windows[offsets >> 3].astype(np.uint64)
     np.left_shift(words, offsets & 7, out=words, dtype=np.uint64, casting="unsafe")
     words >>= np.uint64(64 - RAW_FIELD_BITS)
@@ -255,37 +261,44 @@ def _indicators(windows: np.ndarray, pset: PatternSet) -> np.ndarray:
     return windows.view(np.int64)
 
 
-def _chunks(payload: bytes, offsets: np.ndarray, matched: np.ndarray,
+def _chunks(windows: np.ndarray, offsets: np.ndarray, matched: np.ndarray,
             pset: PatternSet) -> np.ndarray:
     """Chunk of each field at offsets: a raw window is the chunk, a matched one names it."""
-    windows = _gather(payload, offsets)
-    chunks = windows.astype(np.uint32)
-    chunks[matched] = pset.values[_indicators(windows[matched], pset)]
+    fields = _gather(windows, offsets)
+    chunks = fields.astype(np.uint32)
+    chunks[matched] = pset.values[_indicators(fields[matched], pset)]
     return chunks
 
 
-def _fields(c: CompressedGraph, pset: PatternSet) -> tuple[np.ndarray, np.ndarray]:
-    """Bit offset and flag of every field, after walking the whole stream."""
+def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
+    """Flag of every field, after walking the whole stream."""
     _check_set(c, pset)
     length, k = c.payload_bit_length, pset.indicator_bits
     flags, end = _walk(c.payload, length, total_chunks(c.n), k, _short_runs(c, k))
     if end != length:
         raise CorruptStreamError(f"{length - end} unconsumed payload bits after the final chunk")
-    matched = np.frombuffer(flags, np.bool_)
-    return _layout(matched, k)[0], matched
+    return np.frombuffer(flags, np.bool_)
 
 
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
     """Exact inverse of compress for a well-formed stream."""
-    # the 8-byte-per-field arrays die with the _chunks call, before the repack
-    return chunks_to_matrix(_chunks(c.payload, *_fields(c, pset), pset), c.n)
+    matched, windows, bit = _flags(c, pset), _windows(c.payload), 0
+    chunks = np.empty(matched.size, np.uint32)
+    for block in _field_blocks(matched.size):
+        offsets, bit = _layout(matched[block], pset.indicator_bits, bit)
+        chunks[block] = _chunks(windows, offsets, matched[block], pset)
+    del matched, windows, offsets  # only the chunks stay alive through the repack
+    return chunks_to_matrix(chunks, c.n)
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     """Recompute compression stats from the stream without rebuilding the matrix."""
-    offsets, matched = _fields(c, pset)
-    hist = np.bincount(_indicators(_gather(c.payload, offsets[matched]), pset),
-                       minlength=len(pset.patterns))
+    matched, windows, bit = _flags(c, pset), _windows(c.payload), 0
+    hist = np.zeros(len(pset.patterns), np.int64)
+    for block in _field_blocks(matched.size):
+        offsets, bit = _layout(matched[block], pset.indicator_bits, bit)
+        fields = _gather(windows, offsets[matched[block]])
+        hist += np.bincount(_indicators(fields, pset), minlength=len(pset.patterns))
     return _stats(c.n, hist, c.payload_bit_length)
 
 
@@ -293,7 +306,7 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     """Edge bit (i, j) read from the stream up to its chunk.
 
     No matrix is materialized, and only the payload prefix that can hold the
-    chunk (33 bits per chunk up to it, at most) is unpacked and walked.
+    chunk (33 bits per chunk up to it, at most) is walked, ending with its field.
     """
     _check_set(c, pset)
     if not (0 <= i < c.n and 0 <= j < c.n):
@@ -302,8 +315,10 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     length = min(c.payload_bit_length, RAW_FIELD_BITS * (target + 1))
     prefix = c.payload[: (length + 7) // 8]
     k = pset.indicator_bits
-    matched = np.frombuffer(_walk(prefix, length, target + 1, k, _short_runs(c, k))[0], np.bool_)
-    chunk = _chunks(prefix, _layout(matched, k)[0][target:], matched[target:], pset)
+    flags, end = _walk(prefix, length, target + 1, k, _short_runs(c, k))
+    matched = np.frombuffer(flags, np.bool_)[target:]
+    offset = end - (1 + k if matched[0] else RAW_FIELD_BITS)
+    chunk = _chunks(_windows(prefix), np.array([offset]), matched, pset)
     return (int(chunk[0]) >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
 
 

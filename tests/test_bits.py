@@ -1,18 +1,19 @@
 """The encoder's window scatter against the decoder's window gather.
 
 Every field is handled as the 33-bit window at its bit offset: its own
-bits, then zeros up to 33 bits. _scatter packs such windows, fields of 1 to
-33 bits back to back, into 32-bit words; _gather cuts the 33 bits at each
-offset out again from 64-bit windows. Each must undo the other, and the bits
-past the last field must stay zero, since read_container rejects a payload
-with dirty padding.
+bits, then zeros up to 33 bits. _scatter adds such windows, fields of 1 to
+33 bits back to back, into 32-bit words, in one call or block by block as
+compress does; _gather cuts the 33 bits at each offset out again from the
+64-bit windows of _windows. Each must undo the other, and the bits past the
+last field must stay zero, since read_container rejects a payload with dirty
+padding.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpmc.codec import _gather, _scatter
+from gpmc.codec import _gather, _scatter, _windows
 
 
 @st.composite
@@ -23,18 +24,23 @@ def fields(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fields())
-@example(([31, 33], [(1 << 31) - 1, (1 << 33) - 1]))  # a 33-bit field at bit 31; 64 bits
-@example(([31, 33, 1], [0, (1 << 33) - 1, 1]))  # 65 bits
-@example(([31], [(1 << 31) - 1]))  # 31 bits
-@example(([33] * 32, [(1 << 33) - 1] * 32))  # every 33-bit field crosses a word
-@example(([1], [1]))
-def test_gather_undoes_scatter(case):
+@given(fields(), st.integers(1, 300))
+@example(([31, 33], [(1 << 31) - 1, (1 << 33) - 1]), 1)  # a 33-bit field at bit 31; 64 bits
+@example(([31, 33, 1], [0, (1 << 33) - 1, 1]), 2)  # 65 bits
+@example(([31], [(1 << 31) - 1]), 300)  # 31 bits
+@example(([33] * 32, [(1 << 33) - 1] * 32), 7)  # every 33-bit field crosses a word
+@example(([1], [1]), 300)
+def test_gather_undoes_scatter(case, block):
+    # block: fields per _scatter call
     widths, values = np.array(case[0], dtype=np.int64), case[1]
     offsets = np.cumsum(widths) - widths
     nbits = int(widths.sum())
-    windows = [v << (33 - w) for v, w in zip(values, case[0])]
-    payload = _scatter(offsets, np.array(windows, dtype=np.uint64), nbits)
+    windows = np.array([v << (33 - w) for v, w in zip(values, case[0])], dtype=np.uint64)
+    words = np.zeros(nbits // 32 + 2, dtype=np.uint32)
+    for s in range(0, len(values), block):
+        _scatter(words, offsets[s : s + block], windows[s : s + block])
+    assert not words[-(-nbits // 32) :].any()  # nothing written past the last field
+    payload = words.astype(">u4").tobytes()[: (nbits + 7) // 8]
     assert len(payload) == (nbits + 7) // 8
     padding = 8 * len(payload) - nbits
     assert int.from_bytes(payload, "big") & ((1 << padding) - 1) == 0
@@ -43,7 +49,7 @@ def test_gather_undoes_scatter(case):
     assert payload == int(expected, 2).to_bytes(len(payload), "big")
     # each gathered window is the 33 bits from its offset, zeros past the payload,
     # so its top bits are the field
-    gathered = _gather(payload, offsets).tolist()
+    gathered = _gather(_windows(payload), offsets).tolist()
     bits = expected + "0" * 33
     assert gathered == [int(bits[o : o + 33], 2) for o in offsets.tolist()]
     assert [g >> (33 - w) for g, w in zip(gathered, case[0])] == values

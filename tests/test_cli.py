@@ -235,6 +235,36 @@ class TestPositiveCounts:
         assert "_positive_int" not in err
 
 
+class TestOptionRanges:
+    @pytest.mark.parametrize("argv, option", (
+        (["generate", "g.edges", "--n", "2", "--p", "1.5"], "--p"),
+        (["generate", "g.edges", "--n", "2", "--p", "-0.1"], "--p"),
+        (["generate", "g.edges", "--n", "2", "--p", "nan"], "--p"),
+        (["generate", "g.edges", "--n", "2", "--p", "x"], "--p"),
+        (["generate", "g.edges", "--n", "64", "--kind", "chunk-mix", "--f-zero", "2"],
+         "--f-zero"),
+        (["generate", "g.edges", "--n", "64", "--kind", "chunk-mix", "--f-single", "-1"],
+         "--f-single"),
+        (["experiment", "x.csv", "--f-pair", "1.01"], "--f-pair"),
+        (["experiment", "x.csv", "--sizes", "0", "--sets", "1"], "--sizes"),
+        (["experiment", "x.csv", "--sizes", "64,-32", "--sets", "1"], "--sizes"),
+    ))
+    def test_out_of_range_value_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                               argv, option):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert not (tmp_path / argv[1]).exists()
+        err = capsys.readouterr().err
+        assert f"argument {option}: " in err
+        assert "_fraction" not in err and "_sizes" not in err
+
+    @pytest.mark.parametrize("value", ("0", "1", "0.0", "1.0"))
+    def test_fraction_bounds_are_inclusive(self, tmp_path, value):
+        out = tmp_path / "g.edges"
+        assert main(["generate", str(out), "--n", "40", "--p", value, "--seed", "1"]) == 0
+        assert parse_edge_list_text(out.read_text()).n == 40
+
+
 class TestUsage:
     def test_unknown_verb(self):
         assert main(["bogus"]) == 1

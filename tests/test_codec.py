@@ -10,7 +10,7 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError,
                   FormatError, PatternSet, TruncationError, compress, decompress,
                   generate_chunk_mix, generate_er, pattern_set, query_edge,
                   ratio_for_match_fraction, scan_stats, total_chunks)
-from gpmc.codec import chunks_per_row, matrix_chunks, chunks_to_matrix
+from gpmc.codec import _walk, chunks_per_row, matrix_chunks, chunks_to_matrix
 
 
 def assert_size_formula(stats, pset):
@@ -221,9 +221,10 @@ class TestQueryEdge:
 
 class TestPeakMemory:
     """tracemalloc peak of each call above what was live, against the packed
-    matrix: 10.0x for compress and 12.0x for decompress on numpy 2.4. A
-    decoder that keeps its 8-byte-per-field windows alive while it repacks
-    the matrix measures 13x or more."""
+    matrix: 10.0x for compress, 12.0x for decompress and 3.8x for scan_stats
+    on numpy 2.4. A decoder that keeps its 8-byte-per-field windows alive
+    while it repacks the matrix measures 13x or more, and a walk that unpacks
+    the whole payload to one byte per bit 8x or more."""
 
     @staticmethod
     def peak(fn, *args):
@@ -243,3 +244,20 @@ class TestPeakMemory:
         assert decoded == m
         assert compress_peak < 10.5 * len(m.data)
         assert decompress_peak < 12.5 * len(m.data)
+        stats, stats_peak = self.peak(scan_stats, c, set3)
+        assert stats == compress(m, set3)[1]
+        assert stats_peak < 5 * len(m.data)
+
+    def test_walk_holds_one_window_not_the_payload(self, set1):
+        # all raw: 33 payload bits per 32 matrix bits. The walk keeps its
+        # 2^18-byte window, one flag byte per field (a quarter of the matrix)
+        # and a window's worth of unpacking: 0.5x at n = 4096, while one byte
+        # per payload bit would be 8.25x. (At n = 1024 the window alone is 2x.)
+        m = generate_er(4096, 0.5, 1)
+        c, stats = compress(m, set1)
+        assert stats.matched == 0
+        count, k = total_chunks(m.n), set1.indicator_bits
+        (flags, end), walk_peak = self.peak(_walk, c.payload, c.payload_bit_length, count, k,
+                                            False)
+        assert flags == bytes(count) and end == c.payload_bit_length
+        assert walk_peak < len(m.data)

@@ -3,7 +3,10 @@
 The decoder's walker either steps field by field in unchecked batches or
 skips whole runs of equal-width fields. A naive walk that steps one field at
 a time, checking each, is kept here as the reference: on any bit string both
-strategies must find the same fields, or stop with the same error.
+strategies must find the same fields, or stop with the same error. They must
+do so too when the walk's unpack window is shrunk to a few bytes, so that it
+is refilled mid-field and mid-run, and when the decode tail's field blocks
+are shrunk to a few fields.
 """
 
 import struct
@@ -15,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, PatternSet,
-                  TruncationError, compress, decompress, generate_er, pattern_set, query_edge,
-                  read_container, scan_stats, total_chunks, write_container)
+                  TruncationError, compress, decompress, generate_chunk_mix, generate_er,
+                  pattern_set, query_edge, read_container, reference_compress, scan_stats,
+                  total_chunks, write_container)
 from gpmc.cli import build_parser
-from gpmc.codec import _fields, _short_runs, _walk, chunks_per_row, chunks_to_matrix
+from gpmc.codec import _flags, _layout, _short_runs, _walk, chunks_per_row, chunks_to_matrix
 from gpmc.patterns import _BUILDERS, SET_IDS
 
 TYPED = (FormatError, TruncationError, CorruptStreamError)
@@ -128,8 +132,8 @@ def check_against_reference(bits, n, pset):
     expected = outcome(reference_decode, bits, n, pset)
     if expected[0] == "ok":
         offsets, flags, values = expected[1]
-        got_offsets, got_flags = _fields(c, pset)
-        assert got_offsets.tolist() == offsets
+        got_flags = _flags(c, pset)
+        assert _layout(got_flags, pset.indicator_bits)[0].tolist() == offsets
         assert got_flags.tolist() == flags
         assert decompress(c, pset) == chunks_to_matrix(np.array(values, dtype=np.uint32), n)
         hist = np.bincount([pset.patterns.index(v) for v, f in zip(values, flags) if f],
@@ -185,15 +189,7 @@ class TestWalkAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(streams(), st.booleans())
     def test_both_strategies_match_the_reference(self, stream, short_runs):
-        bits, n, pset = stream
-        count, k = total_chunks(n), pset.indicator_bits
-        expected = outcome(reference_walk, bits, len(bits), count, k)
-        got = outcome(_walk, packed(bits), len(bits), count, k, short_runs)
-        if expected[0] == "ok":
-            _, flags, end = expected[1]
-            assert got == ("ok", (bytearray(flags), end))
-        else:
-            assert got == expected
+        check_walk(*stream, short_runs)
 
     def test_strategy_follows_the_raw_fraction(self):
         n, k = 1000, 6  # 32 000 fields
@@ -217,40 +213,152 @@ class TestWalkAgainstReference:
             _walk(packed(bits), len(bits), 1 << 35, 6, short_runs)
 
     def test_truncation_at_every_position(self):
-        pset = PatternSet(1, range(32))
-        flags = [1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1]  # n = 12: one field per row
-        bits = []
-        for i, flag in enumerate(flags):
-            bits += [1] + [(i >> b) & 1 for b in range(5)] if flag else [0] + [1, 0] * 16
-        for cut in range(len(bits) + 1):
-            check_against_reference(bits[:cut], len(flags), pset)
+        check_every_cut()
 
     @settings(max_examples=200, deadline=None)
     @given(streams(), st.data())
     def test_query_edge_agrees_or_raises_typed(self, stream, data):
         bits, n, pset = stream
-        i = data.draw(st.integers(0, n - 1))
-        j = data.draw(st.integers(0, n - 1))
-        c = graph_of(bits, n)
-        target = i * chunks_per_row(n) + j // 32
-        try:
-            offsets, flags, _ = reference_walk(bits, len(bits), target + 1, pset.indicator_bits)
-        except TruncationError as exc:
-            # the walk to chunk (i, j) stops with the reference's own message
-            with pytest.raises(TruncationError) as raised:
-                query_edge(c, pset, i, j)
-            assert str(raised.value) == str(exc)
-            return
-        pos = offsets[-1] + 1
-        if not flags[-1]:
-            assert query_edge(c, pset, i, j) == bits[pos + j % 32]
-            return
-        index = int("".join(map(str, bits[pos : pos + pset.indicator_bits])), 2)
-        if index >= len(pset.patterns):
-            with pytest.raises(CorruptStreamError):
-                query_edge(c, pset, i, j)
-        else:
-            assert query_edge(c, pset, i, j) == (pset.patterns[index] >> (31 - j % 32)) & 1
+        check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
+                    data.draw(st.integers(0, n - 1)))
+
+
+def check_walk(bits, n, pset, short_runs):
+    count, k = total_chunks(n), pset.indicator_bits
+    expected = outcome(reference_walk, bits, len(bits), count, k)
+    got = outcome(_walk, packed(bits), len(bits), count, k, short_runs)
+    if expected[0] == "ok":
+        _, flags, end = expected[1]
+        assert got == ("ok", (bytearray(flags), end))
+    else:
+        assert got == expected
+
+
+def check_every_cut():
+    pset = PatternSet(1, range(32))
+    flags = [1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1]  # n = 12: one field per row
+    bits = []
+    for i, flag in enumerate(flags):
+        bits += [1] + [(i >> b) & 1 for b in range(5)] if flag else [0] + [1, 0] * 16
+    for cut in range(len(bits) + 1):
+        check_against_reference(bits[:cut], len(flags), pset)
+
+
+def check_query(bits, n, pset, i, j):
+    c = graph_of(bits, n)
+    target = i * chunks_per_row(n) + j // 32
+    try:
+        offsets, flags, _ = reference_walk(bits, len(bits), target + 1, pset.indicator_bits)
+    except TruncationError as exc:
+        # the walk to chunk (i, j) stops with the reference's own message
+        with pytest.raises(TruncationError) as raised:
+            query_edge(c, pset, i, j)
+        assert str(raised.value) == str(exc)
+        return
+    pos = offsets[-1] + 1
+    if not flags[-1]:
+        assert query_edge(c, pset, i, j) == bits[pos + j % 32]
+        return
+    index = int("".join(map(str, bits[pos : pos + pset.indicator_bits])), 2)
+    if index >= len(pset.patterns):
+        with pytest.raises(CorruptStreamError):
+            query_edge(c, pset, i, j)
+    else:
+        assert query_edge(c, pset, i, j) == (pset.patterns[index] >> (31 - j % 32)) & 1
+
+
+def fixed_blocks(size):
+    """A stand-in for codec._field_blocks that cuts every stream into blocks of size fields."""
+    return lambda count: (slice(s, s + size) for s in range(0, count, size))
+
+
+# multiples of 8 from the smallest window that always holds a whole field
+# after a refill (the walk's byte starts up to 7 bits before it) upwards
+WINDOWS = (40, 64, 264)
+FIELD_BLOCKS = (1, 7, 64)
+
+
+class TestWindowBoundaries:
+    @pytest.mark.parametrize("window", WINDOWS)
+    @settings(max_examples=150, deadline=None)
+    @given(stream=streams(), short_runs=st.booleans())
+    def test_both_strategies_match_the_reference(self, window, stream, short_runs):
+        with patch("gpmc.codec._BLOCK_BITS", window):
+            check_walk(*stream, short_runs)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @settings(max_examples=100, deadline=None)
+    @given(stream=streams())
+    def test_decoders_match_the_reference(self, window, stream):
+        with patch("gpmc.codec._BLOCK_BITS", window):
+            check_against_reference(*stream)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_truncation_at_every_position(self, window):
+        with patch("gpmc.codec._BLOCK_BITS", window):
+            check_every_cut()
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @settings(max_examples=100, deadline=None)
+    @given(stream=streams(), data=st.data())
+    def test_query_edge_agrees_or_raises_typed(self, window, stream, data):
+        bits, n, pset = stream
+        with patch("gpmc.codec._BLOCK_BITS", window):
+            check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
+                        data.draw(st.integers(0, n - 1)))
+
+    @pytest.mark.parametrize("short_runs", (False, True))
+    def test_window_is_refilled_per_window_of_bits(self, short_runs):
+        # 3000 raw fields: each refill unpacks at most 64 bits and lets at least one field be walked
+        bits = ([0] + [1, 0] * 16) * 3000
+        with patch("gpmc.codec._BLOCK_BITS", 64), \
+                patch("gpmc.codec.np.unpackbits", wraps=np.unpackbits) as unpack:
+            assert _walk(packed(bits), len(bits), 3000, 5, short_runs) == (bytes(3000), len(bits))
+        assert len(bits) // 64 <= unpack.call_count <= 3000
+        assert max(call.kwargs["count"] for call in unpack.call_args_list) == 64
+
+
+class TestFieldBlocks:
+    def test_block_rule(self):
+        from gpmc.codec import _field_blocks
+        assert list(_field_blocks(1)) == [slice(0, 1)]
+        assert list(_field_blocks(8)) == [slice(s, s + 1) for s in range(8)]
+        assert list(_field_blocks(100)) == [slice(s, s + 13) for s in range(0, 100, 13)]
+        assert list(_field_blocks(1 << 20)) == [slice(s, s + (1 << 16))
+                                                for s in range(0, 1 << 20, 1 << 16)]
+
+    @pytest.mark.parametrize("size", FIELD_BLOCKS)
+    @pytest.mark.parametrize("n", (1, 33, 70, 100))
+    def test_codec_matches_the_oracle(self, size, n, all_sets):
+        matrices = (generate_er(n, 0.05, seed=n), generate_er(n, 0.4, seed=n + 1),
+                    BitMatrix.zeros(n))
+        if n % 32 == 0 or n == 1:
+            matrices = matrices[:2]
+        with patch("gpmc.codec._field_blocks", fixed_blocks(size)):
+            for m in matrices:
+                for pset in all_sets:
+                    expected = reference_compress(m, pset)
+                    c, stats = compress(m, pset)
+                    assert (c, stats) == expected
+                    assert decompress(c, pset) == m
+                    assert scan_stats(c, pset) == stats
+                    for i in range(0, n, 7):
+                        j = 13 * i % n
+                        assert query_edge(c, pset, i, j) == m.get(i, j)
+
+    @pytest.mark.parametrize("size", FIELD_BLOCKS)
+    def test_chunk_mix_matches_the_oracle(self, size, all_sets):
+        m = generate_chunk_mix(64, 0.4, 0.3, 0.2, seed=size)
+        with patch("gpmc.codec._field_blocks", fixed_blocks(size)):
+            for pset in all_sets:
+                assert compress(m, pset) == reference_compress(m, pset)
+
+    @pytest.mark.parametrize("size", FIELD_BLOCKS)
+    @settings(max_examples=100, deadline=None)
+    @given(stream=streams())
+    def test_decoders_match_the_reference(self, size, stream):
+        with patch("gpmc.codec._field_blocks", fixed_blocks(size)):
+            check_against_reference(*stream)
 
 
 @st.composite
