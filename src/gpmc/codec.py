@@ -115,7 +115,7 @@ def chunks_to_matrix(chunks: np.ndarray, n: int) -> BitMatrix:
     return BitMatrix.from_bit_array(n, bits)
 
 
-def _layout(matched: np.ndarray, k: int, start: int = 0) -> tuple[np.ndarray, int]:
+def _layout(matched: np.ndarray, k: int, start: int) -> tuple[np.ndarray, int]:
     """Bit offset of each field, the first at start, and the bit after the last.
     A matched field takes 1 + k bits, a raw one 33, each after the one before."""
     offsets = np.empty(matched.size + 1, np.int64)

@@ -133,7 +133,7 @@ def check_against_reference(bits, n, pset):
     if expected[0] == "ok":
         offsets, flags, values = expected[1]
         got_flags = _flags(c, pset)
-        assert _layout(got_flags, pset.indicator_bits)[0].tolist() == offsets
+        assert _layout(got_flags, pset.indicator_bits, 0)[0].tolist() == offsets
         assert got_flags.tolist() == flags
         assert decompress(c, pset) == chunks_to_matrix(np.array(values, dtype=np.uint32), n)
         hist = np.bincount([pset.patterns.index(v) for v, f in zip(values, flags) if f],
