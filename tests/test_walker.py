@@ -22,7 +22,8 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, P
                   pattern_set, query_edge, read_container, reference_compress, scan_stats,
                   total_chunks, write_container)
 from gpmc.cli import build_parser
-from gpmc.codec import _flags, _layout, _short_runs, _walk, chunks_per_row, chunks_to_matrix
+from gpmc.codec import (_field_blocks, _flags, _layout, _short_runs, _walk, chunks_per_row,
+                        chunks_to_matrix)
 from gpmc.patterns import _BUILDERS, SET_IDS
 
 TYPED = (FormatError, TruncationError, CorruptStreamError)
@@ -320,7 +321,6 @@ class TestWindowBoundaries:
 
 class TestFieldBlocks:
     def test_block_rule(self):
-        from gpmc.codec import _field_blocks
         assert list(_field_blocks(1)) == [slice(0, 1)]
         assert list(_field_blocks(8)) == [slice(s, s + 1) for s in range(8)]
         assert list(_field_blocks(100)) == [slice(s, s + 13) for s in range(0, 100, 13)]
