@@ -57,7 +57,7 @@ class CompressedGraph:
         if self.pattern_set_id not in SET_IDS:
             raise FormatError(f"pattern set id must be in {SET_IDS}, got {self.pattern_set_id}")
         if len(self.payload) != (self.payload_bit_length + 7) // 8:
-            raise ValueError("payload byte length disagrees with payload_bit_length")
+            raise FormatError("payload byte length disagrees with payload_bit_length")
 
 
 @dataclass(frozen=True)
@@ -93,26 +93,21 @@ def total_chunks(n: int) -> int:
 def matrix_chunks(m: BitMatrix) -> np.ndarray:
     """All chunks of a matrix in encode order, as native uint32 values.
 
-    The final chunk of each row is zero-padded to 32 bits when n % 32 != 0.
+    Each row is packed to bytes, then zero-padded in bytes to whole chunks.
     """
     n = m.n
-    bits = m.bit_array()
-    cpr = chunks_per_row(n)
-    if n % CHUNK_WIDTH:
-        padded = np.zeros((n, cpr * CHUNK_WIDTH), dtype=np.uint8)
-        padded[:, :n] = bits.reshape(n, n)
-        bits = padded.reshape(-1)
-    return np.packbits(bits).view(">u4").astype(np.uint32)
+    packed = np.packbits(m.bit_array().reshape(n, n), axis=1)  # the bits die here
+    rows = np.zeros((n, 4 * chunks_per_row(n)), np.uint8)
+    rows[:, : packed.shape[1]] = packed
+    chunks = rows.view(np.uint32).reshape(-1)
+    np.copyto(chunks, rows.view(">u4").reshape(-1))  # in place; a 1-D self-copy takes no temporary
+    return chunks
 
 
 def chunks_to_matrix(chunks: np.ndarray, n: int) -> BitMatrix:
-    """Inverse of matrix_chunks: drop per-row padding and repack."""
-    cpr = chunks_per_row(n)
-    raw = np.asarray(chunks, dtype=np.uint32).astype(">u4").tobytes()
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    if n % CHUNK_WIDTH:
-        bits = np.ascontiguousarray(bits.reshape(n, cpr * CHUNK_WIDTH)[:, :n]).reshape(-1)
-    return BitMatrix.from_bit_array(n, bits)
+    """Inverse of matrix_chunks: unpack each row's first n bits, dropping its pad."""
+    rows = np.asarray(chunks, ">u4").view(np.uint8).reshape(n, 4 * chunks_per_row(n))
+    return BitMatrix.from_bit_array(n, np.unpackbits(rows, axis=1, count=n))
 
 
 def _layout(matched: np.ndarray, k: int, start: int) -> tuple[np.ndarray, int]:
@@ -283,7 +278,7 @@ def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
     """Exact inverse of compress for a well-formed stream."""
     matched, windows, bit = _flags(c, pset), _windows(c.payload), 0
-    chunks = np.empty(matched.size, np.uint32)
+    chunks = np.empty(matched.size, ">u4")
     for block in _field_blocks(matched.size):
         offsets, bit = _layout(matched[block], pset.indicator_bits, bit)
         chunks[block] = _chunks(windows, offsets, matched[block], pset)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,10 @@ class TestFromEdgeList:
         with pytest.raises(EdgeRangeError, match=r"edge \(0, 1, 2\)"):
             from_edge_list(EdgeList(4, np.array([[0, 1, 2]])))
 
+    def test_rejects_zero_vertices(self):
+        with pytest.raises(ValueError, match="vertex count must be >= 1, got 0"):
+            from_edge_list(EdgeList(0, []))
+
     def test_integer_inputs(self):
         expected = from_edge_list(EdgeList(5, [(0, 4), (3, 1)]))
         assert from_edge_list(EdgeList(5, [(np.int64(0), np.uint8(4)), (3, np.int32(1))])) == expected
@@ -117,6 +123,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BitMatrix(4, bytes(3))
 
+    def test_from_bit_array_rejects_wrong_bit_count(self):
+        with pytest.raises(ValueError, match="expected 9 bits, got 8"):
+            BitMatrix.from_bit_array(3, np.ones(8, np.uint8))
+
     def test_masks_tail_bits(self):
         # 3x3 uses 9 bits; stray bits past the tail must not affect equality
         a = BitMatrix(3, bytes([0xFF, 0x80]))
@@ -145,6 +155,10 @@ class TestGenerateEr:
         for p in (-0.1, 1.1):
             with pytest.raises(ValueError):
                 generate_er(8, p, seed=0)
+
+    def test_rejects_zero_vertices(self):
+        with pytest.raises(ValueError, match="vertex count must be >= 1, got 0"):
+            generate_er(0, 0.1, 1)
 
 
 class TestGenerateChunkMix:
@@ -221,6 +235,16 @@ class TestEdgeListText:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_edge_list_text("# nothing here\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("# header below\n4 5\n", "line 2: expected vertex count, got '4 5'"),
+        ("four\n0 1\n", "line 1: bad vertex count 'four'"),
+        ("0\n", "line 1: vertex count must be >= 1, got 0"),
+        ("-2\n", "line 1: vertex count must be >= 1, got -2"),
+    ])
+    def test_bad_header(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_edge_list_text(text)
 
     def test_accepts_bytes(self):
         el = parse_edge_list_text(b"3\n1 2\n")

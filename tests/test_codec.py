@@ -118,6 +118,29 @@ class TestChunking:
         # odd chunks carry only the row's final bit, padded with 31 zeros
         assert (chunks[1::2] == 1 << 31).all()
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 32, 33, 63, 64, 100])
+    def test_chunks_are_rows_cut_in_32_bits(self, n):
+        m = generate_er(n, 0.5, seed=n)
+        cpr, bits = chunks_per_row(n), m.bit_array().reshape(n, n)
+        expected = [int("".join(map(str, bits[i, 32 * c : 32 * c + 32])).ljust(32, "0"), 2)
+                    for i in range(n) for c in range(cpr)]
+        chunks = matrix_chunks(m)
+        assert chunks.dtype == np.uint32 and chunks.tolist() == expected
+        assert chunks_to_matrix(chunks, n) == m
+        assert chunks_to_matrix(chunks.astype(">u4"), n) == m
+
+    def test_repack_drops_stray_pad_bits(self):
+        m = generate_er(45, 0.3, seed=9)
+        chunks = matrix_chunks(m)
+        chunks[1::2] |= (1 << (32 - 45 % 32)) - 1  # every pad bit set
+        assert chunks_to_matrix(chunks, 45) == m
+
+    def test_repack_rejects_wrong_chunk_count(self):
+        chunks = matrix_chunks(generate_er(45, 0.3, seed=9))
+        for wrong in (chunks[:-1], chunks[:-2], np.append(chunks, 0)):
+            with pytest.raises(ValueError):
+                chunks_to_matrix(wrong, 45)
+
 
 class TestDecompressStreams:
     def test_single_matched_chunk_stream(self, set1):
@@ -221,10 +244,13 @@ class TestQueryEdge:
 
 class TestPeakMemory:
     """tracemalloc peak of each call above what was live, against the packed
-    matrix: 10.0x for compress, 12.0x for decompress and 3.8x for scan_stats
-    on numpy 2.4. A decoder that keeps its 8-byte-per-field windows alive
-    while it repacks the matrix measures 13x or more, and a walk that unpacks
-    the whole payload to one byte per bit 8x or more."""
+    matrix: 9.05x for compress, 11.05x for decompress and 3.8x for scan_stats
+    on numpy 2.4, at n = 1024 and at n = 1000 alike. Padding rows one bit at a
+    time measures 16.2x and 18.3x at n = 1000, and byte-swapping the chunks
+    before the repack 12.0x at n = 1024. A decoder that keeps its
+    8-byte-per-field windows alive while it repacks the matrix measures 13x
+    or more, and a walk that unpacks the whole payload to one byte per bit 8x
+    or more."""
 
     @staticmethod
     def peak(fn, *args):
@@ -237,13 +263,14 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
 
-    def test_compress_and_decompress_peaks(self, set3):
-        m = generate_er(1024, 0.001, 1)
+    @pytest.mark.parametrize("n", [1024, 1000])
+    def test_compress_and_decompress_peaks(self, set3, n):
+        m = generate_er(n, 0.001, 1)
         (c, _), compress_peak = self.peak(compress, m, set3)
         decoded, decompress_peak = self.peak(decompress, c, set3)
         assert decoded == m
-        assert compress_peak < 10.5 * len(m.data)
-        assert decompress_peak < 12.5 * len(m.data)
+        assert compress_peak < 9.5 * len(m.data)
+        assert decompress_peak < 11.5 * len(m.data)
         stats, stats_peak = self.peak(scan_stats, c, set3)
         assert stats == compress(m, set3)[1]
         assert stats_peak < 5 * len(m.data)

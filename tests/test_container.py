@@ -1,7 +1,7 @@
 import pytest
 
-from gpmc import (BitMatrix, CorruptStreamError, FormatError, TruncationError,
-                  compress, generate_er, read_container, write_container)
+from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError,
+                  TruncationError, compress, generate_er, read_container, write_container)
 
 
 class TestWrite:
@@ -69,6 +69,13 @@ class TestRead:
         blob = b"GPMC" + bytes((1, 1, 32, 0)) + bytes(16)  # n = 0, no payload bits
         with pytest.raises(FormatError, match="vertex count must be >= 1, got 0"):
             read_container(blob)
+
+    def test_payload_length_disagrees_with_bit_length(self):
+        # 6 payload bits need one byte, not two or none
+        for payload in (bytes(2), b""):
+            with pytest.raises(FormatError, match="disagrees with payload_bit_length"):
+                CompressedGraph(1, 1, payload, 6)
+        assert issubclass(FormatError, ValueError)
 
     def test_truncated_payload(self, set1):
         c, _ = compress(BitMatrix.zeros(64), set1)

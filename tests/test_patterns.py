@@ -76,6 +76,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PatternSet(1, [0, 0])
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one entry"):
+            PatternSet(1, [])
+
+    def test_rejects_patterns_wider_than_a_chunk(self):
+        with pytest.raises(ValueError, match="0x100000000 does not fit in 32 bits"):
+            PatternSet(1, [0, 1 << 32])
+        with pytest.raises(ValueError, match="does not fit"):
+            PatternSet(1, [-1])
+
     def test_indicator_width_follows_cardinality(self):
         for count, expected in [(1, 0), (2, 1), (8, 3), (16, 4), (32, 5), (64, 6)]:
             pset = PatternSet(1, list(range(count)))
