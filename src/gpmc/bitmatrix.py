@@ -149,14 +149,11 @@ def generate_er(n: int, p: float, seed: int) -> BitMatrix:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
     total = n * n
-    out = bytearray((total + 7) // 8)
-    pos = 0
+    out = np.empty((total + 7) // 8, dtype=np.uint8)
     for start in range(0, total, _GEN_BLOCK_BITS):
-        count = min(_GEN_BLOCK_BITS, total - start)
-        block = np.packbits(rng.random(count) < p)
-        out[pos : pos + block.size] = block.tobytes()
-        pos += block.size
-    return BitMatrix(n, bytes(out))
+        block = np.packbits(rng.random(min(_GEN_BLOCK_BITS, total - start)) < p)
+        out[start // 8 : start // 8 + block.size] = block
+    return BitMatrix(n, out.tobytes())
 
 
 def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,

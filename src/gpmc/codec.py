@@ -54,6 +54,8 @@ class CompressedGraph:
     def __post_init__(self):
         if self.n < 1:
             raise FormatError(f"vertex count must be >= 1, got {self.n}")
+        if self.n >= 1 << 64:
+            raise FormatError(f"vertex count must be < 2**64 to fit the header, got {self.n}")
         if self.pattern_set_id not in SET_IDS:
             raise FormatError(f"pattern set id must be in {SET_IDS}, got {self.pattern_set_id}")
         if len(self.payload) != (self.payload_bit_length + 7) // 8:
@@ -231,18 +233,19 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int,
     return flags, base + at
 
 
-def _windows(payload: bytes) -> np.ndarray:
-    """The 64 bits from each payload byte on, big-endian; zeros past the payload."""
-    return np.ndarray((len(payload) + 1,), ">u8", payload + bytes(8), strides=(1,))
+def _words(payload: bytes) -> np.ndarray:
+    """The big-endian 32-bit words compress wrote, then at least one zero word."""
+    return np.frombuffer(payload + bytes(8 - len(payload) % 4), ">u4")
 
 
-def _gather(windows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The 33-bit window at each bit offset, cut from the 64 bits of _windows
-    that start at its first byte."""
-    words = windows[offsets >> 3].astype(np.uint64)
-    np.left_shift(words, offsets & 7, out=words, dtype=np.uint64, casting="unsafe")
-    words >>= np.uint64(64 - RAW_FIELD_BITS)
-    return words
+def _gather(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Inverse of _scatter: the 33-bit window at each offset, cut from its word and the next."""
+    at = offsets >> 5
+    fields = np.left_shift(words[at], 32, dtype=np.uint64)
+    fields |= words[at + 1]
+    np.left_shift(fields, offsets & 31, out=fields, dtype=np.uint64, casting="unsafe")
+    fields >>= np.uint64(64 - RAW_FIELD_BITS)
+    return fields
 
 
 def _indicators(windows: np.ndarray, pset: PatternSet) -> np.ndarray:
@@ -256,10 +259,10 @@ def _indicators(windows: np.ndarray, pset: PatternSet) -> np.ndarray:
     return windows.view(np.int64)
 
 
-def _chunks(windows: np.ndarray, offsets: np.ndarray, matched: np.ndarray,
+def _chunks(words: np.ndarray, offsets: np.ndarray, matched: np.ndarray,
             pset: PatternSet) -> np.ndarray:
     """Chunk of each field at offsets: a raw window is the chunk, a matched one names it."""
-    fields = _gather(windows, offsets)
+    fields = _gather(words, offsets)
     chunks = fields.astype(np.uint32)
     chunks[matched] = pset.values[_indicators(fields[matched], pset)]
     return chunks
@@ -277,22 +280,22 @@ def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
 
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
     """Exact inverse of compress for a well-formed stream."""
-    matched, windows, bit = _flags(c, pset), _windows(c.payload), 0
+    matched, words, bit = _flags(c, pset), _words(c.payload), 0
     chunks = np.empty(matched.size, ">u4")
     for block in _field_blocks(matched.size):
         offsets, bit = _layout(matched[block], pset.indicator_bits, bit)
-        chunks[block] = _chunks(windows, offsets, matched[block], pset)
-    del matched, windows, offsets  # only the chunks stay alive through the repack
+        chunks[block] = _chunks(words, offsets, matched[block], pset)
+    del matched, words, offsets  # only the chunks stay alive through the repack
     return chunks_to_matrix(chunks, c.n)
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     """Recompute compression stats from the stream without rebuilding the matrix."""
-    matched, windows, bit = _flags(c, pset), _windows(c.payload), 0
+    matched, words, bit = _flags(c, pset), _words(c.payload), 0
     hist = np.zeros(len(pset.patterns), np.int64)
     for block in _field_blocks(matched.size):
         offsets, bit = _layout(matched[block], pset.indicator_bits, bit)
-        fields = _gather(windows, offsets[matched[block]])
+        fields = _gather(words, offsets[matched[block]])
         hist += np.bincount(_indicators(fields, pset), minlength=len(pset.patterns))
     return _stats(c.n, hist, c.payload_bit_length)
 
@@ -300,20 +303,20 @@ def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
 def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     """Edge bit (i, j) read from the stream up to its chunk.
 
-    No matrix is materialized, and only the payload prefix that can hold the
-    chunk (33 bits per chunk up to it, at most) is walked, ending with its field.
+    No matrix is materialized and the payload is read in place: the walk ends
+    with the chunk's field, which is cut from the 8 payload bytes at its word.
     """
     _check_set(c, pset)
     if not (0 <= i < c.n and 0 <= j < c.n):
         raise IndexError(f"index ({i}, {j}) out of range for n={c.n}")
     target = i * chunks_per_row(c.n) + j // CHUNK_WIDTH
     length = min(c.payload_bit_length, RAW_FIELD_BITS * (target + 1))
-    prefix = c.payload[: (length + 7) // 8]
     k = pset.indicator_bits
-    flags, end = _walk(prefix, length, target + 1, k, _short_runs(c, k))
+    flags, end = _walk(c.payload, length, target + 1, k, _short_runs(c, k))
     matched = np.frombuffer(flags, np.bool_)[target:]
     offset = end - (1 + k if matched[0] else RAW_FIELD_BITS)
-    chunk = _chunks(_windows(prefix), np.array([offset]), matched, pset)
+    at = 4 * (offset >> 5)
+    chunk = _chunks(_words(c.payload[at : at + 8]), np.array([offset & 31]), matched, pset)
     return (int(chunk[0]) >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
 
 

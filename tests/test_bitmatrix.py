@@ -151,6 +151,14 @@ class TestGenerateEr:
         assert generate_er(64, 0.1, seed=9) == generate_er(64, 0.1, seed=9)
         assert generate_er(64, 0.1, seed=9) != generate_er(64, 0.1, seed=10)
 
+    @pytest.mark.parametrize("n", [1, 7, 2100])
+    def test_blocks_draw_one_stream(self, n):
+        # drawn block by block, the bits equal one draw of all n * n; at
+        # n = 2100 the 4,410,000 bits cross the 2^22-bit block boundary
+        p, seed = 0.3, 5
+        bits = np.random.default_rng(seed).random(n * n) < p
+        assert generate_er(n, p, seed).data == np.packbits(bits).tobytes()
+
     def test_rejects_bad_probability(self):
         for p in (-0.1, 1.1):
             with pytest.raises(ValueError):

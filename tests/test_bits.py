@@ -1,19 +1,21 @@
 """The encoder's window scatter against the decoder's window gather.
 
 Every field is handled as the 33-bit window at its bit offset: its own
-bits, then zeros up to 33 bits. _scatter adds such windows, fields of 1 to
-33 bits back to back, into 32-bit words, in one call or block by block as
-compress does; _gather cuts the 33 bits at each offset out again from the
-64-bit windows of _windows. Each must undo the other, and the bits past the
-last field must stay zero, since read_container rejects a payload with dirty
-padding.
+bits, then zeros up to 33 bits. Both sides find a field by one rule: the
+32-bit word at offset >> 5 holds its first bit, and its window lies in that
+word and the next, shifted by offset & 31. _scatter adds such windows,
+fields of 1 to 33 bits back to back, into 32-bit words, in one call or block
+by block as compress does; _gather cuts the 33 bits at each offset out again
+from the payload's words as _words reads them, which end in a zero word.
+Each must undo the other, and the bits past the last field must stay zero,
+since read_container rejects a payload with dirty padding.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpmc.codec import _gather, _scatter, _windows
+from gpmc.codec import _gather, _scatter, _words
 
 
 @st.composite
@@ -30,6 +32,12 @@ def fields(draw):
 @example(([31], [(1 << 31) - 1]), 300)  # 31 bits
 @example(([33] * 32, [(1 << 33) - 1] * 32), 7)  # every 33-bit field crosses a word
 @example(([1], [1]), 300)
+# payloads of 5, 6, 7 and 8 bytes (1, 2, 3 and 0 mod 4) whose last field starts in the
+# last word and ends on the final payload bit, so its window reaches the zero tail
+@example(([33, 7], [(1 << 33) - 1, 127]), 1)
+@example(([33, 15], [(1 << 33) - 1, (1 << 15) - 1]), 2)
+@example(([33, 23], [(1 << 33) - 1, (1 << 23) - 1]), 300)
+@example(([32, 32], [(1 << 32) - 1, (1 << 32) - 1]), 1)
 def test_gather_undoes_scatter(case, block):
     # block: fields per _scatter call
     widths, values = np.array(case[0], dtype=np.int64), case[1]
@@ -49,7 +57,7 @@ def test_gather_undoes_scatter(case, block):
     assert payload == int(expected, 2).to_bytes(len(payload), "big")
     # each gathered window is the 33 bits from its offset, zeros past the payload,
     # so its top bits are the field
-    gathered = _gather(_windows(payload), offsets).tolist()
+    gathered = _gather(_words(payload), offsets).tolist()
     bits = expected + "0" * 33
     assert gathered == [int(bits[o : o + 33], 2) for o in offsets.tolist()]
     assert [g >> (33 - w) for g, w in zip(gathered, case[0])] == values

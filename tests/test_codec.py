@@ -234,6 +234,18 @@ class TestQueryEdge:
                 for j in range(40):
                     assert query_edge(c, pset, i, j) == full.get(i, j)
 
+    @pytest.mark.parametrize("n", [32, 33, 100])
+    def test_last_chunk(self, all_sets, n):
+        # the stream's last field, read in place from the payload's last bytes
+        last = range(n - 1 - (n - 1) % 32, n)
+        for p in (0.0, 0.05, 0.5):
+            m = generate_er(n, p, seed=n)
+            for pset in all_sets:
+                c, _ = compress(m, pset)
+                full = decompress(c, pset)
+                assert [query_edge(c, pset, n - 1, j) for j in last] == [
+                    full.get(n - 1, j) for j in last]
+
     def test_bounds(self, set1):
         c, _ = compress(BitMatrix.zeros(8), set1)
         with pytest.raises(IndexError):
@@ -288,3 +300,13 @@ class TestPeakMemory:
                                             False)
         assert flags == bytes(count) and end == c.payload_bit_length
         assert walk_peak < len(m.data)
+
+    def test_query_edge_reads_the_payload_in_place(self, set1):
+        # the last cell walks the whole stream: one flag byte per field and
+        # the walk's window, 0.49x the payload; copying the payload up to the
+        # chunk, and that copy again padded, measures 1.24x
+        m = generate_er(4096, 0.25, 1)
+        c, _ = compress(m, set1)
+        bit, query_peak = self.peak(query_edge, c, set1, 4095, 4095)
+        assert bit == m.get(4095, 4095)
+        assert query_peak < 0.75 * len(c.payload)

@@ -24,6 +24,12 @@ class TestWrite:
         blob = write_container(c)
         assert blob[-1] & 0b00000011 == 0
 
+    def test_vertex_count_past_the_header(self):
+        # n is a big-endian u64 in the header: 2**64 - 1 is written, 2**64 rejected
+        assert write_container(CompressedGraph(2**64 - 1, 1, b"", 0))[8:16] == bytes([255]) * 8
+        with pytest.raises(FormatError, match=r"vertex count must be < 2\*\*64"):
+            write_container(CompressedGraph(2**64, 1, b"", 0))
+
 
 class TestRead:
     def test_round_trip_random_matrices(self, all_sets):
