@@ -25,9 +25,10 @@ HEADER_LEN = 24
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
 _BLOCK_BITS = 1 << 18  # payload bits in the walk's reused unpack window; a multiple of 8, >= 40
-# Below this many fields per run on average, the walk steps field by field:
-# one Python step per field then costs less than one per run.
-_RUN_FIELDS = 10
+# The walk by runs chooses again every _PROBE_RUNS runs, the walk field by field at
+# each refill: under _RUN_FIELDS fields per run, a Python step per field costs less.
+_RUN_FIELDS = 24
+_PROBE_RUNS = 128
 
 
 class FormatError(ValueError):
@@ -167,28 +168,19 @@ def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
             f"container names pattern set {c.pattern_set_id}, got set {pset.id}")
 
 
-def _short_runs(c: CompressedGraph, k: int) -> bool:
-    """Whether the stream's fields, matched and raw mixed at random, would
-    average fewer than _RUN_FIELDS per run of one width. The payload length
-    fixes how many fields are raw."""
-    count = total_chunks(c.n)
-    raw = min(max((c.payload_bit_length - (1 + k) * count) / (RAW_FIELD_BITS - 1 - k), 0), count)
-    return 2 * raw * (count - raw) * _RUN_FIELDS > count * count
-
-
-def _walk(payload: bytes, bit_length: int, count: int, k: int,
-          short_runs: bool) -> tuple[bytearray, int]:
+def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearray, int]:
     """Flag of each of the first count fields, one byte per field (1 for a
     matched field), reading only flag bits, and the bit after the last field.
 
     The flags are read from one reused window of unpacked bits, one byte per
     bit, refilled from the walk's byte whenever fewer than 33 bits are left,
-    so it holds a whole field or the rest of the stream. With short runs, one
-    step per field costs least; a field takes at most 33 bits, so these steps
-    go unchecked in batches that fit in the window. Otherwise, and for the
-    last few fields, the walk steps per run: in a run the flags sit at a
-    fixed stride, so bytes.find over strided slices, doubling while the run
-    lasts, finds its end or the window's.
+    so it holds a whole field or the rest of the stream. The walk starts by
+    runs: in a run the flags sit at a fixed stride, so bytes.find over strided
+    slices, doubling while the run lasts, finds its end or the window's. It
+    steps field by field instead while runs average under _RUN_FIELDS fields,
+    choosing again every _PROBE_RUNS runs and, when stepping, at each refill
+    from the flags it set. Those steps go unchecked in batches that fit in the
+    window, as a field takes at most 33 bits; the last few fields go by runs.
     """
     matched_width, src = 1 + k, np.frombuffer(payload, np.uint8)
     window = bytearray(min(_BLOCK_BITS, bit_length))
@@ -196,8 +188,15 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int,
     # stream; all start matched and the walk zeroes only the raw ones
     flags = bytearray(b"\x01") * min(count, -(-bit_length // matched_width))
     done = base = at = size = 0  # window: bits base to base + size; walk: bit base + at
+    short_runs, seen, runs = False, 0, 0  # strategy, the field it was chosen at, runs since
     while done < count:
-        if size - at < RAW_FIELD_BITS and base + size < bit_length:
+        refill = size - at < RAW_FIELD_BITS and base + size < bit_length
+        if short_runs and refill or runs == _PROBE_RUNS:
+            if short_runs:  # one run, then one more per flag change
+                changes = np.diff(np.frombuffer(flags, np.uint8)[seen:done])
+                runs = 1 + int(np.count_nonzero(changes))
+            short_runs, seen, runs = runs * _RUN_FIELDS > done - seen, done, 0
+        if refill:
             base, at = base + (at & ~7), at & 7
             size = min(bit_length - base, len(window))
             np.frombuffer(window, np.uint8)[:size] = np.unpackbits(src[base >> 3 :], count=size)
@@ -230,6 +229,7 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int,
             flags[done : done + run] = bytes(run)
         at += run * width
         done += run
+        runs += 1
     return flags, base + at
 
 
@@ -272,7 +272,7 @@ def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
     """Flag of every field, after walking the whole stream."""
     _check_set(c, pset)
     length, k = c.payload_bit_length, pset.indicator_bits
-    flags, end = _walk(c.payload, length, total_chunks(c.n), k, _short_runs(c, k))
+    flags, end = _walk(c.payload, length, total_chunks(c.n), k)
     if end != length:
         raise CorruptStreamError(f"{length - end} unconsumed payload bits after the final chunk")
     return np.frombuffer(flags, np.bool_)
@@ -312,7 +312,7 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     target = i * chunks_per_row(c.n) + j // CHUNK_WIDTH
     length = min(c.payload_bit_length, RAW_FIELD_BITS * (target + 1))
     k = pset.indicator_bits
-    flags, end = _walk(c.payload, length, target + 1, k, _short_runs(c, k))
+    flags, end = _walk(c.payload, length, target + 1, k)
     matched = np.frombuffer(flags, np.bool_)[target:]
     offset = end - (1 + k if matched[0] else RAW_FIELD_BITS)
     at = 4 * (offset >> 5)

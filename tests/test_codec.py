@@ -296,8 +296,7 @@ class TestPeakMemory:
         c, stats = compress(m, set1)
         assert stats.matched == 0
         count, k = total_chunks(m.n), set1.indicator_bits
-        (flags, end), walk_peak = self.peak(_walk, c.payload, c.payload_bit_length, count, k,
-                                            False)
+        (flags, end), walk_peak = self.peak(_walk, c.payload, c.payload_bit_length, count, k)
         assert flags == bytes(count) and end == c.payload_bit_length
         assert walk_peak < len(m.data)
 

@@ -1,15 +1,19 @@
 """Differential and robustness tests for the stream walker.
 
-The decoder's walker either steps field by field in unchecked batches or
-skips whole runs of equal-width fields. A naive walk that steps one field at
-a time, checking each, is kept here as the reference: on any bit string both
-strategies must find the same fields, or stop with the same error. They must
-do so too when the walk's unpack window is shrunk to a few bytes, so that it
-is refilled mid-field and mid-run, and when the decode tail's field blocks
-are shrunk to a few fields.
+The decoder's walker either skips whole runs of equal-width fields or steps
+field by field in unchecked batches, and chooses between the two from the
+runs it has walked. A naive walk that steps one field at a time, checking
+each, is kept here as the reference: on any bit string the walker must find
+the same fields, or stop with the same error, under its own routing and with
+each strategy forced by patching its routing constants. It must do so too
+when its unpack window is shrunk to a few bytes, so that it is refilled
+mid-field and mid-run; when a stream's runs change length partway, so that
+its routing switches strategy mid-walk; and when the decode tail's field
+blocks are shrunk to a few fields.
 """
 
 import struct
+from contextlib import nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -22,11 +26,22 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, P
                   pattern_set, query_edge, read_container, reference_compress, scan_stats,
                   total_chunks, write_container)
 from gpmc.cli import build_parser
-from gpmc.codec import (_field_blocks, _flags, _layout, _short_runs, _walk, chunks_per_row,
-                        chunks_to_matrix)
+from gpmc.codec import _field_blocks, _flags, _layout, _walk, chunks_per_row, chunks_to_matrix
 from gpmc.patterns import _BUILDERS, SET_IDS
 
 TYPED = (FormatError, TruncationError, CorruptStreamError)
+
+# Routing constants that force each strategy. The walk always starts by runs:
+# with _RUN_FIELDS at 0 it never leaves them, and with _RUN_FIELDS this large
+# and _PROBE_RUNS at 1 it steps field by field from the end of its first run,
+# which a stream of one run reaches only at the end of the window.
+FORCED = {"runs": {"_RUN_FIELDS": 0}, "fields": {"_RUN_FIELDS": 1 << 40, "_PROBE_RUNS": 1}}
+ROUTINGS = ("natural", *FORCED)
+
+
+def routed(routing):
+    """The walk's own routing, or one strategy forced by patching its constants."""
+    return patch.multiple("gpmc.codec", **FORCED[routing]) if routing in FORCED else nullcontext()
 
 
 def reference_walk(bits, bit_length, count, k):
@@ -92,14 +107,16 @@ def graph_of(bits, n):
 
 
 @st.composite
-def streams(draw):
+def streams(draw, shapes=("random", "runs", "switch", "ones", "zeros", "alternating", "noise")):
     """(bits, n, pset): a stream of fields with the given flag shape, then
-    perhaps cut short, lengthened or flipped; or plain random bits."""
+    perhaps cut short, lengthened or flipped; or plain random bits. A switch
+    has runs of 40 to 200 fields of one width, then alternating fields, or
+    the reverse."""
     k = draw(st.integers(1, 6))
     pset = PatternSet(1, range(draw(st.integers((1 << (k - 1)) + 1, 1 << k))))
     n = draw(st.integers(1, 90))
     count = total_chunks(n)
-    shape = draw(st.sampled_from(("random", "runs", "ones", "zeros", "alternating", "noise")))
+    shape = draw(st.sampled_from(shapes))
     pool = np.unpackbits(np.frombuffer(draw(st.binary(min_size=5 * count, max_size=5 * count)),
                                        dtype=np.uint8)).tolist()
     if shape == "noise":
@@ -110,6 +127,12 @@ def streams(draw):
         lengths = draw(st.lists(st.integers(1, 200), min_size=1, max_size=count))
         flags = [r % 2 == 0 for r, length in enumerate(lengths) for _ in range(length)]
         flags = (flags * count)[:count]
+    elif shape == "switch":
+        length, split = draw(st.integers(40, 200)), draw(st.integers(0, count))
+        runs = [f // length % 2 == 0 for f in range(count)]
+        alternating = [f % 2 == 0 for f in range(count)]
+        first, then = (runs, alternating) if draw(st.booleans()) else (alternating, runs)
+        flags = first[:split] + then[split:]
     else:
         flags = [shape == "ones" or (shape == "alternating" and i % 2 == 0)
                  for i in range(count)]
@@ -146,10 +169,12 @@ def check_against_reference(bits, n, pset):
 
 
 class TestWalkAgainstReference:
+    @pytest.mark.parametrize("routing", ROUTINGS)
     @settings(max_examples=400, deadline=None)
-    @given(streams())
-    def test_same_fields_or_same_error(self, stream):
-        check_against_reference(*stream)
+    @given(stream=streams())
+    def test_same_fields_or_same_error(self, routing, stream):
+        with routed(routing):
+            check_against_reference(*stream)
 
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("shape", ("ones", "zeros", "alternating"))
@@ -162,12 +187,12 @@ class TestWalkAgainstReference:
             bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
         check_against_reference(bits, n, pset)
 
-    @pytest.mark.parametrize("short_runs", (False, True))
+    @pytest.mark.parametrize("strategy", FORCED)
     @pytest.mark.parametrize("cut", (False, True))
     @pytest.mark.parametrize("k", range(1, 7))
     @pytest.mark.parametrize("shape", ("ones", "zeros", "alternating"))
-    def test_each_forced_strategy_matches_the_reference(self, shape, k, cut, short_runs):
-        # patched rather than chosen from the payload length, so every reader
+    def test_each_forced_strategy_matches_the_reference(self, shape, k, cut, strategy):
+        # forced rather than chosen from the runs walked, so every reader
         # also runs the strategy its stream would not pick
         pset = PatternSet(1, range(1 << k))
         n = 70
@@ -178,56 +203,49 @@ class TestWalkAgainstReference:
         if cut:
             bits = bits[: len(bits) // 2 + 1]
         c = graph_of(bits, n)
-        with patch("gpmc.codec._short_runs", return_value=short_runs) as choice:
+        with routed(strategy):
             check_against_reference(bits, n, pset)
             for i in range(n):
                 j = 37 * i % n
                 got, expected = outcome(query_edge, c, pset, i, j), outcome(
                     reference_query, bits, n, pset, i, j)
                 assert got == expected if expected[0] == "ok" else got[0] == expected[0]
-        assert choice.called
 
+    @pytest.mark.parametrize("routing", ROUTINGS)
     @settings(max_examples=300, deadline=None)
-    @given(streams(), st.booleans())
-    def test_both_strategies_match_the_reference(self, stream, short_runs):
-        check_walk(*stream, short_runs)
+    @given(stream=streams())
+    def test_each_routing_matches_the_reference(self, routing, stream):
+        with routed(routing):
+            check_walk(*stream)
 
-    def test_strategy_follows_the_raw_fraction(self):
-        n, k = 1000, 6  # 32 000 fields
+    @pytest.mark.parametrize("routing", ROUTINGS)
+    def test_huge_count_on_a_short_stream_fails_fast(self, routing):
+        # a raw field, so that forced steps per field follow the first run, then
+        # 15 matched ones: 16 fields in 138 bits; space is never set aside for 2^35
+        bits = [0] * 33 + ([1] + [0] * 6) * 15
+        with routed(routing), pytest.raises(TruncationError,
+                                            match="stream ended after 16 of 34359738368"):
+            _walk(packed(bits), len(bits), 1 << 35, 6)
 
-        def short(bits):
-            return _short_runs(CompressedGraph(n, 1, bytes((bits + 7) // 8), bits), k)
+    @pytest.mark.parametrize("routing", ROUTINGS)
+    def test_truncation_at_every_position(self, routing):
+        with routed(routing):
+            check_every_cut()
 
-        def bits_for(raw):
-            return (32_000 - raw) * (1 + k) + raw * 33
-        assert not short(bits_for(0)) and not short(bits_for(32_000))
-        assert not short(bits_for(1280))  # ~2458 runs: 13 fields per run
-        assert short(bits_for(4160))  # ~7238 runs: 4 fields per run
-        assert short(bits_for(16_000))
-        assert not short(1) and not short(40 * 32_000)  # lengths no stream of 32 000 fields has
-
-    @pytest.mark.parametrize("short_runs", (False, True))
-    def test_huge_count_on_a_short_stream_fails_fast(self, short_runs):
-        # 15 matched fields fit in 105 bits; space is never set aside for 2^35
-        bits = ([1] + [0] * 6) * 15
-        with pytest.raises(TruncationError, match="stream ended after 15 of 34359738368"):
-            _walk(packed(bits), len(bits), 1 << 35, 6, short_runs)
-
-    def test_truncation_at_every_position(self):
-        check_every_cut()
-
+    @pytest.mark.parametrize("routing", ROUTINGS)
     @settings(max_examples=200, deadline=None)
-    @given(streams(), st.data())
-    def test_query_edge_agrees_or_raises_typed(self, stream, data):
+    @given(stream=streams(), data=st.data())
+    def test_query_edge_agrees_or_raises_typed(self, routing, stream, data):
         bits, n, pset = stream
-        check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
-                    data.draw(st.integers(0, n - 1)))
+        with routed(routing):
+            check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
+                        data.draw(st.integers(0, n - 1)))
 
 
-def check_walk(bits, n, pset, short_runs):
+def check_walk(bits, n, pset):
     count, k = total_chunks(n), pset.indicator_bits
     expected = outcome(reference_walk, bits, len(bits), count, k)
-    got = outcome(_walk, packed(bits), len(bits), count, k, short_runs)
+    got = outcome(_walk, packed(bits), len(bits), count, k)
     if expected[0] == "ok":
         _, flags, end = expected[1]
         assert got == ("ok", (bytearray(flags), end))
@@ -280,43 +298,82 @@ FIELD_BLOCKS = (1, 7, 64)
 
 
 class TestWindowBoundaries:
+    @pytest.mark.parametrize("routing", ROUTINGS)
     @pytest.mark.parametrize("window", WINDOWS)
     @settings(max_examples=150, deadline=None)
-    @given(stream=streams(), short_runs=st.booleans())
-    def test_both_strategies_match_the_reference(self, window, stream, short_runs):
-        with patch("gpmc.codec._BLOCK_BITS", window):
-            check_walk(*stream, short_runs)
+    @given(stream=streams())
+    def test_each_routing_matches_the_reference(self, window, routing, stream):
+        with patch("gpmc.codec._BLOCK_BITS", window), routed(routing):
+            check_walk(*stream)
 
+    @pytest.mark.parametrize("routing", ROUTINGS)
     @pytest.mark.parametrize("window", WINDOWS)
     @settings(max_examples=100, deadline=None)
     @given(stream=streams())
-    def test_decoders_match_the_reference(self, window, stream):
-        with patch("gpmc.codec._BLOCK_BITS", window):
+    def test_decoders_match_the_reference(self, window, routing, stream):
+        with patch("gpmc.codec._BLOCK_BITS", window), routed(routing):
             check_against_reference(*stream)
 
+    @pytest.mark.parametrize("routing", ROUTINGS)
     @pytest.mark.parametrize("window", WINDOWS)
-    def test_truncation_at_every_position(self, window):
-        with patch("gpmc.codec._BLOCK_BITS", window):
+    def test_truncation_at_every_position(self, window, routing):
+        with patch("gpmc.codec._BLOCK_BITS", window), routed(routing):
             check_every_cut()
 
+    @pytest.mark.parametrize("routing", ROUTINGS)
     @pytest.mark.parametrize("window", WINDOWS)
     @settings(max_examples=100, deadline=None)
     @given(stream=streams(), data=st.data())
-    def test_query_edge_agrees_or_raises_typed(self, window, stream, data):
+    def test_query_edge_agrees_or_raises_typed(self, window, routing, stream, data):
         bits, n, pset = stream
-        with patch("gpmc.codec._BLOCK_BITS", window):
+        with patch("gpmc.codec._BLOCK_BITS", window), routed(routing):
             check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
                         data.draw(st.integers(0, n - 1)))
 
-    @pytest.mark.parametrize("short_runs", (False, True))
-    def test_window_is_refilled_per_window_of_bits(self, short_runs):
+    @pytest.mark.parametrize("routing", ROUTINGS)
+    def test_window_is_refilled_per_window_of_bits(self, routing):
         # 3000 raw fields: each refill unpacks at most 64 bits and lets at least one field be walked
         bits = ([0] + [1, 0] * 16) * 3000
-        with patch("gpmc.codec._BLOCK_BITS", 64), \
+        with patch("gpmc.codec._BLOCK_BITS", 64), routed(routing), \
                 patch("gpmc.codec.np.unpackbits", wraps=np.unpackbits) as unpack:
-            assert _walk(packed(bits), len(bits), 3000, 5, short_runs) == (bytes(3000), len(bits))
+            assert _walk(packed(bits), len(bits), 3000, 5) == (bytes(3000), len(bits))
         assert len(bits) // 64 <= unpack.call_count <= 3000
         assert max(call.kwargs["count"] for call in unpack.call_args_list) == 64
+
+
+class TestStrategySwitch:
+    """The walk's own routing switches strategy partway through a stream and
+    carries its state across refills and probes. In windows of a few bytes a
+    run step ends at the window's end, so the routing constants are scaled
+    down with the window for the switch to happen."""
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @settings(max_examples=150, deadline=None)
+    @given(stream=streams(("switch",)), probe=st.sampled_from((1, 4, 16)),
+           run_fields=st.sampled_from((2, 6, 24)), data=st.data())
+    def test_every_reader_matches_the_reference(self, window, stream, probe, run_fields, data):
+        bits, n, pset = stream
+        with patch.multiple("gpmc.codec", _BLOCK_BITS=window, _PROBE_RUNS=probe,
+                            _RUN_FIELDS=run_fields):
+            check_walk(bits, n, pset)
+            check_against_reference(bits, n, pset)
+            check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
+                        data.draw(st.integers(0, n - 1)))
+
+    def test_default_routing_switches_across_windows(self, set3):
+        # top half sparse (runs of hundreds of matched fields), bottom half at
+        # p = 0.02 (a few fields per run), and the reverse: each half spans
+        # several 2^18-bit windows
+        n, half = 2048, 2048 * 2048 // 16
+        sparse, mixed = generate_er(n, 0.0005, seed=1).data, generate_er(n, 0.02, seed=2).data
+        for m in (BitMatrix(n, sparse[:half] + mixed[half:]),
+                  BitMatrix(n, mixed[:half] + sparse[half:])):
+            c, stats = compress(m, set3)
+            assert decompress(c, set3) == m
+            assert scan_stats(c, set3) == stats
+            for i in (0, n // 2 - 1, n // 2, n - 1):
+                for j in (0, 777, n - 1):
+                    assert query_edge(c, set3, i, j) == m.get(i, j)
 
 
 class TestFieldBlocks:
@@ -353,11 +410,12 @@ class TestFieldBlocks:
             for pset in all_sets:
                 assert compress(m, pset) == reference_compress(m, pset)
 
+    @pytest.mark.parametrize("routing", ROUTINGS)
     @pytest.mark.parametrize("size", FIELD_BLOCKS)
     @settings(max_examples=100, deadline=None)
     @given(stream=streams())
-    def test_decoders_match_the_reference(self, size, stream):
-        with patch("gpmc.codec._field_blocks", fixed_blocks(size)):
+    def test_decoders_match_the_reference(self, size, routing, stream):
+        with patch("gpmc.codec._field_blocks", fixed_blocks(size)), routed(routing):
             check_against_reference(*stream)
 
 
@@ -381,9 +439,10 @@ def damaged_containers(draw):
 
 
 class TestDamagedContainers:
+    @pytest.mark.parametrize("routing", ROUTINGS)
     @settings(max_examples=300, deadline=None)
-    @given(damaged_containers())
-    def test_every_reader_returns_or_raises_one_typed_error(self, case):
+    @given(case=damaged_containers())
+    def test_every_reader_returns_or_raises_one_typed_error(self, routing, case):
         blob, i, j = case
         try:
             graph = read_container(blob)
@@ -393,7 +452,8 @@ class TestDamagedContainers:
         for op in (lambda: decompress(graph, pset), lambda: scan_stats(graph, pset),
                    lambda: query_edge(graph, pset, i % graph.n, j % graph.n)):
             try:
-                op()
+                with routed(routing):
+                    op()
             except TYPED:
                 pass
 
