@@ -45,7 +45,6 @@ from .patterns import (
     build_pattern_set_1,
     build_pattern_set_2,
     build_pattern_set_3,
-    classify,
     classify_chunks,
     pattern_set,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "build_pattern_set_1",
     "build_pattern_set_2",
     "build_pattern_set_3",
-    "classify",
     "classify_chunks",
     "compress",
     "decompress",

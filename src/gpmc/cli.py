@@ -15,7 +15,7 @@ import numpy as np
 
 from . import codec, metrics
 from .bitmatrix import BitMatrix, format_edge_list_text, from_edge_list, parse_edge_list_text
-from .patterns import SET_IDS, PatternSet, pattern_set
+from .patterns import SET_IDS, pattern_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,13 +48,6 @@ def _load_container(path: str) -> codec.CompressedGraph:
 
 
 # argparse type= functions: a usage error shows an ArgumentTypeError's message as is
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -63,12 +56,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _sizes(text: str) -> list[int]:
-    if min(sizes := _int_list(text)) < 1:
-        raise argparse.ArgumentTypeError(f"vertex counts must be >= 1, got {text!r}")
-    return sizes
 
 
 def _fraction(text: str) -> float:
@@ -80,11 +67,14 @@ def _fraction(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text!r}")
 
 
-def _pattern_sets(text: str) -> list[PatternSet]:
-    try:
-        return [pattern_set(set_id) for set_id in _int_list(text)]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _comma_list(parse):
+    """A type= function for comma-separated values, each read by parse."""
+    def parse_list(text: str) -> list:
+        try:
+            return [parse(part) for part in text.split(",")]
+        except ValueError as exc:  # pattern_set's unknown id
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse_list
 
 
 def _generator_spec(args, kind: str) -> metrics.GeneratorSpec:
@@ -204,9 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the compression benchmark grid")
     p.add_argument("output", help="CSV path to write")
-    p.add_argument("--sizes", type=_sizes, default="1024,2048,4096,8192",
+    p.add_argument("--sizes", type=_comma_list(_positive_int), default="1024,2048,4096,8192",
                    help="comma-separated vertex counts")
-    p.add_argument("--sets", type=_pattern_sets, default="1,2,3",
+    p.add_argument("--sets", type=_comma_list(lambda part: pattern_set(_positive_int(part))),
+                   default="1,2,3",
                    help="comma-separated pattern set ids")
     p.add_argument("--generator", choices=metrics.GENERATOR_KINDS, default="calibrated")
     p.add_argument("--reps", type=_positive_int, default=1, help="repetitions per cell")

@@ -21,7 +21,9 @@ from .patterns import CHUNK_WIDTH, SET_IDS, PatternSet, classify_chunks, pattern
 
 MAGIC = b"GPMC"
 VERSION = 1
-HEADER_LEN = 24
+# magic, version, set id, chunk width, a reserved zero byte, n, payload bit length
+_HEADER = struct.Struct(">4s4B2Q")
+HEADER_LEN = _HEADER.size
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
 _BLOCK_BITS = 1 << 18  # payload bits in the walk's reused unpack window; a multiple of 8, >= 40
@@ -94,7 +96,7 @@ def total_chunks(n: int) -> int:
 
 
 def matrix_chunks(m: BitMatrix) -> np.ndarray:
-    """All chunks of a matrix in encode order, as native uint32 values.
+    """All chunks of a matrix in encode order, as big-endian uint32 words.
 
     Each row is packed to bytes, then zero-padded in bytes to whole chunks.
     """
@@ -102,9 +104,7 @@ def matrix_chunks(m: BitMatrix) -> np.ndarray:
     packed = np.packbits(m.bit_array().reshape(n, n), axis=1)  # the bits die here
     rows = np.zeros((n, 4 * chunks_per_row(n)), np.uint8)
     rows[:, : packed.shape[1]] = packed
-    chunks = rows.view(np.uint32).reshape(-1)
-    np.copyto(chunks, rows.view(">u4").reshape(-1))  # in place; a 1-D self-copy takes no temporary
-    return chunks
+    return rows.view(">u4").reshape(-1)
 
 
 def chunks_to_matrix(chunks: np.ndarray, n: int) -> BitMatrix:
@@ -143,7 +143,12 @@ def _scatter(words: np.ndarray, offsets: np.ndarray, windows: np.ndarray) -> Non
 
 
 def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, CompressionStats]:
-    """Encode a matrix against a dictionary; returns the stream and its census."""
+    """Encode a matrix against a dictionary; returns the stream and its census.
+
+    The container names the set by id alone, so the set must hold the entries
+    pattern_set(id) gives back to the decoder."""
+    if pset.id in SET_IDS and pset.patterns != pattern_set(pset.id).patterns:
+        raise FormatError(f"pattern set {pset.id} holds entries other than pattern_set({pset.id})")
     k, chunks, bit_length = pset.indicator_bits, matrix_chunks(m), 0
     words = np.zeros(chunks.size * RAW_FIELD_BITS // 32 + 2, np.uint32)  # room for all raw
     hist = np.zeros(len(pset.patterns), np.int64)
@@ -321,10 +326,9 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
 
 
 def write_container(c: CompressedGraph) -> bytes:
-    """Serialize: magic, version, set id, chunk width, reserved byte, then
-    n and payload_bit_length as big-endian u64, then the packed payload."""
-    header = MAGIC + bytes((VERSION, c.pattern_set_id, CHUNK_WIDTH, 0))
-    header += struct.pack(">QQ", c.n, c.payload_bit_length)
+    """Serialize: the header, then the packed payload."""
+    header = _HEADER.pack(MAGIC, VERSION, c.pattern_set_id, CHUNK_WIDTH, 0,
+                          c.n, c.payload_bit_length)
     return header + c.payload
 
 
@@ -333,14 +337,13 @@ def read_container(data: bytes) -> CompressedGraph:
     if len(data) < HEADER_LEN:
         raise TruncationError(
             f"container is {len(data)} bytes; the header alone needs {HEADER_LEN}")
-    if data[:4] != MAGIC:
-        raise FormatError(f"bad magic {bytes(data[:4])!r}")
-    version, set_id, width, _reserved = data[4:8]
+    magic, version, set_id, width, _reserved, n, bit_length = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
     if width != CHUNK_WIDTH:
         raise FormatError(f"chunk width must be {CHUNK_WIDTH}, got {width}")
-    n, bit_length = struct.unpack(">QQ", data[8:HEADER_LEN])
     expected = HEADER_LEN + (bit_length + 7) // 8
     if len(data) != expected:
         raise TruncationError(

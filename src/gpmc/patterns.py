@@ -17,6 +17,7 @@ CHUNK_WIDTH = 32
 # each of the three paper sets a table without collisions;
 # tests/test_patterns.py draws it again.
 _MULTIPLIER = np.uint32(0x4ECDE8B9)
+_WORDS = (np.dtype("<u4"), np.dtype(">u4"))  # chunk dtypes classify_chunks reads in place
 
 
 def _slot(chunks: np.ndarray, shift: np.uint32) -> np.ndarray:
@@ -117,20 +118,18 @@ def pattern_set(set_id: int) -> PatternSet:
         raise ValueError(f"unknown pattern set id {set_id}") from None
 
 
-def classify(chunk: int, pset: PatternSet) -> int | None:
-    """Index of the dictionary entry bit-equal to chunk, or None."""
-    return pset.patterns.index(chunk) if chunk in pset.patterns else None
-
-
 def classify_chunks(chunks: np.ndarray, pset: PatternSet) -> np.ndarray:
-    """Vectorized classify: int64 indices, -1 where nothing matches.
+    """Index of the dictionary entry bit-equal to each chunk: int64, -1 where
+    nothing matches.
 
     Each chunk is looked up in the set's slot table: one multiply, one
     shift and one table gather per probe round, then one check that the
     entry found equals the chunk. The cost does not depend on what the
-    chunks hold. Results agree with classify() exactly.
+    chunks hold. A uint32 array of either byte order is read as it lies.
     """
-    arr = np.ascontiguousarray(chunks, dtype=np.uint32)
+    arr = chunks
+    if not (isinstance(chunks, np.ndarray) and chunks.dtype in _WORDS):
+        arr = np.ascontiguousarray(chunks, dtype=np.uint32)
     idx = pset._table[_slot(arr, pset._shift)]
     miss = pset.values[idx] != arr
     # entries displaced by a collision sit in the slots after their home slot

@@ -66,6 +66,16 @@ class TestCompress:
         assert sum(stats.per_pattern[1:]) == 0
 
 
+    def test_set_with_other_entries_rejected(self):
+        # a container names set 1 by id, and the decoder reads it with pattern_set(1)
+        m = generate_er(64, 0.05, seed=3)
+        with pytest.raises(FormatError, match=r"entries other than pattern_set\(1\)"):
+            compress(m, PatternSet(1, [1 << i for i in range(32)]))
+        with pytest.raises(FormatError, match="pattern set id must be in"):
+            compress(m, PatternSet(9, pattern_set(1).patterns))
+        assert compress(m, PatternSet(1, pattern_set(1).patterns)) == compress(m, pattern_set(1))
+
+
 class TestRoundTrip:
     def test_sample_matrix(self, sample_matrix, all_sets):
         for pset in all_sets:
@@ -125,7 +135,7 @@ class TestChunking:
         expected = [int("".join(map(str, bits[i, 32 * c : 32 * c + 32])).ljust(32, "0"), 2)
                     for i in range(n) for c in range(cpr)]
         chunks = matrix_chunks(m)
-        assert chunks.dtype == np.uint32 and chunks.tolist() == expected
+        assert chunks.dtype == ">u4" and chunks.tolist() == expected
         assert chunks_to_matrix(chunks, n) == m
         assert chunks_to_matrix(chunks.astype(">u4"), n) == m
 

@@ -1,7 +1,26 @@
+import hashlib
+
 import pytest
 
 from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError,
-                  TruncationError, compress, generate_er, read_container, write_container)
+                  TruncationError, compress, generate_er, pattern_set, read_container,
+                  write_container)
+
+# two n=100 matrices built without the RNG: rows end in pad bits, and each set
+# meets both matched and raw chunks in the first
+GOLDEN_MATRICES = {
+    "ramp": BitMatrix(100, bytes((37 * i + 11) % 256 for i in range(1250))),
+    "sparse": BitMatrix(100, bytes(0x80 if i % 9 == 0 else 0 for i in range(1250))),
+}
+# SHA-256 of each v1 container, by matrix and pattern set id
+GOLDEN_SHA256 = {
+    ("ramp", 1): "6849fb736580192770f3098cd58fed292b2ddbddd483d936fcdf0c0d091962d0",
+    ("ramp", 2): "078b0d6be630d646e8a7c121f5b34c9b2a89d46fce47cb388b97c6bfe98666e6",
+    ("ramp", 3): "d98262cfde85907abfae3b18247ced5574235b05cb54e60db4ac2e9a0c06cf7e",
+    ("sparse", 1): "8489d56bd39ac40a1452571831ec032fc9c12ca09835cdb035529439fe62dfb9",
+    ("sparse", 2): "b1f79961eb4a520add0c41fe1479418a195d618daf7780707c55f3ddd77e2ce8",
+    ("sparse", 3): "9a554c872df9037ca657fd8221d41b1dacdcb3abd32387e9b81a8e00b9489b52",
+}
 
 
 class TestWrite:
@@ -29,6 +48,15 @@ class TestWrite:
         assert write_container(CompressedGraph(2**64 - 1, 1, b"", 0))[8:16] == bytes([255]) * 8
         with pytest.raises(FormatError, match=r"vertex count must be < 2\*\*64"):
             write_container(CompressedGraph(2**64, 1, b"", 0))
+
+
+    @pytest.mark.parametrize("name, set_id", sorted(GOLDEN_SHA256))
+    def test_golden_v1_bytes(self, name, set_id):
+        m = GOLDEN_MATRICES[name]
+        c, _ = compress(m, pattern_set(set_id))
+        blob = write_container(c)
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name, set_id]
+        assert read_container(blob) == c
 
 
 class TestRead:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpmc import PatternSet, classify, classify_chunks, generate_er, pattern_set
+from gpmc import PatternSet, classify_chunks, generate_er, pattern_set
 from gpmc.codec import matrix_chunks
 from gpmc.patterns import _MULTIPLIER, _bit
 
@@ -19,6 +19,12 @@ def scan_classify(patterns, chunk):
         if p == chunk:
             return i
     return None
+
+
+def lookup(chunk, pset):
+    """classify_chunks on one chunk, with None for no match as scan_classify gives."""
+    index = int(classify_chunks(np.array([chunk], np.uint32), pset)[0])
+    return None if index < 0 else index
 
 
 def scan_classify_bulk(chunks, pset, block=1 << 17):
@@ -94,27 +100,27 @@ class TestConstruction:
 
 class TestClassify:
     def test_all_zero_chunk(self, set1, set2, set3):
-        assert classify(0, set1) == 0
-        assert classify(0, set2) is None
-        assert classify(0, set3) == 0
+        assert lookup(0, set1) == scan_classify(set1.patterns, 0) == 0
+        assert lookup(0, set2) is scan_classify(set2.patterns, 0) is None
+        assert lookup(0, set3) == scan_classify(set3.patterns, 0) == 0
 
     def test_single_one_chunk(self, set1, set2, set3):
         chunk = _bit(7)
-        assert scan_classify(set1.patterns, chunk) is None
-        assert classify(chunk, set1) is None
-        assert classify(chunk, set2) == 7
-        assert classify(chunk, set3) == 39
+        assert lookup(chunk, set1) is scan_classify(set1.patterns, chunk) is None
+        assert lookup(chunk, set2) == scan_classify(set2.patterns, chunk) == 7
+        assert lookup(chunk, set3) == scan_classify(set3.patterns, chunk) == 39
 
     def test_leading_pair_chunk(self, set1, set3):
         chunk = LEADING | _bit(13)
-        assert classify(chunk, set1) == 13
-        assert classify(chunk, set3) == scan_classify(set3.patterns, chunk) == 13
+        assert lookup(chunk, set1) == scan_classify(set1.patterns, chunk) == 13
+        assert lookup(chunk, set3) == scan_classify(set3.patterns, chunk) == 13
 
     def test_self_consistency_exhaustive(self, all_sets):
         for pset in all_sets:
             for i, value in enumerate(pset.patterns):
-                assert classify(value, pset) == i
+                assert scan_classify(pset.patterns, value) == i
                 assert classify_chunks(np.array([value], np.uint32), pset)[0] == i
+                assert classify_chunks(np.array([value], ">u4"), pset)[0] == i
 
     def test_union_equivalence(self, set1, set2, set3):
         rng = np.random.default_rng(7)
@@ -135,7 +141,7 @@ class TestClassify:
         for pset in all_sets:
             assert (classify_chunks(chunks, pset) == -1).all()
         for pset in all_sets:
-            assert classify(LEADING | _bit(5) | _bit(9), pset) is None
+            assert scan_classify(pset.patterns, LEADING | _bit(5) | _bit(9)) is None
 
     def test_optimized_agrees_with_linear_scan(self, all_sets):
         rng = np.random.default_rng(13)
@@ -150,13 +156,15 @@ class TestClassify:
             slow = scan_classify_bulk(salted, pset)
             assert (fast == slow).all()
 
-    def test_scalar_classify_agrees_with_scan(self, all_sets):
+    def test_either_byte_order_agrees_with_scan(self, all_sets):
         rng = np.random.default_rng(17)
         sample = rng.integers(0, 1 << 32, size=5_000, dtype=np.uint64).tolist()
         sample += popcount_le_2_chunks()
         for pset in all_sets:
-            for chunk in sample:
-                assert classify(int(chunk), pset) == scan_classify(pset.patterns, chunk)
+            expected = [scan_classify(pset.patterns, chunk) for chunk in sample]
+            expected = [-1 if i is None else i for i in expected]
+            for dtype in ("<u4", ">u4"):
+                assert classify_chunks(np.array(sample, dtype), pset).tolist() == expected
 
 
 def home_slot(value, pset, multiplier=int(_MULTIPLIER)):
@@ -200,7 +208,7 @@ class TestSlotTable:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_custom_sets_agree_with_scalar_classify(self, data):
+    def test_custom_sets_agree_with_scan(self, data):
         values = data.draw(st.lists(st.integers(0, (1 << 32) - 1), min_size=1,
                                     max_size=300, unique=True))
         pset = PatternSet(9, values)
@@ -214,11 +222,13 @@ class TestSlotTable:
         chunks = data.draw(st.permutations(entries + mates + others))
         fast = classify_chunks(np.array(chunks, dtype=np.uint32), pset)
         assert fast.dtype == np.int64
-        expected = [classify(c, pset) for c in chunks]
+        expected = [scan_classify(values, c) for c in chunks]
         assert fast.tolist() == [-1 if i is None else i for i in expected]
 
-    def test_peak_below_four_times_input(self, all_sets):
-        chunks = matrix_chunks(generate_er(4096, 0.02, 1))
+    @pytest.mark.parametrize("dtype", ("=u4", ">u4"))
+    def test_peak_below_four_times_input(self, all_sets, dtype):
+        # the chunks of either byte order are read in place, not copied first
+        chunks = matrix_chunks(generate_er(4096, 0.02, 1)).astype(dtype)
         for pset in all_sets:
             gc.collect()
             tracemalloc.start()
