@@ -27,10 +27,18 @@ HEADER_LEN = _HEADER.size
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
 _BLOCK_BITS = 1 << 18  # payload bits in the walk's reused unpack window; a multiple of 8, >= 40
-# The walk by runs chooses again every _PROBE_RUNS runs, the walk field by field at
-# each refill: under _RUN_FIELDS fields per run, a Python step per field costs less.
+# The walk by runs chooses again every _PROBE_RUNS runs, the short-run walk at each
+# refill: under _RUN_FIELDS fields per run, a walk by runs costs more.
 _RUN_FIELDS = 24
 _PROBE_RUNS = 128
+_SLICE_BITS = 1 << 15  # the least bits unpacked by one call; a multiple of 8
+# The lanes pass walks a region of up to _REGION_BITS bits with one lane per
+# _LANE_BITS. That is a multiple of 33, so each lane starts on the residue the true
+# path keeps modulo gcd(1 + k, 33), and long enough that lanes meet the true path on
+# the mixed streams measured. Below _MIN_LANES lanes (at least 2), stepping costs less.
+_REGION_BITS = 1 << 21
+_LANE_BITS = 32 * RAW_FIELD_BITS
+_MIN_LANES = 256
 
 
 class FormatError(ValueError):
@@ -173,19 +181,96 @@ def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
             f"container names pattern set {c.pattern_set_id}, got set {pset.id}")
 
 
+def _unpack(src: np.ndarray, bit: int, out: np.ndarray) -> None:
+    """Unpack out.size payload bits from bit, a multiple of 8, into out, one byte per bit.
+
+    np.unpackbits has no out=, so this goes in slices of _SLICE_BITS bits or a 32nd
+    of the payload's bits, whichever is more: a window or region that is a large
+    share of the payload gets small temporaries, and a payload of 32 windows or
+    more, next to which one window weighs little, pays no call per slice.
+    """
+    cut = max(_SLICE_BITS, src.size // 32 * 8)
+    for at in range(0, out.size, cut):
+        part = min(cut, out.size - at)
+        out[at : at + part] = np.unpackbits(src[(bit + at) >> 3 :], count=part)
+
+
+def _lanes(src: np.ndarray, start: int, stop: int, k: int) -> tuple[np.ndarray, int, bool]:
+    """Flags of the fields from bit start that begin before stop - 32, so end by stop,
+    the bit after the last one found, and whether all of them were found.
+
+    The region is cut into segments, and one lane per segment walks from its first
+    bit, all lanes in step, marking each bit it lands on with its step number, until
+    it leaves its segment. A lane's path is right from the first bit it shares with
+    the true path, which enters segment j where lane j - 1 left. So for each segment
+    a walker on the true path steps from there, appending its flags to lane j - 1's,
+    until it lands on a mark; lane j's flags count from that step. A lane that does
+    not meet the true path in its segment ends the pass there.
+    """
+    origin, mark = start & ~7, 64  # a bit's width is at most 33; from `mark` on, a step number
+    size = stop - origin
+    width = np.zeros(size + 1, np.uint8)  # the last byte takes waiting lanes' marks
+    _unpack(src, origin, width[:-1])
+    width *= np.uint8(CHUNK_WIDTH - k)
+    np.subtract(np.uint8(RAW_FIELD_BITS), width, out=width)  # the width of a field at each bit
+    # short enough that a lane's step numbers, from mark, fit in a byte
+    lane_bits = min(_LANE_BITS, (255 - mark) * (1 + k) // RAW_FIELD_BITS * RAW_FIELD_BITS)
+    steps = -(-lane_bits // (1 + k))  # the most fields a lane takes
+    lane = np.arange(start - origin, size - CHUNK_WIDTH - lane_bits + 1, lane_bits)
+    bound = lane + lane_bits  # whole segments only: a short one would rarely meet the true path
+    # each lane's field widths, 0 once it has left its segment, then the true walker's
+    walked = np.zeros((lane.size, 2 * steps + 1), np.uint8)
+    pos, waiting = lane.copy(), width.size - 1
+    for step in range(steps):
+        live = pos < bound
+        column = walked[:, step]
+        np.multiply(width[pos], live, out=column)
+        width[np.where(live, pos, waiting)] = mark + step
+        pos += column
+    seg, true, end = np.arange(1, lane.size), pos[:-1].copy(), bound[1:]
+    into = np.arange(lane.size - 1) * walked.shape[1] + steps  # lane j - 1's next free byte
+    good, first = np.zeros(lane.size, bool), np.zeros(lane.size, np.intp)
+    good[0] = True
+    for _ in range(steps + 1):
+        field = width[true]
+        done = (field >= mark) | (true >= end)
+        if done.any():
+            met = done & (true < end)
+            good[seg[met]], first[seg[met]] = True, field[met] - mark
+            keep = ~done
+            keep &= seg < seg[done & ~met].min(initial=lane.size)
+            seg, true, end, into, field = seg[keep], true[keep], end[keep], into[keep], field[keep]
+            if not seg.size:
+                break
+        walked.reshape(-1)[into] = field
+        into += 1
+        true += field
+    found = lane.size if good.all() else int(good.argmin())
+    del width  # before the read-out's temporaries
+    walked = walked[:found]
+    walked[-1, steps:] = 0  # the last lane ends at its own exit
+    walked[np.arange(walked.shape[1]) < first[:found, None]] = 0  # and each starts where it met
+    flags = (walked[walked != 0] < RAW_FIELD_BITS).view(np.uint8)
+    return flags, origin + int(pos[found - 1]), found == lane.size
+
+
 def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearray, int]:
     """Flag of each of the first count fields, one byte per field (1 for a
     matched field), reading only flag bits, and the bit after the last field.
 
-    The flags are read from one reused window of unpacked bits, one byte per
-    bit, refilled from the walk's byte whenever fewer than 33 bits are left,
-    so it holds a whole field or the rest of the stream. The walk starts by
-    runs: in a run the flags sit at a fixed stride, so bytes.find over strided
-    slices, doubling while the run lasts, finds its end or the window's. It
-    steps field by field instead while runs average under _RUN_FIELDS fields,
-    choosing again every _PROBE_RUNS runs and, when stepping, at each refill
-    from the flags it set. Those steps go unchecked in batches that fit in the
-    window, as a field takes at most 33 bits; the last few fields go by runs.
+    The walk takes one of three paths at a time. It starts by runs, from one
+    reused window of unpacked bits, one byte per bit, refilled from the walk's
+    byte whenever fewer than 33 bits are left, so it holds a whole field or the
+    rest of the stream. In a run the flags sit at a fixed stride, so bytes.find
+    over strided slices, doubling while the run lasts, finds its end or the
+    window's. While runs average under _RUN_FIELDS fields it walks short runs
+    instead, choosing again every _PROBE_RUNS runs and, on short runs, at each
+    refill from the flags it set. Short runs go by lanes (_lanes), a region of
+    up to _REGION_BITS bits at a time, and the window is refilled where a pass
+    ends. Where fewer than _MIN_LANES lanes fit, and for the rest of the walk
+    once a pass stops early, the walk steps field by field in unchecked batches
+    that fit in the window, as a field takes at most 33 bits. The last few
+    fields go by runs.
     """
     matched_width, src = 1 + k, np.frombuffer(payload, np.uint8)
     window = bytearray(min(_BLOCK_BITS, bit_length))
@@ -194,6 +279,9 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     flags = bytearray(b"\x01") * min(count, -(-bit_length // matched_width))
     done = base = at = size = 0  # window: bits base to base + size; walk: bit base + at
     short_runs, seen, runs = False, 0, 0  # strategy, the field it was chosen at, runs since
+    # bits of the next lanes pass: a quarter of a region at first, as a pass that stops
+    # early costs most of a whole one, then whole regions; none once a pass stops early
+    region = _REGION_BITS >> 2
     while done < count:
         refill = size - at < RAW_FIELD_BITS and base + size < bit_length
         if short_runs and refill or runs == _PROBE_RUNS:
@@ -204,7 +292,17 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
         if refill:
             base, at = base + (at & ~7), at & 7
             size = min(bit_length - base, len(window))
-            np.frombuffer(window, np.uint8)[:size] = np.unpackbits(src[base >> 3 :], count=size)
+            _unpack(src, base, np.frombuffer(window, np.uint8)[:size])
+        if short_runs and min(bit_length - base - at, region) >= _MIN_LANES * _LANE_BITS:
+            found, end, whole = _lanes(src, base + at, min(bit_length, base + at + region), k)
+            if found.size > count - done:  # end after the count-th field
+                found = found[: count - done]
+                end = base + at + RAW_FIELD_BITS * found.size
+                end -= (CHUNK_WIDTH - k) * int(found.sum())
+            np.frombuffer(flags, np.uint8)[done : done + found.size] = found
+            done, region = done + found.size, _REGION_BITS if whole else 0
+            base, at, size = end & ~7, end & 7, 0  # the window is refilled from end
+            continue
         if short_runs and (batch := min(count - done, (size - at) // RAW_FIELD_BITS)):
             for d in range(done, done + batch):
                 if window[at]:

@@ -40,6 +40,8 @@ class PatternSet:
     after it (linear probing, wrapping around); _rounds is the longest probe
     any entry needs, 1 for the three paper sets. A free slot holds index 0:
     a lookup accepts a slot only if the entry it names equals the chunk.
+
+    A built set is read-only: pattern_set hands every caller the same one.
     """
 
     __slots__ = ("id", "patterns", "indicator_bits", "values", "_shift", "_table", "_rounds")
@@ -71,7 +73,15 @@ class PatternSet:
             pending = pending[waiting]
         table[table < 0] = 0
         table.flags.writeable = False
-        self._table = table
+        self._table = table  # the last attribute set: from here on the set is read-only
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "_table"):
+            raise AttributeError(f"PatternSet is read-only: cannot set {name}")
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # copies and pickles are built again from the entries
+        return PatternSet, (self.id, self.patterns)
 
     def __len__(self):
         return len(self.patterns)
@@ -108,12 +118,13 @@ def build_pattern_set_3() -> PatternSet:
 
 _BUILDERS = {1: build_pattern_set_1, 2: build_pattern_set_2, 3: build_pattern_set_3}
 SET_IDS = tuple(sorted(_BUILDERS))  # the pattern set ids a container may name
+_SETS = {set_id: build() for set_id, build in _BUILDERS.items()}  # each built once
 
 
 def pattern_set(set_id: int) -> PatternSet:
-    """The dictionary a container's pattern_set_id names."""
+    """The dictionary a container's pattern_set_id names, shared by every caller."""
     try:
-        return _BUILDERS[set_id]()
+        return _SETS[set_id]
     except KeyError:
         raise ValueError(f"unknown pattern set id {set_id}") from None
 

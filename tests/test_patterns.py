@@ -1,14 +1,18 @@
+import copy
 import gc
+import pickle
 import tracemalloc
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpmc import PatternSet, classify_chunks, generate_er, pattern_set
+from gpmc import (PatternSet, build_pattern_set_3, classify_chunks, compress, generate_er,
+                  pattern_set, read_container, write_container)
 from gpmc.codec import matrix_chunks
-from gpmc.patterns import _MULTIPLIER, _bit
+from gpmc.patterns import _BUILDERS, _MULTIPLIER, SET_IDS, _bit
 
 LEADING = 1 << 31
 
@@ -96,6 +100,32 @@ class TestConstruction:
         for count, expected in [(1, 0), (2, 1), (8, 3), (16, 4), (32, 5), (64, 6)]:
             pset = PatternSet(1, list(range(count)))
             assert pset.indicator_bits == expected
+
+    def test_paper_sets_are_built_once_and_shared_read_only(self):
+        m = generate_er(40, 0.1, 1)
+        blobs = {set_id: write_container(compress(m, pattern_set(set_id))[0])
+                 for set_id in SET_IDS}
+        rebuild = {set_id: Mock(side_effect=AssertionError("set rebuilt")) for set_id in SET_IDS}
+        with patch.dict(_BUILDERS, rebuild):
+            for set_id, blob in blobs.items():
+                assert compress(m, pattern_set(set_id))[0] == read_container(blob)
+                assert pattern_set(set_id) is pattern_set(set_id)
+        assert not any(build.called for build in rebuild.values())
+        for name, value in (("indicator_bits", 5), ("patterns", ()), ("_table", None)):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(pattern_set(3), name, value)
+        assert pattern_set(3).indicator_bits == 6 and len(pattern_set(3).patterns) == 64
+
+    @pytest.mark.parametrize("duplicate", (lambda pset: pickle.loads(pickle.dumps(pset)),
+                                           copy.deepcopy), ids=("pickle", "deepcopy"))
+    def test_copies_are_built_from_the_entries(self, duplicate):
+        for pset in (pattern_set(3), PatternSet(9, [5, 7, 11])):
+            twin = duplicate(pset)
+            assert (twin.id, twin.patterns, twin.indicator_bits) == (
+                pset.id, pset.patterns, pset.indicator_bits)
+            assert np.array_equal(twin._table, pset._table)
+            with pytest.raises(AttributeError):
+                twin.id = 1
 
 
 class TestClassify:
@@ -200,7 +230,7 @@ class TestSlotTable:
     def test_builds_are_identical(self):
         rng = np.random.default_rng(3)
         custom = rng.choice(1 << 32, size=200, replace=False).tolist()
-        for build in (lambda: pattern_set(3), lambda: PatternSet(9, custom)):
+        for build in (build_pattern_set_3, lambda: PatternSet(9, custom)):
             first, second = build(), build()
             assert np.array_equal(first._table, second._table)
             assert first._rounds == second._rounds

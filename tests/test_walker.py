@@ -1,15 +1,18 @@
 """Differential and robustness tests for the stream walker.
 
-The decoder's walker either skips whole runs of equal-width fields or steps
-field by field in unchecked batches, and chooses between the two from the
-runs it has walked. A naive walk that steps one field at a time, checking
-each, is kept here as the reference: on any bit string the walker must find
-the same fields, or stop with the same error, under its own routing and with
-each strategy forced by patching its routing constants. It must do so too
-when its unpack window is shrunk to a few bytes, so that it is refilled
-mid-field and mid-run; when a stream's runs change length partway, so that
-its routing switches strategy mid-walk; and when the decode tail's field
-blocks are shrunk to a few fields.
+The decoder's walker either skips whole runs of equal-width fields or walks
+short runs, and chooses between the two from the runs it has walked. Short
+runs go by lanes, many segments of the payload walked at once, or, where the
+lanes would be too few or have stopped early, field by field in unchecked
+batches. A naive walk that steps one field at a time, checking each, is kept
+here as the reference: on any bit string the walker must find the same
+fields, or stop with the same error, under its own routing and with each
+strategy forced by patching its routing constants. It must do so too when its
+unpack window is shrunk to a few bytes, so that it is refilled mid-field and
+mid-run; when its lanes are cut to a few fields, so that segment edges fall
+mid-field; when a stream's runs change length partway, so that its routing
+switches strategy mid-walk; and when the decode tail's field blocks are
+shrunk to a few fields.
 """
 
 import struct
@@ -26,16 +29,23 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, P
                   pattern_set, query_edge, read_container, reference_compress, scan_stats,
                   total_chunks, write_container)
 from gpmc.cli import build_parser
-from gpmc.codec import _field_blocks, _flags, _layout, _walk, chunks_per_row, chunks_to_matrix
+from gpmc.codec import (_field_blocks, _flags, _lanes, _layout, _unpack, _walk,
+                        chunks_per_row, chunks_to_matrix)
 from gpmc.patterns import _BUILDERS, SET_IDS
 
 TYPED = (FormatError, TruncationError, CorruptStreamError)
 
+# Lanes of two raw fields whenever two fit, in regions of 1024 bits (the first a
+# quarter of that): segment edges fall mid-field for every k, and a stream of a
+# few hundred fields takes several passes.
+SMALL_LANES = {"_LANE_BITS": 66, "_MIN_LANES": 2, "_REGION_BITS": 1 << 10}
 # Routing constants that force each strategy. The walk always starts by runs:
 # with _RUN_FIELDS at 0 it never leaves them, and with _RUN_FIELDS this large
-# and _PROBE_RUNS at 1 it steps field by field from the end of its first run,
-# which a stream of one run reaches only at the end of the window.
-FORCED = {"runs": {"_RUN_FIELDS": 0}, "fields": {"_RUN_FIELDS": 1 << 40, "_PROBE_RUNS": 1}}
+# and _PROBE_RUNS at 1 it walks short runs from the end of its first run, which
+# a stream of one run reaches only at the end of the window: field by field
+# while the lanes need more bits than the stream has, by lanes with SMALL_LANES.
+FORCED = {"runs": {"_RUN_FIELDS": 0}, "fields": {"_RUN_FIELDS": 1 << 40, "_PROBE_RUNS": 1},
+          "lanes": {"_RUN_FIELDS": 1 << 40, "_PROBE_RUNS": 1, **SMALL_LANES}}
 ROUTINGS = ("natural", *FORCED)
 
 
@@ -332,13 +342,18 @@ class TestWindowBoundaries:
 
     @pytest.mark.parametrize("routing", ROUTINGS)
     def test_window_is_refilled_per_window_of_bits(self, routing):
-        # 3000 raw fields: each refill unpacks at most 64 bits and lets at least one field be walked
+        # 3000 raw fields: each refill unpacks at most 64 bits and lets at least one
+        # field be walked; under lanes, regions of up to 1024 bits cover most of them
         bits = ([0] + [1, 0] * 16) * 3000
         with patch("gpmc.codec._BLOCK_BITS", 64), routed(routing), \
                 patch("gpmc.codec.np.unpackbits", wraps=np.unpackbits) as unpack:
             assert _walk(packed(bits), len(bits), 3000, 5) == (bytes(3000), len(bits))
-        assert len(bits) // 64 <= unpack.call_count <= 3000
-        assert max(call.kwargs["count"] for call in unpack.call_args_list) == 64
+        counts = [call.kwargs["count"] for call in unpack.call_args_list]
+        assert 64 in counts
+        # a lanes region reaches at most 1024 bits past the walk's byte
+        assert max(counts) <= (1024 + 7 if routing == "lanes" else 64)
+        assert len([count for count in counts if count <= 64]) <= 3000
+        assert len(bits) <= sum(counts) <= 2 * len(bits)
 
 
 class TestStrategySwitch:
@@ -347,14 +362,16 @@ class TestStrategySwitch:
     run step ends at the window's end, so the routing constants are scaled
     down with the window for the switch to happen."""
 
+    @pytest.mark.parametrize("lanes", ("default", "small"))
     @pytest.mark.parametrize("window", WINDOWS)
     @settings(max_examples=150, deadline=None)
     @given(stream=streams(("switch",)), probe=st.sampled_from((1, 4, 16)),
            run_fields=st.sampled_from((2, 6, 24)), data=st.data())
-    def test_every_reader_matches_the_reference(self, window, stream, probe, run_fields, data):
+    def test_every_reader_matches_the_reference(self, window, lanes, stream, probe, run_fields,
+                                                data):
         bits, n, pset = stream
         with patch.multiple("gpmc.codec", _BLOCK_BITS=window, _PROBE_RUNS=probe,
-                            _RUN_FIELDS=run_fields):
+                            _RUN_FIELDS=run_fields, **(SMALL_LANES if lanes == "small" else {})):
             check_walk(bits, n, pset)
             check_against_reference(bits, n, pset)
             check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
@@ -374,6 +391,65 @@ class TestStrategySwitch:
             for i in (0, n // 2 - 1, n // 2, n - 1):
                 for j in (0, 777, n - 1):
                     assert query_edge(c, set3, i, j) == m.get(i, j)
+
+
+def period_40_matrix():
+    """n = 2048, each row 32 times a zero chunk, then the chunk with bits 6, 7 and 8
+    set: under set 3, fields of 7 and 33 bits alternate, bit 14 of every 40 is 1
+    and bit 33 is 0. A lane on bit 7a mod 40 goes to 7(a + 1) on a 1 and 7(a - 1)
+    on a 0, so from a in 2..39 it never reaches a = 0 or 1, the residues 0 and 7
+    of the true fields: no lane that starts off them meets the true path."""
+    row = np.tile(np.array([0, 0, 0, 0, 0x03, 0x80, 0, 0], np.uint8), 32)
+    return BitMatrix(2048, np.tile(row, 2048).tobytes())
+
+
+class TestLanes:
+    @pytest.mark.parametrize("lane_bits", (99, 231, 1056))
+    def test_period_40_stream_steps_from_the_first_lane_that_never_meets(self, set3, lane_bits):
+        # none of the segment lengths is a multiple of 40, so some lane starts off the
+        # true residues and the pass stops there: each of the three walks takes one
+        # pass, then steps per field
+        m = period_40_matrix()
+        c, stats = compress(m, set3)
+        count = total_chunks(m.n)
+        bits = np.unpackbits(np.frombuffer(c.payload, np.uint8))[: c.payload_bit_length]
+        assert bits[14::40].all() and not bits[33::40].any()
+        passes = []
+        with patch("gpmc.codec._LANE_BITS", lane_bits), \
+                patch("gpmc.codec._lanes", side_effect=lambda *a: passes.append(_lanes(*a))
+                      or passes[-1]):
+            check_walk(bits.tolist(), m.n, set3)
+            assert decompress(c, set3) == m
+            assert scan_stats(c, set3) == stats
+        assert len(passes) == 3 and not any(whole for _, _, whole in passes)
+        assert _walk(c.payload, c.payload_bit_length, count, 6) == (
+            bytearray([1, 0] * (count // 2)), c.payload_bit_length)
+
+    def test_real_streams_meet_and_take_whole_passes(self, set3):
+        # at p = 0.02 every lane of 1056 bits meets the true path: each pass is whole
+        m = generate_er(4096, 0.02, 1)
+        c, stats = compress(m, set3)
+        passes = []
+        with patch("gpmc.codec._lanes", side_effect=lambda *a: passes.append(_lanes(*a))
+                   or passes[-1]):
+            flags, end = _walk(c.payload, c.payload_bit_length, total_chunks(m.n), 6)
+        assert len(passes) >= 3 and all(whole for _, _, whole in passes)
+        assert end == c.payload_bit_length
+        assert np.frombuffer(flags, np.bool_).sum() == stats.matched
+        assert decompress(c, set3) == m
+
+    @pytest.mark.parametrize("size, cut", ((64, 16), (4096, 1024)))
+    def test_unpack_slices_grow_with_the_payload(self, size, cut):
+        # slices of 16 bits, or of a 32nd of the payload's bits if that is more:
+        # the window's and a region's temporaries stay small next to the payload
+        src = np.arange(size).astype(np.uint8)
+        out = np.zeros(8 * size - 24, np.uint8)
+        with patch("gpmc.codec._SLICE_BITS", 16), \
+                patch("gpmc.codec.np.unpackbits", wraps=np.unpackbits) as unpack:
+            _unpack(src, 8, out)
+        counts = [call.kwargs["count"] for call in unpack.call_args_list]
+        assert max(counts) == cut and sum(counts) == out.size
+        assert np.array_equal(out, np.unpackbits(src)[8 : 8 + out.size])
 
 
 class TestFieldBlocks:
