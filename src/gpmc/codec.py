@@ -39,6 +39,9 @@ _SLICE_BITS = 1 << 15  # the least bits unpacked by one call; a multiple of 8
 _REGION_BITS = 1 << 21
 _LANE_BITS = 32 * RAW_FIELD_BITS
 _MIN_LANES = 256
+# scan_stats counts indicators in this many histograms, field j in histogram j % 4: in
+# a run of one entry, no two counts in a row then wait on the same counter.
+_TALLIES = 4
 
 
 class FormatError(ValueError):
@@ -393,14 +396,36 @@ def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
-    """Recompute compression stats from the stream without rebuilding the matrix."""
-    matched, words, bit = _flags(c, pset), _words(c.payload), 0
-    hist = np.zeros(len(pset.patterns), np.int64)
-    for block in _field_blocks(matched.size):
-        offsets, bit = _layout(matched[block], pset.indicator_bits, bit)
-        fields = _gather(words, offsets[matched[block]])
-        hist += np.bincount(_indicators(fields, pset), minlength=len(pset.patterns))
-    return _stats(c.n, hist, c.payload_bit_length)
+    """Recompute compression stats from the stream without rebuilding the matrix,
+    reading only the flag and indicator of each matched field."""
+    matched, k, size = _flags(c, pset), pset.indicator_bits, len(pset.patterns)
+    span = (k + 15) // 8  # bytes that hold 1 + k bits from any bit of the first
+    src = np.frombuffer(c.payload + bytes(span - 1), np.uint8)
+    word_type = np.min_scalar_type((1 << 8 * span) - 1)  # holds span bytes
+    blocks = list(_field_blocks(matched.size))
+    rank = np.arange(blocks[0].stop)  # the first block is the longest
+    tally = (rank.astype(word_type) % _TALLIES) << k  # each field's histogram, in its bits
+    rank *= CHUNK_WIDTH - k  # the j-th matched field, at index i, starts 33 i - rank[j] in
+    hist, bit = np.zeros((_TALLIES, 1 << k), np.int64), 0
+    for block in blocks:
+        offsets = np.flatnonzero(matched[block])
+        offsets *= RAW_FIELD_BITS
+        offsets -= rank[: offsets.size]
+        offsets += bit
+        bit += RAW_FIELD_BITS * matched[block].size - (CHUNK_WIDTH - k) * offsets.size
+        at = offsets >> 3
+        words = src[at].astype(word_type)
+        for byte in range(1, span):
+            words <<= 8
+            words |= src[byte:][at]
+        words <<= offsets.astype(word_type) & 7  # the flag to bit 8 span - 1
+        words >>= 8 * span - 1 - k
+        words &= (1 << k) - 1  # drop the flag and the bits before it
+        hist += np.bincount(words | tally[: words.size], minlength=hist.size).reshape(hist.shape)
+        if hist[:, size:].any():
+            raise CorruptStreamError(
+                f"indicator {words[words >= size][0]} out of range for {size} patterns")
+    return _stats(c.n, hist.sum(0)[:size], c.payload_bit_length)
 
 
 def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:

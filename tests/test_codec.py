@@ -268,7 +268,10 @@ class TestPeakMemory:
     """tracemalloc peak of each call above what was live, against the packed
     matrix: 9.05x for compress, 11.05x for decompress and 2.3x to 2.4x for
     scan_stats on numpy 2.4, at n = 1024 and at n = 1000 alike (3.8x to 3.9x
-    when the walk's window was refilled by one unpack of its size). Padding rows
+    when the walk's window was refilled by one unpack of its size). The walk
+    sets scan_stats' peak: after it, reading only matched fields, scan_stats
+    holds 1.73x with the walk's flags at n = 1024, where laying out every field
+    and cutting an 8-byte window for each matched one held 2.26x. Padding rows
     one bit at a time measures 16.2x and 18.3x at n = 1000, and byte-swapping
     the chunks before the repack 12.0x at n = 1024. A decoder that keeps its
     8-byte-per-field windows alive while it repacks the matrix measures 13x
@@ -296,7 +299,7 @@ class TestPeakMemory:
         assert decompress_peak < 11.5 * len(m.data)
         stats, stats_peak = self.peak(scan_stats, c, set3)
         assert stats == compress(m, set3)[1]
-        assert stats_peak < 2.75 * len(m.data)
+        assert stats_peak < 2.5 * len(m.data)
 
     @pytest.mark.parametrize("n, bound", ((4096, 0.6), (1024, 2.75)))
     def test_walk_holds_one_window_not_the_payload(self, set1, n, bound):
@@ -316,13 +319,15 @@ class TestPeakMemory:
 
     def test_lanes_hold_one_region_not_the_payload(self, set3):
         # short runs: the lanes pass holds one region of 2^21 bits, one byte per
-        # bit, and its lanes' field widths, 1.95x; scan_stats peaks at 2.03x in
-        # its field blocks. Regions of 2^22 bits measure 3.2x.
+        # bit, and its lanes' field widths, 1.95x, which is scan_stats' peak: its
+        # field blocks and the walk's flags hold 1.65x (2.03x when the blocks laid
+        # out every field and cut an 8-byte window for each matched one). Regions
+        # of 2^22 bits measure 3.2x.
         m = generate_er(4096, 0.02, 1)
         c, stats = compress(m, set3)
         result, stats_peak = self.peak(scan_stats, c, set3)
         assert result == stats
-        assert stats_peak <= 3 * len(m.data)
+        assert stats_peak < 2.1 * len(m.data)
 
     def test_query_edge_reads_the_payload_in_place(self, set1):
         # the last cell walks the whole stream: one flag byte per field and

@@ -47,6 +47,10 @@ SMALL_LANES = {"_LANE_BITS": 66, "_MIN_LANES": 2, "_REGION_BITS": 1 << 10}
 FORCED = {"runs": {"_RUN_FIELDS": 0}, "fields": {"_RUN_FIELDS": 1 << 40, "_PROBE_RUNS": 1},
           "lanes": {"_RUN_FIELDS": 1 << 40, "_PROBE_RUNS": 1, **SMALL_LANES}}
 ROUTINGS = ("natural", *FORCED)
+# Indicator widths the decoders are checked at: the paper sets' 5 and 6, and up to
+# 12. scan_stats reads a field's flag and indicator from (k + 15) // 8 bytes, so 8
+# is the last width it reads from 2 bytes and 9 the first it reads from 3.
+WIDTHS = (*range(1, 10), 12)
 
 
 def routed(routing):
@@ -122,7 +126,7 @@ def streams(draw, shapes=("random", "runs", "switch", "ones", "zeros", "alternat
     perhaps cut short, lengthened or flipped; or plain random bits. A switch
     has runs of 40 to 200 fields of one width, then alternating fields, or
     the reverse."""
-    k = draw(st.integers(1, 6))
+    k = draw(st.sampled_from(WIDTHS))
     pset = PatternSet(1, range(draw(st.integers((1 << (k - 1)) + 1, 1 << k))))
     n = draw(st.integers(1, 90))
     count = total_chunks(n)
@@ -186,7 +190,7 @@ class TestWalkAgainstReference:
         with routed(routing):
             check_against_reference(*stream)
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", WIDTHS)
     @pytest.mark.parametrize("shape", ("ones", "zeros", "alternating"))
     def test_uniform_shapes_every_k(self, k, shape):
         pset = PatternSet(1, range(1 << k))
@@ -199,7 +203,7 @@ class TestWalkAgainstReference:
 
     @pytest.mark.parametrize("strategy", FORCED)
     @pytest.mark.parametrize("cut", (False, True))
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", WIDTHS)
     @pytest.mark.parametrize("shape", ("ones", "zeros", "alternating"))
     def test_each_forced_strategy_matches_the_reference(self, shape, k, cut, strategy):
         # forced rather than chosen from the runs walked, so every reader
@@ -493,6 +497,27 @@ class TestFieldBlocks:
     def test_decoders_match_the_reference(self, size, routing, stream):
         with patch("gpmc.codec._field_blocks", fixed_blocks(size)), routed(routing):
             check_against_reference(*stream)
+
+    @pytest.mark.parametrize("routing", ROUTINGS)
+    # a set of 2^(k - 1) + 1 entries leaves k-bit indicators out of range from k = 2
+    @pytest.mark.parametrize("k", WIDTHS[1:])
+    def test_first_bad_indicator_in_a_later_block(self, routing, k):
+        # 80 fields in blocks of 7, every third raw; in-range indicators but for
+        # 2^k - 1 at one matched field from the sixth block on, at several bit
+        # alignments, and 2^(k - 1) + 1 at the last field: the decoders name the first
+        pset = PatternSet(1, range((1 << (k - 1)) + 1))
+        n = 40
+        for first in (36, 37, 39, 40, 42, 43, 45, 46, 70):
+            bits = []
+            for i in range(total_chunks(n)):
+                index = {first: (1 << k) - 1, 79: len(pset)}.get(i, i % len(pset))
+                bits += [0] + [i & 1] * 32 if i % 3 == 2 else [1] + [
+                    (index >> b) & 1 for b in reversed(range(k))]
+            expected = outcome(reference_decode, bits, n, pset)
+            assert expected == (CorruptStreamError,
+                                f"indicator {(1 << k) - 1} out of range for {len(pset)} patterns")
+            with patch("gpmc.codec._field_blocks", fixed_blocks(7)), routed(routing):
+                check_against_reference(bits, n, pset)
 
 
 @st.composite
