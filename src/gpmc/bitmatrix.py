@@ -8,6 +8,7 @@ are pure functions of their arguments.
 
 from __future__ import annotations
 
+import io
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
@@ -15,6 +16,7 @@ from itertools import chain
 import numpy as np
 
 _GEN_BLOCK_BITS = 1 << 22  # per-block bit budget for generators; multiple of 8
+_PACK_BLOCK_BITS = 1 << 16  # the least bits from_bit_array packs at a time; multiple of 8
 
 
 class ParseError(ValueError):
@@ -66,11 +68,19 @@ class BitMatrix:
 
     @classmethod
     def from_bit_array(cls, n: int, bits) -> "BitMatrix":
-        """Build from a 0/1 array of length n*n in row-major order."""
-        arr = np.asarray(bits, dtype=np.uint8)
+        """Build from a 0/1 array of n*n bits in row-major order, of any shape.
+
+        The bits are packed in blocks of _PACK_BLOCK_BITS or a 32nd of them,
+        whichever is more, straight into one buffer of the result's size, which
+        CPython's BytesIO hands over as the result's bytes without a copy."""
+        arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
         if arr.size != n * n:
             raise ValueError(f"expected {n * n} bits, got {arr.size}")
-        return cls(n, np.packbits(arr).tobytes())
+        step = max(_PACK_BLOCK_BITS, arr.size // 256 * 8)
+        out = io.BytesIO(bytes((arr.size + 7) // 8))
+        for at in range(0, arr.size, step):
+            out.write(np.packbits(arr[at : at + step]))
+        return cls(n, out.getvalue())
 
     def bit_array(self) -> np.ndarray:
         """Row-major 0/1 uint8 array of length n*n."""

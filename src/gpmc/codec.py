@@ -400,7 +400,7 @@ def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     reading only the flag and indicator of each matched field."""
     matched, k, size = _flags(c, pset), pset.indicator_bits, len(pset.patterns)
     span = (k + 15) // 8  # bytes that hold 1 + k bits from any bit of the first
-    src = np.frombuffer(c.payload + bytes(span - 1), np.uint8)
+    src = np.frombuffer(c.payload, np.uint8)
     word_type = np.min_scalar_type((1 << 8 * span) - 1)  # holds span bytes
     blocks = list(_field_blocks(matched.size))
     rank = np.arange(blocks[0].stop)  # the first block is the longest
@@ -415,9 +415,10 @@ def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
         bit += RAW_FIELD_BITS * matched[block].size - (CHUNK_WIDTH - k) * offsets.size
         at = offsets >> 3
         words = src[at].astype(word_type)
-        for byte in range(1, span):
+        for _ in range(1, span):  # a byte past the payload holds no bit of the field: any will do
+            at += 1
             words <<= 8
-            words |= src[byte:][at]
+            words |= np.take(src, at, mode="clip")
         words <<= offsets.astype(word_type) & 7  # the flag to bit 8 span - 1
         words >>= 8 * span - 1 - k
         words &= (1 << k) - 1  # drop the flag and the bits before it

@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +128,33 @@ class TestConstruction:
     def test_from_bit_array_rejects_wrong_bit_count(self):
         with pytest.raises(ValueError, match="expected 9 bits, got 8"):
             BitMatrix.from_bit_array(3, np.ones(8, np.uint8))
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 33, 100, 1000, 2100])
+    def test_from_bit_array_packs_every_input_form(self, n):
+        # packed in blocks of 2^16 bits or a 32nd of the input: 10^6 bits (n = 1000)
+        # end in a partial 2^16-bit block, 4,410,000 (n = 2100) in a partial 32nd
+        bits = np.random.default_rng(n).random((n, n)) < 0.3
+        forms = [bits, bits.reshape(-1), bits.astype(np.uint8), bits.astype(np.uint8).ravel()]
+        if n <= 1000:
+            forms += [bits.tolist(), bits.reshape(-1).astype(int).tolist()]
+        for form in forms:
+            expected = np.packbits(np.asarray(form, np.uint8).reshape(-1)).tobytes()
+            assert BitMatrix.from_bit_array(n, form).data == expected
+
+    def test_from_bit_array_holds_one_packed_copy(self):
+        # beyond its input it holds the result and one block: 1.11x the packed matrix
+        # at n = 1024, where packing all bits and then copying them to bytes held 2x
+        bits = generate_er(1024, 0.3, seed=1).bit_array()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = BitMatrix.from_bit_array(1024, bits)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert m.bit_array().tolist() == bits.tolist()
+        assert peak < 1.25 * len(m.data)
 
     def test_masks_tail_bits(self):
         # 3x3 uses 9 bits; stray bits past the tail must not affect equality

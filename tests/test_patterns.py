@@ -6,7 +6,7 @@ from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpmc import (PatternSet, build_pattern_set_3, classify_chunks, compress, generate_er,
@@ -254,6 +254,27 @@ class TestSlotTable:
         assert fast.dtype == np.int64
         expected = [scan_classify(values, c) for c in chunks]
         assert fast.tolist() == [-1 if i is None else i for i in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_probing_sets_agree_with_scan(self, data):
+        # sets of up to 1,000 entries that take two probe rounds or more
+        values = data.draw(st.lists(st.integers(0, (1 << 32) - 1), min_size=2,
+                                    max_size=1000, unique=True))
+        pset = PatternSet(9, values)
+        if pset._rounds == 1:  # let the last entry share the first one's home slot
+            low = data.draw(st.integers(1, (1 << int(pset._shift)) - 1))
+            mate = slot_mate(values[0], pset, low)
+            assume(mate not in values)
+            values[-1] = mate
+            pset = PatternSet(9, values)
+        assert pset._rounds >= 2
+        entries = data.draw(st.lists(st.sampled_from(values), max_size=100))
+        mates = [slot_mate(v, pset, 1) for v in entries]
+        others = data.draw(st.lists(st.integers(0, (1 << 32) - 1), max_size=100))
+        chunks = data.draw(st.permutations(entries + mates + others))
+        expected = [-1 if i is None else i for i in (scan_classify(values, c) for c in chunks)]
+        assert classify_chunks(np.array(chunks, dtype=np.uint32), pset).tolist() == expected
 
     @pytest.mark.parametrize("dtype", ("=u4", ">u4"))
     def test_peak_below_four_times_input(self, all_sets, dtype):
