@@ -15,8 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-_GEN_BLOCK_BITS = 1 << 22  # per-block bit budget for generators; multiple of 8
-_PACK_BLOCK_BITS = 1 << 16  # the least bits from_bit_array packs at a time; multiple of 8
+_PACK_BLOCK_BITS = 1 << 16  # the least bits _packed packs at a time; a multiple of 8
 
 
 class ParseError(ValueError):
@@ -37,6 +36,18 @@ class EdgeList:
 
     n: int
     edges: list[tuple[int, int]] = field(default_factory=list)
+
+
+def _packed(total: int, bits) -> bytes:
+    """total bits packed MSB-first, bits(at, size) giving bits at to at + size as 0/1.
+    They are packed in blocks of _PACK_BLOCK_BITS or a 32nd of total, whichever is more,
+    straight into one buffer of the result's size, which CPython's BytesIO hands over
+    as bytes without a copy."""
+    step = max(_PACK_BLOCK_BITS, total // 256 * 8)
+    out = io.BytesIO(bytes((total + 7) // 8))
+    for at in range(0, total, step):
+        out.write(np.packbits(bits(at, min(step, total - at))))
+    return out.getvalue()
 
 
 class BitMatrix:
@@ -68,19 +79,11 @@ class BitMatrix:
 
     @classmethod
     def from_bit_array(cls, n: int, bits) -> "BitMatrix":
-        """Build from a 0/1 array of n*n bits in row-major order, of any shape.
-
-        The bits are packed in blocks of _PACK_BLOCK_BITS or a 32nd of them,
-        whichever is more, straight into one buffer of the result's size, which
-        CPython's BytesIO hands over as the result's bytes without a copy."""
+        """Build from a 0/1 array of n*n bits in row-major order, of any shape."""
         arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
         if arr.size != n * n:
             raise ValueError(f"expected {n * n} bits, got {arr.size}")
-        step = max(_PACK_BLOCK_BITS, arr.size // 256 * 8)
-        out = io.BytesIO(bytes((arr.size + 7) // 8))
-        for at in range(0, arr.size, step):
-            out.write(np.packbits(arr[at : at + step]))
-        return cls(n, out.getvalue())
+        return cls(n, _packed(arr.size, lambda at, size: arr[at : at + size]))
 
     def bit_array(self) -> np.ndarray:
         """Row-major 0/1 uint8 array of length n*n."""
@@ -157,13 +160,8 @@ def generate_er(n: int, p: float, seed: int) -> BitMatrix:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
-    total = n * n
-    out = np.empty((total + 7) // 8, dtype=np.uint8)
-    for start in range(0, total, _GEN_BLOCK_BITS):
-        block = np.packbits(rng.random(min(_GEN_BLOCK_BITS, total - start)) < p)
-        out[start // 8 : start // 8 + block.size] = block
-    return BitMatrix(n, out.tobytes())
+    rng = np.random.default_rng(seed)  # _packed's blocks draw from it in turn: one stream
+    return BitMatrix(n, _packed(n * n, lambda at, size: rng.random(size) < p))
 
 
 def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,

@@ -39,9 +39,7 @@ _SLICE_BITS = 1 << 15  # the least bits unpacked by one call; a multiple of 8
 _REGION_BITS = 1 << 21
 _LANE_BITS = 32 * RAW_FIELD_BITS
 _MIN_LANES = 256
-# scan_stats counts indicators in this many histograms, field j in histogram j % 4: in
-# a run of one entry, no two counts in a row then wait on the same counter.
-_TALLIES = 4
+_TALLIES = 4  # histograms the census counts in (_count)
 
 
 class FormatError(ValueError):
@@ -89,8 +87,9 @@ class CompressionStats:
     ratio: float
 
 
-def _stats(n: int, hist: np.ndarray, bit_length: int) -> CompressionStats:
-    """Census of an n-vertex stream of bit_length bits; hist[i] fields match entry i."""
+def _stats(n: int, hist: np.ndarray, size: int, bit_length: int) -> CompressionStats:
+    """Census of an n-vertex stream of bit_length bits from _count's histograms."""
+    hist = hist.reshape(_TALLIES, -1).sum(0)[:size]
     count, matched = total_chunks(n), int(hist.sum())
     return CompressionStats(total_chunks=count, matched=matched, unmatched=count - matched,
                             per_pattern=tuple(int(x) for x in hist), original_bits=n * n,
@@ -124,30 +123,41 @@ def chunks_to_matrix(chunks: np.ndarray, n: int) -> BitMatrix:
     return BitMatrix.from_bit_array(n, np.unpackbits(rows, axis=1, count=n))
 
 
-def _layout(matched: np.ndarray, k: int, start: int) -> tuple[np.ndarray, int]:
-    """Bit offset of each field, the first at start, and the bit after the last.
-    A matched field takes 1 + k bits, a raw one 33, each after the one before."""
-    offsets = np.empty(matched.size + 1, np.int64)
-    offsets[0], offsets[1:] = start, RAW_FIELD_BITS - (CHUNK_WIDTH - k) * matched.view(np.uint8)
-    np.cumsum(offsets, out=offsets)
-    return offsets[:-1], int(offsets[-1])
-
-
-def _field_blocks(count: int):
-    """Slices of count fields in eighths of at most 2^16, so block arrays stay in cache."""
+def _field_blocks(count: int, k: int):
+    """Slices of count fields in eighths of at most 2^16, so block arrays stay in cache,
+    then, for each j below that size, (32 - k) j for _offsets and j's tally for _count."""
     step = min(1 << 16, -(-count // 8))
-    return (slice(s, s + step) for s in range(0, count, step))
+    j = np.arange(step)
+    tally = ((j % _TALLIES) << k).astype(np.min_scalar_type((_TALLIES - 1) << k))
+    j *= CHUNK_WIDTH - k
+    return (slice(s, s + step) for s in range(0, count, step)), j, tally
 
 
-def _scatter(words: np.ndarray, offsets: np.ndarray, windows: np.ndarray) -> None:
-    """Inverse of _gather: add each 33-bit window into words at its bit offset. It lies
-    in the 64 bits from the word holding its first bit, so its halves add into that word
-    and the next; past its field it holds zeros, and fields never overlap: adding ORs."""
-    windows = np.left_shift(windows, (64 - RAW_FIELD_BITS - (offsets & 31)).view(np.uint64),
-                            dtype=np.uint64, casting="unsafe")
+def _offsets(at: np.ndarray, matched: bool, rank: np.ndarray, k: int, bit: int) -> np.ndarray:
+    """Bit offset of the matched, or raw, fields at indices `at` of a field block from bit:
+    before the j-th of a kind, at index i, lie j of its kind and i - j of the other, so a
+    matched one starts at bit + 33 i - (32 - k) j, a raw one at bit + (1 + k) i + (32 - k) j."""
+    offsets = at * (RAW_FIELD_BITS if matched else 1 + k)
+    (np.subtract if matched else np.add)(offsets, rank[: at.size], out=offsets)
+    offsets += bit
+    return offsets
+
+
+def _count(hist: np.ndarray, indicators: np.ndarray, tally: np.ndarray) -> None:
+    """Add a block's indicators to the census, field j in histogram j % _TALLIES (tally[j],
+    above the indicator): in a run of one entry, no two counts in a row wait on one counter."""
+    hist += np.bincount(indicators | tally[: indicators.size], minlength=hist.size)
+
+
+def _scatter(words: np.ndarray, offsets: np.ndarray, fields: np.ndarray, width: int) -> None:
+    """Inverse of _gather: add each field of width bits into words at its bit offset. It
+    lies in the 64 bits from the word holding its first bit, so its halves add into that
+    word and the next; fields never overlap, so adding ORs."""
+    fields = np.left_shift(fields, (64 - width - (offsets & 31)).view(np.uint64),
+                           dtype=np.uint64, casting="unsafe")
     at = offsets >> 5
-    # each window's low half, then its high half, whatever the host byte order
-    halves = windows.astype("<u8", copy=False).view("<u4")
+    # each field's low half, then its high half, whatever the host byte order
+    halves = fields.astype("<u8", copy=False).view("<u4")
     np.add.at(words, at, halves[1::2])
     at += 1
     np.add.at(words, at, halves[::2])
@@ -160,22 +170,23 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
     pattern_set(id) gives back to the decoder."""
     if pset.id in SET_IDS and pset.patterns != pattern_set(pset.id).patterns:
         raise FormatError(f"pattern set {pset.id} holds entries other than pattern_set({pset.id})")
-    k, chunks, bit_length = pset.indicator_bits, matrix_chunks(m), 0
+    k, chunks, bit = pset.indicator_bits, matrix_chunks(m), 0
     words = np.zeros(chunks.size * RAW_FIELD_BITS // 32 + 2, np.uint32)  # room for all raw
-    hist = np.zeros(len(pset.patterns), np.int64)
-    for part in _field_blocks(chunks.size):
+    blocks, rank, tally = _field_blocks(chunks.size, k)
+    hist = np.zeros(_TALLIES << k, np.int64)
+    for part in blocks:
         block = chunks[part]
         idx = classify_chunks(block, pset)
-        matched = idx >= 0
-        hist += np.bincount(idx[matched], minlength=len(pset.patterns))
-        # a field's 33-bit window: flag 1, the k-bit index and zeros, or flag 0 and the chunk
-        idx |= 1 << k
-        idx <<= CHUNK_WIDTH - k
-        offsets, bit_length = _layout(matched, k, bit_length)
-        _scatter(words, offsets, np.where(matched, idx, block))
-    payload = words[: -(-bit_length // 32)].astype(">u4").view(np.uint8)
-    graph = CompressedGraph(m.n, pset.id, payload[: (bit_length + 7) // 8].tobytes(), bit_length)
-    return graph, _stats(m.n, hist, bit_length)
+        hits, misses = np.flatnonzero(idx >= 0), np.flatnonzero(idx < 0)
+        fields = idx.take(hits)
+        _count(hist, fields, tally)
+        fields |= 1 << k  # flag 1, then the k-bit index; a raw field is flag 0, then its chunk
+        _scatter(words, _offsets(hits, True, rank, k, bit), fields, 1 + k)
+        _scatter(words, _offsets(misses, False, rank, k, bit), block.take(misses), RAW_FIELD_BITS)
+        bit += RAW_FIELD_BITS * block.size - (CHUNK_WIDTH - k) * hits.size
+    payload = words[: -(-bit // 32)].astype(">u4").view(np.uint8)
+    graph = CompressedGraph(m.n, pset.id, payload[: (bit + 7) // 8].tobytes(), bit)
+    return graph, _stats(m.n, hist, len(pset.patterns), bit)
 
 
 def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
@@ -347,31 +358,43 @@ def _words(payload: bytes) -> np.ndarray:
 def _gather(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Inverse of _scatter: the 33-bit window at each offset, cut from its word and the next."""
     at = offsets >> 5
-    fields = np.left_shift(words[at], 32, dtype=np.uint64)
-    fields |= words[at + 1]
+    fields = np.left_shift(words.take(at), 32, dtype=np.uint64)
+    fields |= words.take(at + 1)
     np.left_shift(fields, offsets & 31, out=fields, dtype=np.uint64, casting="unsafe")
     fields >>= np.uint64(64 - RAW_FIELD_BITS)
     return fields
 
 
-def _indicators(windows: np.ndarray, pset: PatternSet) -> np.ndarray:
-    """Dictionary index in each matched field's window, decoded in place."""
-    windows >>= np.uint64(CHUNK_WIDTH - pset.indicator_bits)
-    windows ^= np.uint64(1 << pset.indicator_bits)  # drop the flag bit
-    bad = windows[windows >= len(pset.patterns)]
-    if bad.size:
+def _indicators(src: np.ndarray, offsets: np.ndarray, pset: PatternSet) -> np.ndarray:
+    """Indicator of the matched field at each bit offset, read from the (k + 15) // 8
+    payload bytes of src from its flag's on; raises CorruptStreamError for the first bad one."""
+    k, size = pset.indicator_bits, len(pset.patterns)
+    span = (k + 15) // 8
+    word_type = np.min_scalar_type((1 << 8 * span) - 1)  # holds span bytes
+    at = offsets >> 3
+    words = src[at].astype(word_type)
+    for _ in range(1, span):  # a byte past the payload holds no bit of the field: any will do
+        at += 1
+        words <<= 8
+        words |= np.take(src, at, mode="clip")
+    words <<= offsets.astype(word_type) & 7  # the flag to bit 8 span - 1
+    words >>= 8 * span - 1 - k
+    words &= (1 << k) - 1  # drop the flag and the bits before it
+    if words.max(initial=0) >= size:
         raise CorruptStreamError(
-            f"indicator {bad[0]} out of range for {len(pset.patterns)} patterns")
-    return windows.view(np.int64)
+            f"indicator {words[words >= size][0]} out of range for {size} patterns")
+    return words
 
 
-def _chunks(words: np.ndarray, offsets: np.ndarray, matched: np.ndarray,
-            pset: PatternSet) -> np.ndarray:
-    """Chunk of each field at offsets: a raw window is the chunk, a matched one names it."""
-    fields = _gather(words, offsets)
-    chunks = fields.astype(np.uint32)
-    chunks[matched] = pset.values[_indicators(fields[matched], pset)]
-    return chunks
+def _decode(words: np.ndarray, matched: np.ndarray, rank: np.ndarray, pset: PatternSet,
+            bit: int, out: np.ndarray) -> int:
+    """Chunk of each field of a field block from bit, into out, and the bit after the block.
+    Values are cast to out's dtype first: an indexed assignment that converts takes 2x."""
+    k, hits, misses = pset.indicator_bits, np.flatnonzero(matched), np.flatnonzero(~matched)
+    out[hits] = pset.values.astype(out.dtype).take(
+        _indicators(words.view(np.uint8), _offsets(hits, True, rank, k, bit), pset))
+    out[misses] = _gather(words, _offsets(misses, False, rank, k, bit)).astype(out.dtype)
+    return bit + RAW_FIELD_BITS * matched.size - (CHUNK_WIDTH - k) * hits.size
 
 
 def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
@@ -387,46 +410,25 @@ def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
     """Exact inverse of compress for a well-formed stream."""
     matched, words, bit = _flags(c, pset), _words(c.payload), 0
+    blocks, rank, tally = _field_blocks(matched.size, pset.indicator_bits)
     chunks = np.empty(matched.size, ">u4")
-    for block in _field_blocks(matched.size):
-        offsets, bit = _layout(matched[block], pset.indicator_bits, bit)
-        chunks[block] = _chunks(words, offsets, matched[block], pset)
-    del matched, words, offsets  # only the chunks stay alive through the repack
+    for block in blocks:
+        bit = _decode(words, matched[block], rank, pset, bit, chunks[block])
+    del matched, words, blocks, rank, tally  # only the chunks stay alive through the repack
     return chunks_to_matrix(chunks, c.n)
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     """Recompute compression stats from the stream without rebuilding the matrix,
     reading only the flag and indicator of each matched field."""
-    matched, k, size = _flags(c, pset), pset.indicator_bits, len(pset.patterns)
-    span = (k + 15) // 8  # bytes that hold 1 + k bits from any bit of the first
-    src = np.frombuffer(c.payload, np.uint8)
-    word_type = np.min_scalar_type((1 << 8 * span) - 1)  # holds span bytes
-    blocks = list(_field_blocks(matched.size))
-    rank = np.arange(blocks[0].stop)  # the first block is the longest
-    tally = (rank.astype(word_type) % _TALLIES) << k  # each field's histogram, in its bits
-    rank *= CHUNK_WIDTH - k  # the j-th matched field, at index i, starts 33 i - rank[j] in
-    hist, bit = np.zeros((_TALLIES, 1 << k), np.int64), 0
+    matched, k, src = _flags(c, pset), pset.indicator_bits, np.frombuffer(c.payload, np.uint8)
+    blocks, rank, tally = _field_blocks(matched.size, k)
+    hist, bit = np.zeros(_TALLIES << k, np.int64), 0
     for block in blocks:
-        offsets = np.flatnonzero(matched[block])
-        offsets *= RAW_FIELD_BITS
-        offsets -= rank[: offsets.size]
-        offsets += bit
-        bit += RAW_FIELD_BITS * matched[block].size - (CHUNK_WIDTH - k) * offsets.size
-        at = offsets >> 3
-        words = src[at].astype(word_type)
-        for _ in range(1, span):  # a byte past the payload holds no bit of the field: any will do
-            at += 1
-            words <<= 8
-            words |= np.take(src, at, mode="clip")
-        words <<= offsets.astype(word_type) & 7  # the flag to bit 8 span - 1
-        words >>= 8 * span - 1 - k
-        words &= (1 << k) - 1  # drop the flag and the bits before it
-        hist += np.bincount(words | tally[: words.size], minlength=hist.size).reshape(hist.shape)
-        if hist[:, size:].any():
-            raise CorruptStreamError(
-                f"indicator {words[words >= size][0]} out of range for {size} patterns")
-    return _stats(c.n, hist.sum(0)[:size], c.payload_bit_length)
+        hits = np.flatnonzero(matched[block])
+        _count(hist, _indicators(src, _offsets(hits, True, rank, k, bit), pset), tally)
+        bit += RAW_FIELD_BITS * matched[block].size - (CHUNK_WIDTH - k) * hits.size
+    return _stats(c.n, hist, len(pset.patterns), c.payload_bit_length)
 
 
 def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
@@ -444,8 +446,8 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     flags, end = _walk(c.payload, length, target + 1, k)
     matched = np.frombuffer(flags, np.bool_)[target:]
     offset = end - (1 + k if matched[0] else RAW_FIELD_BITS)
-    at = 4 * (offset >> 5)
-    chunk = _chunks(_words(c.payload[at : at + 8]), np.array([offset & 31]), matched, pset)
+    at, chunk = 4 * (offset >> 5), np.empty(1, np.uint32)
+    _decode(_words(c.payload[at : at + 8]), matched, np.zeros(1, int), pset, offset & 31, chunk)
     return (int(chunk[0]) >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
 
 

@@ -183,10 +183,24 @@ class TestGenerateEr:
     @pytest.mark.parametrize("n", [1, 7, 2100])
     def test_blocks_draw_one_stream(self, n):
         # drawn block by block, the bits equal one draw of all n * n; at
-        # n = 2100 the 4,410,000 bits cross the 2^22-bit block boundary
+        # n = 2100 the 4,410,000 bits take 33 blocks of 137,808 bits, the last short
         p, seed = 0.3, 5
         bits = np.random.default_rng(seed).random(n * n) < p
         assert generate_er(n, p, seed).data == np.packbits(bits).tobytes()
+
+    def test_peak_is_a_block_of_draws(self):
+        # the float64 draws for a block of a 32nd of the bits are 2x the packed matrix,
+        # and the result 1x: 3.25x at n = 2048; blocks of 2^22 bits, whose draws are
+        # 64x the matrix at this n, held 73x
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = generate_er(2048, 0.3, 5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(m.data)
 
     def test_rejects_bad_probability(self):
         for p in (-0.1, 1.1):

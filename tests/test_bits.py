@@ -5,8 +5,10 @@ bits, then zeros up to 33 bits. Both sides find a field by one rule: the
 32-bit word at offset >> 5 holds its first bit, and its window lies in that
 word and the next, shifted by offset & 31. _scatter adds such windows,
 fields of 1 to 33 bits back to back, into 32-bit words, in one call or block
-by block as compress does; _gather cuts the 33 bits at each offset out again
-from the payload's words as _words reads them, which end in a zero word.
+by block, and the same fields given as values of their own width, as
+compress gives matched fields, to the same words; _gather cuts the 33 bits
+at each offset out again from the payload's words as _words reads them,
+which end in a zero word.
 Each must undo the other, and the bits past the last field must stay zero,
 since read_container rejects a payload with dirty padding.
 """
@@ -46,8 +48,12 @@ def test_gather_undoes_scatter(case, block):
     windows = np.array([v << (33 - w) for v, w in zip(values, case[0])], dtype=np.uint64)
     words = np.zeros(nbits // 32 + 2, dtype=np.uint32)
     for s in range(0, len(values), block):
-        _scatter(words, offsets[s : s + block], windows[s : s + block])
+        _scatter(words, offsets[s : s + block], windows[s : s + block], 33)
     assert not words[-(-nbits // 32) :].any()  # nothing written past the last field
+    by_width = np.zeros_like(words)
+    for w in set(case[0]):
+        _scatter(by_width, offsets[widths == w], np.array(values, np.uint64)[widths == w], w)
+    assert by_width.tolist() == words.tolist()
     payload = words.astype(">u4").tobytes()[: (nbits + 7) // 8]
     assert len(payload) == (nbits + 7) // 8
     padding = 8 * len(payload) - nbits

@@ -300,7 +300,8 @@ class TestPeakMemory:
     matrix: 9.05x for compress, 10.13x to 10.16x for decompress and 2.3x to 2.4x
     for scan_stats on numpy 2.4, at n = 1024 and at n = 1000 alike. Decompress
     measured 11.03x to 11.05x while from_bit_array packed the whole matrix into
-    one array and then copied it to bytes. For scan_stats it was 3.8x to 3.9x
+    one array and then copied it to bytes, and a field block's int64 rank array
+    still alive at the repack adds 0.25x at n = 1024. For scan_stats it was 3.8x to 3.9x
     when the walk's window was refilled by one unpack of its size. The walk
     sets scan_stats' peak: after it, reading only matched fields, scan_stats
     holds 1.73x with the walk's flags at n = 1024, where laying out every field
@@ -329,7 +330,7 @@ class TestPeakMemory:
         decoded, decompress_peak = self.peak(decompress, c, set3)
         assert decoded == m
         assert compress_peak < 9.5 * len(m.data)
-        assert decompress_peak < 10.5 * len(m.data)
+        assert decompress_peak < 10.3 * len(m.data)
         stats, stats_peak = self.peak(scan_stats, c, set3)
         assert stats == compress(m, set3)[1]
         assert stats_peak < 2.5 * len(m.data)

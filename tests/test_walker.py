@@ -28,9 +28,10 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, P
                   TruncationError, compress, decompress, generate_chunk_mix, generate_er,
                   pattern_set, query_edge, read_container, reference_compress, scan_stats,
                   total_chunks, write_container)
+from gpmc import codec
 from gpmc.cli import build_parser
-from gpmc.codec import (_field_blocks, _flags, _lanes, _layout, _unpack, _walk,
-                        chunks_per_row, chunks_to_matrix)
+from gpmc.codec import (_field_blocks, _flags, _lanes, _offsets, _unpack, _walk, chunks_per_row,
+                        chunks_to_matrix)
 from gpmc.patterns import _BUILDERS, SET_IDS
 
 TYPED = (FormatError, TruncationError, CorruptStreamError)
@@ -165,14 +166,29 @@ def streams(draw, shapes=("random", "runs", "switch", "ones", "zeros", "alternat
     return bits, n, pset
 
 
+def placed(matched, k):
+    """Offset of every field by the rank rule, in the codec's field blocks, each block
+    starting where the fields before it end."""
+    (blocks, rank, _), offsets, bit = codec._field_blocks(matched.size, k), [], 0
+    for block in blocks:
+        flags = matched[block]
+        hits, misses = np.flatnonzero(flags), np.flatnonzero(~flags)
+        at = np.empty(flags.size, np.int64)
+        at[hits] = _offsets(hits, True, rank, k, bit)
+        at[misses] = _offsets(misses, False, rank, k, bit)
+        offsets += at.tolist()
+        bit += 33 * flags.size - (32 - k) * hits.size
+    return offsets, bit
+
+
 def check_against_reference(bits, n, pset):
     c = graph_of(bits, n)
     expected = outcome(reference_decode, bits, n, pset)
     if expected[0] == "ok":
         offsets, flags, values = expected[1]
         got_flags = _flags(c, pset)
-        assert _layout(got_flags, pset.indicator_bits, 0)[0].tolist() == offsets
         assert got_flags.tolist() == flags
+        assert placed(got_flags, pset.indicator_bits) == (offsets, len(bits))
         assert decompress(c, pset) == chunks_to_matrix(np.array(values, dtype=np.uint32), n)
         hist = np.bincount([pset.patterns.index(v) for v, f in zip(values, flags) if f],
                            minlength=len(pset.patterns))
@@ -301,8 +317,12 @@ def check_query(bits, n, pset, i, j):
 
 
 def fixed_blocks(size):
-    """A stand-in for codec._field_blocks that cuts every stream into blocks of size fields."""
-    return lambda count: (slice(s, s + size) for s in range(0, count, size))
+    """A stand-in for codec._field_blocks that cuts every stream into blocks of size fields,
+    with the rank and tally arrays the codec's own rule gives blocks of that size."""
+    def blocks(count, k):
+        _, rank, tally = _field_blocks(8 * size, k)  # eighths of 8 * size fields
+        return (slice(s, s + size) for s in range(0, count, size)), rank, tally
+    return blocks
 
 
 # multiples of 8 from the smallest window that always holds a whole field
@@ -458,11 +478,21 @@ class TestLanes:
 
 class TestFieldBlocks:
     def test_block_rule(self):
-        assert list(_field_blocks(1)) == [slice(0, 1)]
-        assert list(_field_blocks(8)) == [slice(s, s + 1) for s in range(8)]
-        assert list(_field_blocks(100)) == [slice(s, s + 13) for s in range(0, 100, 13)]
-        assert list(_field_blocks(1 << 20)) == [slice(s, s + (1 << 16))
-                                                for s in range(0, 1 << 20, 1 << 16)]
+        assert list(_field_blocks(1, 6)[0]) == [slice(0, 1)]
+        assert list(_field_blocks(8, 6)[0]) == [slice(s, s + 1) for s in range(8)]
+        assert list(_field_blocks(100, 6)[0]) == [slice(s, s + 13) for s in range(0, 100, 13)]
+        assert list(_field_blocks(1 << 20, 6)[0]) == [slice(s, s + (1 << 16))
+                                                      for s in range(0, 1 << 20, 1 << 16)]
+
+    @pytest.mark.parametrize("k", (0, 5, 6, 8, 9, 16))
+    def test_rank_and_tally_arrays(self, k):
+        # one entry per field of the longest block: (32 - k) j, and j % 4 above a
+        # k-bit indicator in the narrowest type that holds it, so that ORing it into
+        # the indicators widens them no further
+        _, rank, tally = _field_blocks(100, k)
+        assert rank.tolist() == [(32 - k) * j for j in range(13)]
+        assert tally.tolist() == [(j % 4) << k for j in range(13)]
+        assert tally.dtype == (np.uint8 if k <= 6 else np.uint16 if k <= 14 else np.uint32)
 
     @pytest.mark.parametrize("size", FIELD_BLOCKS)
     @pytest.mark.parametrize("n", (1, 33, 70, 100))
