@@ -42,9 +42,6 @@ from .metrics import (
 from .oracle import reference_compress
 from .patterns import (
     PatternSet,
-    build_pattern_set_1,
-    build_pattern_set_2,
-    build_pattern_set_3,
     classify_chunks,
     pattern_set,
 )
@@ -63,9 +60,6 @@ __all__ = [
     "ParseError",
     "PatternSet",
     "TruncationError",
-    "build_pattern_set_1",
-    "build_pattern_set_2",
-    "build_pattern_set_3",
     "classify_chunks",
     "compress",
     "decompress",

@@ -51,7 +51,7 @@ class TruncationError(ValueError):
 
 
 class CorruptStreamError(ValueError):
-    """Structurally invalid payload (bad indicator, stray bits, dirty padding)."""
+    """Structurally invalid payload (stray bits, dirty padding)."""
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ class CompressionStats:
     ratio: float
 
 
-def _stats(n: int, hist: np.ndarray, size: int, bit_length: int) -> CompressionStats:
+def _stats(n: int, hist: np.ndarray, bit_length: int) -> CompressionStats:
     """Census of an n-vertex stream of bit_length bits from _count's histograms."""
-    hist = hist.reshape(_TALLIES, -1).sum(0)[:size]
+    hist = hist.reshape(_TALLIES, -1).sum(0)
     count, matched = total_chunks(n), int(hist.sum())
     return CompressionStats(total_chunks=count, matched=matched, unmatched=count - matched,
                             per_pattern=tuple(int(x) for x in hist), original_bits=n * n,
@@ -164,12 +164,7 @@ def _scatter(words: np.ndarray, offsets: np.ndarray, fields: np.ndarray, width: 
 
 
 def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, CompressionStats]:
-    """Encode a matrix against a dictionary; returns the stream and its census.
-
-    The container names the set by id alone, so the set must hold the entries
-    pattern_set(id) gives back to the decoder."""
-    if pset.id in SET_IDS and pset.patterns != pattern_set(pset.id).patterns:
-        raise FormatError(f"pattern set {pset.id} holds entries other than pattern_set({pset.id})")
+    """Encode a matrix against a dictionary; returns the stream and its census."""
     k, chunks, bit = pset.indicator_bits, matrix_chunks(m), 0
     words = np.zeros(chunks.size * RAW_FIELD_BITS // 32 + 2, np.uint32)  # room for all raw
     blocks, rank, tally = _field_blocks(chunks.size, k)
@@ -186,7 +181,7 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
         bit += RAW_FIELD_BITS * block.size - (CHUNK_WIDTH - k) * hits.size
     payload = words[: -(-bit // 32)].astype(">u4").view(np.uint8)
     graph = CompressedGraph(m.n, pset.id, payload[: (bit + 7) // 8].tobytes(), bit)
-    return graph, _stats(m.n, hist, len(pset.patterns), bit)
+    return graph, _stats(m.n, hist, bit)
 
 
 def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
@@ -227,11 +222,11 @@ def _lanes(src: np.ndarray, start: int, stop: int, k: int) -> tuple[np.ndarray, 
     _unpack(src, origin, width[:-1])
     width *= np.uint8(CHUNK_WIDTH - k)
     np.subtract(np.uint8(RAW_FIELD_BITS), width, out=width)  # the width of a field at each bit
-    # short enough that a lane's step numbers, from mark, fit in a byte
-    lane_bits = min(_LANE_BITS, (255 - mark) * (1 + k) // RAW_FIELD_BITS * RAW_FIELD_BITS)
-    steps = -(-lane_bits // (1 + k))  # the most fields a lane takes
-    lane = np.arange(start - origin, size - CHUNK_WIDTH - lane_bits + 1, lane_bits)
-    bound = lane + lane_bits  # whole segments only: a short one would rarely meet the true path
+    # the most fields a lane takes: with k >= 5, at most 176 in 1,056 bits, so a lane's
+    # step numbers, counted from mark, fit in a byte
+    steps = -(-_LANE_BITS // (1 + k))
+    lane = np.arange(start - origin, size - CHUNK_WIDTH - _LANE_BITS + 1, _LANE_BITS)
+    bound = lane + _LANE_BITS  # whole segments only: a short one would rarely meet the true path
     # each lane's field widths, 0 once it has left its segment, then the true walker's
     walked = np.zeros((lane.size, 2 * steps + 1), np.uint8)
     pos, waiting = lane.copy(), width.size - 1
@@ -365,24 +360,18 @@ def _gather(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return fields
 
 
-def _indicators(src: np.ndarray, offsets: np.ndarray, pset: PatternSet) -> np.ndarray:
-    """Indicator of the matched field at each bit offset, read from the (k + 15) // 8
-    payload bytes of src from its flag's on; raises CorruptStreamError for the first bad one."""
-    k, size = pset.indicator_bits, len(pset.patterns)
-    span = (k + 15) // 8
-    word_type = np.min_scalar_type((1 << 8 * span) - 1)  # holds span bytes
+def _indicators(src: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
+    """Indicator of the matched field at each bit offset, read from the 2 payload bytes of
+    src from its flag's on, which hold flag and indicator as k is at most 6. A paper set
+    has 2 ** k entries, so every indicator names one."""
     at = offsets >> 3
-    words = src[at].astype(word_type)
-    for _ in range(1, span):  # a byte past the payload holds no bit of the field: any will do
-        at += 1
-        words <<= 8
-        words |= np.take(src, at, mode="clip")
-    words <<= offsets.astype(word_type) & 7  # the flag to bit 8 span - 1
-    words >>= 8 * span - 1 - k
+    words = src[at].astype(np.uint16)
+    at += 1
+    words <<= 8
+    words |= np.take(src, at, mode="clip")  # a byte past the payload holds no bit of the field
+    words <<= offsets.astype(np.uint16) & 7  # the flag to bit 15
+    words >>= 15 - k
     words &= (1 << k) - 1  # drop the flag and the bits before it
-    if words.max(initial=0) >= size:
-        raise CorruptStreamError(
-            f"indicator {words[words >= size][0]} out of range for {size} patterns")
     return words
 
 
@@ -392,7 +381,7 @@ def _decode(words: np.ndarray, matched: np.ndarray, rank: np.ndarray, pset: Patt
     Values are cast to out's dtype first: an indexed assignment that converts takes 2x."""
     k, hits, misses = pset.indicator_bits, np.flatnonzero(matched), np.flatnonzero(~matched)
     out[hits] = pset.values.astype(out.dtype).take(
-        _indicators(words.view(np.uint8), _offsets(hits, True, rank, k, bit), pset))
+        _indicators(words.view(np.uint8), _offsets(hits, True, rank, k, bit), k))
     out[misses] = _gather(words, _offsets(misses, False, rank, k, bit)).astype(out.dtype)
     return bit + RAW_FIELD_BITS * matched.size - (CHUNK_WIDTH - k) * hits.size
 
@@ -426,9 +415,9 @@ def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     hist, bit = np.zeros(_TALLIES << k, np.int64), 0
     for block in blocks:
         hits = np.flatnonzero(matched[block])
-        _count(hist, _indicators(src, _offsets(hits, True, rank, k, bit), pset), tally)
+        _count(hist, _indicators(src, _offsets(hits, True, rank, k, bit), k), tally)
         bit += RAW_FIELD_BITS * matched[block].size - (CHUNK_WIDTH - k) * hits.size
-    return _stats(c.n, hist, len(pset.patterns), c.payload_bit_length)
+    return _stats(c.n, hist, c.payload_bit_length)
 
 
 def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:

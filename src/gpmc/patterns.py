@@ -28,50 +28,38 @@ def _slot(chunks: np.ndarray, shift: np.uint32) -> np.ndarray:
 
 
 class PatternSet:
-    """Ordered dictionary of distinct chunk-width bit patterns.
+    """One of the paper's dictionaries of distinct chunk-width bit patterns.
 
-    indicator_bits is ceil(log2(len(patterns))): the width of the index
-    field a matched chunk is replaced with. values holds the patterns as a
-    read-only uint32 array, in declaration order.
+    PatternSet(set_id) builds the set _ENTRIES holds under set_id and raises
+    ValueError for any other id; pattern_set(set_id) hands every caller the
+    one built at import. indicator_bits is log2(len(patterns)): the width of
+    the index field a matched chunk is replaced with. Each set has exactly
+    2 ** indicator_bits entries, so every indicator names one. values holds
+    the patterns as a read-only uint32 array, in declaration order.
 
     The constructor also builds the slot table classify_chunks looks chunks
-    up in: 2 ** (indicator_bits + 1) slots, so it is at most half full. An
-    entry sits in its home slot, _slot(value), or in the first free slot
-    after it (linear probing, wrapping around); _rounds is the longest probe
-    any entry needs, 1 for the three paper sets. A free slot holds index 0:
-    a lookup accepts a slot only if the entry it names equals the chunk.
+    up in: 2 ** (indicator_bits + 1) slots, so it is at most half full.
+    _MULTIPLIER gives each entry a home slot, _slot(value), of its own. A free
+    slot holds index 0: a lookup accepts a slot only if the entry it names
+    equals the chunk.
 
-    A built set is read-only: pattern_set hands every caller the same one.
+    A built set is read-only, and copies and pickles are the shared set.
     """
 
-    __slots__ = ("id", "patterns", "indicator_bits", "values", "_shift", "_table", "_rounds")
+    __slots__ = ("id", "patterns", "indicator_bits", "values", "_shift", "_table")
 
-    def __init__(self, set_id: int, patterns):
+    def __init__(self, set_id: int):
+        if set_id not in _ENTRIES:
+            raise ValueError(f"unknown pattern set id {set_id}")
         self.id = set_id
-        self.patterns = tuple(int(p) for p in patterns)
-        if not self.patterns:
-            raise ValueError("a pattern set needs at least one entry")
-        if len(set(self.patterns)) != len(self.patterns):
-            raise ValueError("patterns must be distinct")
-        for p in self.patterns:
-            if not 0 <= p < (1 << CHUNK_WIDTH):
-                raise ValueError(f"pattern {p:#x} does not fit in {CHUNK_WIDTH} bits")
+        self.patterns = _ENTRIES[set_id]
         self.indicator_bits = (len(self.patterns) - 1).bit_length()
         self.values = np.array(self.patterns, dtype=np.uint32)
         self.values.flags.writeable = False
         table_bits = self.indicator_bits + 1
         self._shift = np.uint32(CHUNK_WIDTH - table_bits)
-        table = np.full(1 << table_bits, -1, dtype=np.int64)
-        slot, pending = _slot(self.values, self._shift), np.arange(len(self.values))
-        self._rounds = 0
-        while pending.size:  # one round per probe step; the last write to a slot wins it
-            self._rounds += 1
-            free = table[slot] < 0
-            table[slot[free]] = pending[free]
-            waiting = table[slot] != pending
-            slot = (slot[waiting] + np.uint32(1)) & np.uint32(table.size - 1)
-            pending = pending[waiting]
-        table[table < 0] = 0
+        table = np.zeros(1 << table_bits, dtype=np.int64)
+        table[_slot(self.values, self._shift)] = np.arange(len(self.values))
         table.flags.writeable = False
         self._table = table  # the last attribute set: from here on the set is read-only
 
@@ -80,8 +68,8 @@ class PatternSet:
             raise AttributeError(f"PatternSet is read-only: cannot set {name}")
         object.__setattr__(self, name, value)
 
-    def __reduce__(self):  # copies and pickles are built again from the entries
-        return PatternSet, (self.id, self.patterns)
+    def __reduce__(self):  # copies and pickles are the shared set
+        return pattern_set, (self.id,)
 
     def __len__(self):
         return len(self.patterns)
@@ -96,64 +84,35 @@ def _bit(position: int) -> int:
     return 1 << (CHUNK_WIDTH - 1 - position)
 
 
-# the entries of sets 1 and 2 in index order; set 3 is the two in a row
+# Set 1: the all-zero chunk at index 0, the leading bit paired with bit i at index i.
+# Set 2: a single 1 at position i, at index i; no all-zero entry.
+# Set 3: set 1 followed by set 2, 64 entries.
 _ZERO_AND_PAIRS = (0,) + tuple(_bit(0) | _bit(i) for i in range(1, CHUNK_WIDTH))
 _SINGLE_ONES = tuple(_bit(i) for i in range(CHUNK_WIDTH))
-
-
-def build_pattern_set_1() -> PatternSet:
-    """All-zero chunk at index 0; leading bit paired with bit i at index i."""
-    return PatternSet(1, _ZERO_AND_PAIRS)
-
-
-def build_pattern_set_2() -> PatternSet:
-    """Single 1 at position i, stored at index i. No all-zero entry."""
-    return PatternSet(2, _SINGLE_ONES)
-
-
-def build_pattern_set_3() -> PatternSet:
-    """Set 1 followed by set 2: 64 entries, 6-bit indicators."""
-    return PatternSet(3, _ZERO_AND_PAIRS + _SINGLE_ONES)
-
-
-_BUILDERS = {1: build_pattern_set_1, 2: build_pattern_set_2, 3: build_pattern_set_3}
-SET_IDS = tuple(sorted(_BUILDERS))  # the pattern set ids a container may name
-_SETS = {set_id: build() for set_id, build in _BUILDERS.items()}  # each built once
+_ENTRIES = {1: _ZERO_AND_PAIRS, 2: _SINGLE_ONES, 3: _ZERO_AND_PAIRS + _SINGLE_ONES}
+SET_IDS = tuple(sorted(_ENTRIES))  # the pattern set ids a container may name
+_SETS = {set_id: PatternSet(set_id) for set_id in SET_IDS}  # each built once
 
 
 def pattern_set(set_id: int) -> PatternSet:
     """The dictionary a container's pattern_set_id names, shared by every caller."""
-    try:
-        return _SETS[set_id]
-    except KeyError:
-        raise ValueError(f"unknown pattern set id {set_id}") from None
+    if set_id not in _SETS:
+        raise ValueError(f"unknown pattern set id {set_id}")
+    return _SETS[set_id]
 
 
 def classify_chunks(chunks: np.ndarray, pset: PatternSet) -> np.ndarray:
     """Index of the dictionary entry bit-equal to each chunk: int64, -1 where
     nothing matches.
 
-    Each chunk is looked up in the set's slot table: one multiply, one
-    shift and one table gather per probe round, then one check that the
-    entry found equals the chunk. The cost does not depend on what the
-    chunks hold. A uint32 array of either byte order is read as it lies.
+    Each chunk is looked up in the set's slot table: one multiply, one shift
+    and one table gather, then one check that the entry found equals the
+    chunk. The cost does not depend on what the chunks hold. A uint32 array
+    of either byte order is read as it lies.
     """
     arr = chunks
     if not (isinstance(chunks, np.ndarray) and chunks.dtype in _WORDS):
         arr = np.ascontiguousarray(chunks, dtype=np.uint32)
     idx = pset._table[_slot(arr, pset._shift)]
-    miss = pset.values[idx] != arr
-    # entries displaced by a collision sit in the slots after their home slot
-    for step in range(1, pset._rounds):
-        slot = _slot(arr, pset._shift)
-        slot += np.uint32(step)
-        slot &= np.uint32(pset._table.size - 1)
-        candidate = pset._table[slot]
-        del slot
-        found = pset.values[candidate] == arr
-        found &= miss
-        np.copyto(idx, candidate, where=found)
-        miss ^= found
-        del candidate, found
-    idx[miss] = -1
+    idx[pset.values[idx] != arr] = -1
     return idx

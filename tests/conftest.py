@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gpmc import (BitMatrix, build_pattern_set_1, build_pattern_set_2,
-                  build_pattern_set_3)
+from gpmc import BitMatrix, pattern_set
 
 # Hand-written 16-vertex sample graph: 12 structured rows (dense runs,
 # strides, wrapped diagonals), remaining rows empty. Mixes matched and
@@ -41,17 +40,17 @@ def chunk_popcounts(chunks: np.ndarray) -> np.ndarray:
 
 @pytest.fixture(scope="session")
 def set1():
-    return build_pattern_set_1()
+    return pattern_set(1)
 
 
 @pytest.fixture(scope="session")
 def set2():
-    return build_pattern_set_2()
+    return pattern_set(2)
 
 
 @pytest.fixture(scope="session")
 def set3():
-    return build_pattern_set_3()
+    return pattern_set(3)
 
 
 @pytest.fixture(scope="session")

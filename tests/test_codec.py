@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError,
-                  FormatError, PatternSet, TruncationError, classify_chunks, compress, decompress,
+                  FormatError, TruncationError, classify_chunks, compress, decompress,
                   generate_chunk_mix, generate_er, pattern_set, query_edge,
                   ratio_for_match_fraction, scan_stats, total_chunks)
 from gpmc.codec import _walk, chunks_per_row, matrix_chunks, chunks_to_matrix
@@ -65,15 +65,6 @@ class TestCompress:
         assert stats.per_pattern[0] == stats.total_chunks
         assert sum(stats.per_pattern[1:]) == 0
 
-
-    def test_set_with_other_entries_rejected(self):
-        # a container names set 1 by id, and the decoder reads it with pattern_set(1)
-        m = generate_er(64, 0.05, seed=3)
-        with pytest.raises(FormatError, match=r"entries other than pattern_set\(1\)"):
-            compress(m, PatternSet(1, [1 << i for i in range(32)]))
-        with pytest.raises(FormatError, match="pattern set id must be in"):
-            compress(m, PatternSet(9, pattern_set(1).patterns))
-        assert compress(m, PatternSet(1, pattern_set(1).patterns)) == compress(m, pattern_set(1))
 
 
 class TestRoundTrip:
@@ -199,14 +190,6 @@ class TestDecompressStreams:
         c = CompressedGraph(1, 1, bytes([0b10000010, 0b00000000]), 12)
         with pytest.raises(CorruptStreamError):
             decompress(c, set1)
-
-    def test_indicator_out_of_range(self):
-        # 3-entry dictionary: 2-bit indicators, value 3 is unused
-        pset = PatternSet(1, [0, 1 << 31, 1 << 30])
-        assert pset.indicator_bits == 2
-        c = CompressedGraph(1, 1, bytes([0b11100000]), 3)
-        with pytest.raises(CorruptStreamError):
-            decompress(c, pset)
 
 
 class TestPayloadEnd:

@@ -6,13 +6,13 @@ from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpmc import (PatternSet, build_pattern_set_3, classify_chunks, compress, generate_er,
-                  pattern_set, read_container, write_container)
+from gpmc import (PatternSet, classify_chunks, compress, generate_er, pattern_set,
+                  read_container, write_container)
 from gpmc.codec import matrix_chunks
-from gpmc.patterns import _BUILDERS, _MULTIPLIER, SET_IDS, _bit
+from gpmc.patterns import _MULTIPLIER, SET_IDS, _bit
 
 LEADING = 1 << 31
 
@@ -82,35 +82,29 @@ class TestConstruction:
         for pset in all_sets:
             assert len(set(pset.patterns)) == len(pset.patterns)
 
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            PatternSet(1, [0, 0])
+    def test_indicator_width_follows_cardinality(self, all_sets):
+        # exactly 2 ** k entries: every k-bit indicator names one, so the decoders
+        # need no range check
+        for pset in all_sets:
+            assert len(pset) == 1 << pset.indicator_bits
+            assert pset.indicator_bits == (len(pset) - 1).bit_length()
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one entry"):
-            PatternSet(1, [])
-
-    def test_rejects_patterns_wider_than_a_chunk(self):
-        with pytest.raises(ValueError, match="0x100000000 does not fit in 32 bits"):
-            PatternSet(1, [0, 1 << 32])
-        with pytest.raises(ValueError, match="does not fit"):
-            PatternSet(1, [-1])
-
-    def test_indicator_width_follows_cardinality(self):
-        for count, expected in [(1, 0), (2, 1), (8, 3), (16, 4), (32, 5), (64, 6)]:
-            pset = PatternSet(1, list(range(count)))
-            assert pset.indicator_bits == expected
+    @pytest.mark.parametrize("build", (PatternSet, pattern_set))
+    def test_unknown_id_is_rejected(self, build):
+        for set_id in (0, 4, 9):
+            with pytest.raises(ValueError, match=f"^unknown pattern set id {set_id}$"):
+                build(set_id)
 
     def test_paper_sets_are_built_once_and_shared_read_only(self):
         m = generate_er(40, 0.1, 1)
         blobs = {set_id: write_container(compress(m, pattern_set(set_id))[0])
                  for set_id in SET_IDS}
-        rebuild = {set_id: Mock(side_effect=AssertionError("set rebuilt")) for set_id in SET_IDS}
-        with patch.dict(_BUILDERS, rebuild):
+        rebuild = Mock(side_effect=AssertionError("set rebuilt"))
+        with patch.object(PatternSet, "__init__", rebuild):
             for set_id, blob in blobs.items():
                 assert compress(m, pattern_set(set_id))[0] == read_container(blob)
                 assert pattern_set(set_id) is pattern_set(set_id)
-        assert not any(build.called for build in rebuild.values())
+        assert not rebuild.called
         for name, value in (("indicator_bits", 5), ("patterns", ()), ("_table", None)):
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(pattern_set(3), name, value)
@@ -118,14 +112,10 @@ class TestConstruction:
 
     @pytest.mark.parametrize("duplicate", (lambda pset: pickle.loads(pickle.dumps(pset)),
                                            copy.deepcopy), ids=("pickle", "deepcopy"))
-    def test_copies_are_built_from_the_entries(self, duplicate):
-        for pset in (pattern_set(3), PatternSet(9, [5, 7, 11])):
-            twin = duplicate(pset)
-            assert (twin.id, twin.patterns, twin.indicator_bits) == (
-                pset.id, pset.patterns, pset.indicator_bits)
-            assert np.array_equal(twin._table, pset._table)
-            with pytest.raises(AttributeError):
-                twin.id = 1
+    def test_copies_are_the_shared_set(self, duplicate, all_sets):
+        for pset in all_sets:
+            assert duplicate(pset) is pset
+            assert duplicate(PatternSet(pset.id)) is pset
 
 
 class TestClassify:
@@ -222,59 +212,36 @@ class TestSlotTable:
 
     def test_paper_sets_take_one_round(self, all_sets):
         for pset in all_sets:
-            assert pset._rounds == 1
             assert pset._table.size == 2 << pset.indicator_bits
             slots = [home_slot(v, pset) for v in pset.patterns]
             assert [int(pset._table[s]) for s in slots] == list(range(len(pset)))
 
-    def test_builds_are_identical(self):
-        rng = np.random.default_rng(3)
-        custom = rng.choice(1 << 32, size=200, replace=False).tolist()
-        for build in (build_pattern_set_3, lambda: PatternSet(9, custom)):
-            first, second = build(), build()
+    def test_builds_are_identical(self, all_sets):
+        for pset in all_sets:
+            first, second = PatternSet(pset.id), PatternSet(pset.id)
             assert np.array_equal(first._table, second._table)
-            assert first._rounds == second._rounds
-        assert PatternSet(9, custom)._rounds > 1  # the custom set does probe
+            assert np.array_equal(first._table, pset._table)
+            assert first.patterns == pset.patterns
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_custom_sets_agree_with_scan(self, data):
-        values = data.draw(st.lists(st.integers(0, (1 << 32) - 1), min_size=1,
-                                    max_size=300, unique=True))
-        pset = PatternSet(9, values)
+    def test_slot_mates_of_entries_do_not_match(self, data):
+        # a chunk that shares an entry's home slot but differs from it finds that entry
+        # in the table, and the equality check alone turns it away
+        pset = pattern_set(data.draw(st.sampled_from(SET_IDS)))
         low = st.integers(1, (1 << int(pset._shift)) - 1)
-        entries = data.draw(st.lists(st.sampled_from(values), max_size=100))
-        sources = data.draw(st.lists(st.sampled_from(values), max_size=100))
+        sources = data.draw(st.lists(st.sampled_from(pset.patterns), min_size=1, max_size=100))
         mates = [slot_mate(v, pset, data.draw(low)) for v in sources]
         for v, mate in zip(sources, mates):
             assert mate != v and home_slot(mate, pset) == home_slot(v, pset)
+        entries = data.draw(st.lists(st.sampled_from(pset.patterns), max_size=100))
         others = data.draw(st.lists(st.integers(0, (1 << 32) - 1), max_size=100))
         chunks = data.draw(st.permutations(entries + mates + others))
         fast = classify_chunks(np.array(chunks, dtype=np.uint32), pset)
         assert fast.dtype == np.int64
-        expected = [scan_classify(values, c) for c in chunks]
+        assert classify_chunks(np.array(mates, dtype=np.uint32), pset).tolist() == [-1] * len(mates)
+        expected = [scan_classify(pset.patterns, c) for c in chunks]
         assert fast.tolist() == [-1 if i is None else i for i in expected]
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_probing_sets_agree_with_scan(self, data):
-        # sets of up to 1,000 entries that take two probe rounds or more
-        values = data.draw(st.lists(st.integers(0, (1 << 32) - 1), min_size=2,
-                                    max_size=1000, unique=True))
-        pset = PatternSet(9, values)
-        if pset._rounds == 1:  # let the last entry share the first one's home slot
-            low = data.draw(st.integers(1, (1 << int(pset._shift)) - 1))
-            mate = slot_mate(values[0], pset, low)
-            assume(mate not in values)
-            values[-1] = mate
-            pset = PatternSet(9, values)
-        assert pset._rounds >= 2
-        entries = data.draw(st.lists(st.sampled_from(values), max_size=100))
-        mates = [slot_mate(v, pset, 1) for v in entries]
-        others = data.draw(st.lists(st.integers(0, (1 << 32) - 1), max_size=100))
-        chunks = data.draw(st.permutations(entries + mates + others))
-        expected = [-1 if i is None else i for i in (scan_classify(values, c) for c in chunks)]
-        assert classify_chunks(np.array(chunks, dtype=np.uint32), pset).tolist() == expected
 
     @pytest.mark.parametrize("dtype", ("=u4", ">u4"))
     def test_peak_below_four_times_input(self, all_sets, dtype):

@@ -24,15 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, PatternSet,
-                  TruncationError, compress, decompress, generate_chunk_mix, generate_er,
-                  pattern_set, query_edge, read_container, reference_compress, scan_stats,
-                  total_chunks, write_container)
+from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, TruncationError,
+                  compress, decompress, generate_chunk_mix, generate_er, pattern_set, query_edge,
+                  read_container, reference_compress, scan_stats, total_chunks, write_container)
 from gpmc import codec
 from gpmc.cli import build_parser
 from gpmc.codec import (_field_blocks, _flags, _lanes, _offsets, _unpack, _walk, chunks_per_row,
                         chunks_to_matrix)
-from gpmc.patterns import _BUILDERS, SET_IDS
+from gpmc.patterns import _ENTRIES, SET_IDS
 
 TYPED = (FormatError, TruncationError, CorruptStreamError)
 
@@ -48,10 +47,13 @@ SMALL_LANES = {"_LANE_BITS": 66, "_MIN_LANES": 2, "_REGION_BITS": 1 << 10}
 FORCED = {"runs": {"_RUN_FIELDS": 0}, "fields": {"_RUN_FIELDS": 1 << 40, "_PROBE_RUNS": 1},
           "lanes": {"_RUN_FIELDS": 1 << 40, "_PROBE_RUNS": 1, **SMALL_LANES}}
 ROUTINGS = ("natural", *FORCED)
-# Indicator widths the decoders are checked at: the paper sets' 5 and 6, and up to
-# 12. scan_stats reads a field's flag and indicator from (k + 15) // 8 bytes, so 8
-# is the last width it reads from 2 bytes and 9 the first it reads from 3.
-WIDTHS = (*range(1, 10), 12)
+# The paper sets' indicator widths: 5 (sets 1 and 2) and 6 (set 3).
+WIDTHS = (5, 6)
+
+
+def sets_of(k):
+    """The paper sets whose indicators are k bits wide."""
+    return [pset for pset in map(pattern_set, SET_IDS) if pset.indicator_bits == k]
 
 
 def routed(routing):
@@ -85,11 +87,6 @@ def reference_decode(bits, n, pset):
         width = pset.indicator_bits if flag else 32
         value = int("".join(map(str, bits[pos + 1 : pos + 1 + width])) or "0", 2)
         values.append(value)
-    indices = [v for v, f in zip(values, flags) if f]
-    bad = [i for i in indices if i >= len(pset.patterns)]
-    if bad:
-        raise CorruptStreamError(
-            f"indicator {bad[0]} out of range for {len(pset.patterns)} patterns")
     return offsets, flags, [pset.patterns[v] if f else v for v, f in zip(values, flags)]
 
 
@@ -101,8 +98,6 @@ def reference_query(bits, n, pset, i, j):
     if not flags[-1]:
         return bits[pos + j % 32]
     index = int("".join(map(str, bits[pos : pos + pset.indicator_bits])), 2)
-    if index >= len(pset.patterns):
-        raise CorruptStreamError(f"indicator {index} out of range")
     return (pset.patterns[index] >> (31 - j % 32)) & 1
 
 
@@ -117,8 +112,8 @@ def packed(bits):
     return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
 
 
-def graph_of(bits, n):
-    return CompressedGraph(n, 1, packed(bits), len(bits))
+def graph_of(bits, n, pset):
+    return CompressedGraph(n, pset.id, packed(bits), len(bits))
 
 
 @st.composite
@@ -128,7 +123,7 @@ def streams(draw, shapes=("random", "runs", "switch", "ones", "zeros", "alternat
     has runs of 40 to 200 fields of one width, then alternating fields, or
     the reverse."""
     k = draw(st.sampled_from(WIDTHS))
-    pset = PatternSet(1, range(draw(st.integers((1 << (k - 1)) + 1, 1 << k))))
+    pset = draw(st.sampled_from(sets_of(k)))
     n = draw(st.integers(1, 90))
     count = total_chunks(n)
     shape = draw(st.sampled_from(shapes))
@@ -182,7 +177,7 @@ def placed(matched, k):
 
 
 def check_against_reference(bits, n, pset):
-    c = graph_of(bits, n)
+    c = graph_of(bits, n, pset)
     expected = outcome(reference_decode, bits, n, pset)
     if expected[0] == "ok":
         offsets, flags, values = expected[1]
@@ -209,13 +204,13 @@ class TestWalkAgainstReference:
     @pytest.mark.parametrize("k", WIDTHS)
     @pytest.mark.parametrize("shape", ("ones", "zeros", "alternating"))
     def test_uniform_shapes_every_k(self, k, shape):
-        pset = PatternSet(1, range(1 << k))
         n = 70  # 210 fields: runs longer than the first 64-field window
         bits = []
         for i in range(total_chunks(n)):
             flag = shape == "ones" or (shape == "alternating" and i % 2 == 0)
             bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
-        check_against_reference(bits, n, pset)
+        for pset in sets_of(k):
+            check_against_reference(bits, n, pset)
 
     @pytest.mark.parametrize("strategy", FORCED)
     @pytest.mark.parametrize("cut", (False, True))
@@ -224,7 +219,6 @@ class TestWalkAgainstReference:
     def test_each_forced_strategy_matches_the_reference(self, shape, k, cut, strategy):
         # forced rather than chosen from the runs walked, so every reader
         # also runs the strategy its stream would not pick
-        pset = PatternSet(1, range(1 << k))
         n = 70
         bits = []
         for i in range(total_chunks(n)):
@@ -232,14 +226,27 @@ class TestWalkAgainstReference:
             bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
         if cut:
             bits = bits[: len(bits) // 2 + 1]
-        c = graph_of(bits, n)
-        with routed(strategy):
-            check_against_reference(bits, n, pset)
-            for i in range(n):
-                j = 37 * i % n
-                got, expected = outcome(query_edge, c, pset, i, j), outcome(
-                    reference_query, bits, n, pset, i, j)
-                assert got == expected if expected[0] == "ok" else got[0] == expected[0]
+        for pset in sets_of(k):
+            with routed(strategy):
+                check_every_reader(bits, n, pset)
+
+    @pytest.mark.parametrize("routing", ROUTINGS)
+    @pytest.mark.parametrize("set_id", SET_IDS)
+    def test_every_indicator_names_an_entry(self, routing, set_id):
+        # each paper set has 2 ** k entries, so every k-bit indicator is one of them: a
+        # stream whose matched fields carry each one, between raw fields, decodes
+        pset = pattern_set(set_id)
+        k = pset.indicator_bits
+        n, bits, index = 70, [], 0
+        for i in range(total_chunks(n)):
+            if i % 3 == 2:
+                bits += [0] + [i & 1] * 32
+            else:
+                bits += [1] + [(index >> b) & 1 for b in reversed(range(k))]
+                index = (index + 1) % len(pset)
+        with routed(routing):
+            check_every_reader(bits, n, pset)
+            assert min(scan_stats(graph_of(bits, n, pset), pset).per_pattern) >= 1
 
     @pytest.mark.parametrize("routing", ROUTINGS)
     @settings(max_examples=300, deadline=None)
@@ -272,6 +279,18 @@ class TestWalkAgainstReference:
                         data.draw(st.integers(0, n - 1)))
 
 
+def check_every_reader(bits, n, pset):
+    """decompress and scan_stats, then query_edge at one bit of every row, against the
+    reference."""
+    check_against_reference(bits, n, pset)
+    c = graph_of(bits, n, pset)
+    for i in range(n):
+        j = 37 * i % n
+        got, expected = outcome(query_edge, c, pset, i, j), outcome(
+            reference_query, bits, n, pset, i, j)
+        assert got == expected if expected[0] == "ok" else got[0] == expected[0]
+
+
 def check_walk(bits, n, pset):
     count, k = total_chunks(n), pset.indicator_bits
     expected = outcome(reference_walk, bits, len(bits), count, k)
@@ -284,7 +303,7 @@ def check_walk(bits, n, pset):
 
 
 def check_every_cut():
-    pset = PatternSet(1, range(32))
+    pset = pattern_set(1)
     flags = [1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1]  # n = 12: one field per row
     bits = []
     for i, flag in enumerate(flags):
@@ -294,7 +313,7 @@ def check_every_cut():
 
 
 def check_query(bits, n, pset, i, j):
-    c = graph_of(bits, n)
+    c = graph_of(bits, n, pset)
     target = i * chunks_per_row(n) + j // 32
     try:
         offsets, flags, _ = reference_walk(bits, len(bits), target + 1, pset.indicator_bits)
@@ -309,11 +328,7 @@ def check_query(bits, n, pset, i, j):
         assert query_edge(c, pset, i, j) == bits[pos + j % 32]
         return
     index = int("".join(map(str, bits[pos : pos + pset.indicator_bits])), 2)
-    if index >= len(pset.patterns):
-        with pytest.raises(CorruptStreamError):
-            query_edge(c, pset, i, j)
-    else:
-        assert query_edge(c, pset, i, j) == (pset.patterns[index] >> (31 - j % 32)) & 1
+    assert query_edge(c, pset, i, j) == (pset.patterns[index] >> (31 - j % 32)) & 1
 
 
 def fixed_blocks(size):
@@ -528,27 +543,6 @@ class TestFieldBlocks:
         with patch("gpmc.codec._field_blocks", fixed_blocks(size)), routed(routing):
             check_against_reference(*stream)
 
-    @pytest.mark.parametrize("routing", ROUTINGS)
-    # a set of 2^(k - 1) + 1 entries leaves k-bit indicators out of range from k = 2
-    @pytest.mark.parametrize("k", WIDTHS[1:])
-    def test_first_bad_indicator_in_a_later_block(self, routing, k):
-        # 80 fields in blocks of 7, every third raw; in-range indicators but for
-        # 2^k - 1 at one matched field from the sixth block on, at several bit
-        # alignments, and 2^(k - 1) + 1 at the last field: the decoders name the first
-        pset = PatternSet(1, range((1 << (k - 1)) + 1))
-        n = 40
-        for first in (36, 37, 39, 40, 42, 43, 45, 46, 70):
-            bits = []
-            for i in range(total_chunks(n)):
-                index = {first: (1 << k) - 1, 79: len(pset)}.get(i, i % len(pset))
-                bits += [0] + [i & 1] * 32 if i % 3 == 2 else [1] + [
-                    (index >> b) & 1 for b in reversed(range(k))]
-            expected = outcome(reference_decode, bits, n, pset)
-            assert expected == (CorruptStreamError,
-                                f"indicator {(1 << k) - 1} out of range for {len(pset)} patterns")
-            with patch("gpmc.codec._field_blocks", fixed_blocks(7)), routed(routing):
-                check_against_reference(bits, n, pset)
-
 
 @st.composite
 def damaged_containers(draw):
@@ -609,8 +603,9 @@ class TestDamagedContainers:
 
 
 class TestPatternSetTable:
-    def test_set_ids_come_from_the_builders(self):
-        assert SET_IDS == tuple(sorted(_BUILDERS)) == (1, 2, 3)
+    def test_set_ids_come_from_the_entries(self):
+        assert SET_IDS == tuple(sorted(_ENTRIES)) == (1, 2, 3)
+        assert [len(sets_of(k)) for k in WIDTHS] == [2, 1]
         parser = build_parser()
         for set_id in SET_IDS:
             assert parser.parse_args(["compress", "in", "out", "--set", str(set_id)]).set == set_id
