@@ -49,6 +49,10 @@ FORCED = {"runs": {"_RUN_FIELDS": 0}, "fields": {"_RUN_FIELDS": 1 << 40, "_PROBE
 ROUTINGS = ("natural", *FORCED)
 # The paper sets' indicator widths: 5 (sets 1 and 2) and 6 (set 3).
 WIDTHS = (5, 6)
+# Matrix sizes of the fixed-shape streams: one field; rows of two chunks, the
+# second of one bit; 210 fields, runs longer than the first 64-field window; and
+# 400 fields, several lane regions of raw fields under SMALL_LANES.
+SIZES = (1, 33, 70, 100)
 
 
 def sets_of(k):
@@ -99,6 +103,17 @@ def reference_query(bits, n, pset, i, j):
         return bits[pos + j % 32]
     index = int("".join(map(str, bits[pos : pos + pset.indicator_bits])), 2)
     return (pset.patterns[index] >> (31 - j % 32)) & 1
+
+
+def uniform(shape, n, k):
+    """A stream of every field matched, every field raw, or the two alternating; the
+    i-th matched field's indicator is i's low k bits, and a raw field is 32 copies
+    of i's low bit."""
+    bits = []
+    for i in range(total_chunks(n)):
+        flag = shape == "ones" or (shape == "alternating" and i % 2 == 0)
+        bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
+    return bits
 
 
 def outcome(fn, *args):
@@ -201,34 +216,27 @@ class TestWalkAgainstReference:
         with routed(routing):
             check_against_reference(*stream)
 
-    @pytest.mark.parametrize("k", WIDTHS)
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("set_id", SET_IDS)
     @pytest.mark.parametrize("shape", ("ones", "zeros", "alternating"))
-    def test_uniform_shapes_every_k(self, k, shape):
-        n = 70  # 210 fields: runs longer than the first 64-field window
-        bits = []
-        for i in range(total_chunks(n)):
-            flag = shape == "ones" or (shape == "alternating" and i % 2 == 0)
-            bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
-        for pset in sets_of(k):
-            check_against_reference(bits, n, pset)
+    def test_uniform_shapes_every_set(self, shape, set_id, n):
+        pset = pattern_set(set_id)
+        check_against_reference(uniform(shape, n, pset.indicator_bits), n, pset)
 
     @pytest.mark.parametrize("strategy", FORCED)
     @pytest.mark.parametrize("cut", (False, True))
-    @pytest.mark.parametrize("k", WIDTHS)
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("set_id", SET_IDS)
     @pytest.mark.parametrize("shape", ("ones", "zeros", "alternating"))
-    def test_each_forced_strategy_matches_the_reference(self, shape, k, cut, strategy):
+    def test_each_forced_strategy_matches_the_reference(self, shape, set_id, n, cut, strategy):
         # forced rather than chosen from the runs walked, so every reader
         # also runs the strategy its stream would not pick
-        n = 70
-        bits = []
-        for i in range(total_chunks(n)):
-            flag = shape == "ones" or (shape == "alternating" and i % 2 == 0)
-            bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
+        pset = pattern_set(set_id)
+        bits = uniform(shape, n, pset.indicator_bits)
         if cut:
             bits = bits[: len(bits) // 2 + 1]
-        for pset in sets_of(k):
-            with routed(strategy):
-                check_every_reader(bits, n, pset)
+        with routed(strategy):
+            check_every_reader(bits, n, pset)
 
     @pytest.mark.parametrize("routing", ROUTINGS)
     @pytest.mark.parametrize("set_id", SET_IDS)
@@ -542,6 +550,24 @@ class TestFieldBlocks:
     def test_decoders_match_the_reference(self, size, routing, stream):
         with patch("gpmc.codec._field_blocks", fixed_blocks(size)), routed(routing):
             check_against_reference(*stream)
+
+    @pytest.mark.parametrize("routing", ROUTINGS)
+    @pytest.mark.parametrize("set_id", SET_IDS)
+    def test_top_indicator_in_a_later_block(self, routing, set_id):
+        # 80 fields in blocks of 7, every third raw; the top indicator 2^k - 1 at one
+        # matched field from the sixth block on, at several bit alignments, and at the
+        # last field: every decoder reads it as the set's last entry
+        pset = pattern_set(set_id)
+        k, n, top = pset.indicator_bits, 40, len(pset) - 1
+        for first in (36, 37, 39, 40, 42, 43, 45, 46, 70):
+            bits = []
+            for i in range(total_chunks(n)):
+                index = top if i in (first, 79) else i % 7
+                bits += [0] + [i & 1] * 32 if i % 3 == 2 else [1] + [
+                    (index >> b) & 1 for b in reversed(range(k))]
+            with patch("gpmc.codec._field_blocks", fixed_blocks(7)), routed(routing):
+                check_every_reader(bits, n, pset)
+                assert scan_stats(graph_of(bits, n, pset), pset).per_pattern[top] == 2
 
 
 @st.composite
