@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import io
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 _PACK_BLOCK_BITS = 1 << 16  # the least bits _packed packs at a time; a multiple of 8
+_ROW_BLOCK_BITS = 1 << 18  # the least bits a row block holds (row_block)
 
 
 class ParseError(ValueError):
@@ -38,15 +40,33 @@ class EdgeList:
     edges: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _packed(total: int, bits) -> bytes:
-    """total bits packed MSB-first, bits(at, size) giving bits at to at + size as 0/1.
-    They are packed in blocks of _PACK_BLOCK_BITS or a 32nd of total, whichever is more,
-    straight into one buffer of the result's size, which CPython's BytesIO hands over
-    as bytes without a copy."""
+def row_block(n: int) -> int:
+    """Rows per block where an n x n matrix goes through one byte per bit: a 32nd of the
+    rows and at least _ROW_BLOCK_BITS bits, rounded up to a multiple of 8 rows, so every
+    block but the last is a whole number of bytes."""
+    rows = max(-(-n // 32), -(-_ROW_BLOCK_BITS // n))
+    return -(-rows // 8) * 8
+
+
+def _packed(total: int, blocks) -> bytes:
+    """total bits packed MSB-first from 0/1 arrays that hold them in order, each but the
+    last a whole number of bytes. Each is packed as it arrives, in slices of
+    _PACK_BLOCK_BITS or a 32nd of total, whichever is more, straight into one buffer of
+    the result's size, which CPython's BytesIO hands over as bytes without a copy."""
     step = max(_PACK_BLOCK_BITS, total // 256 * 8)
-    out = io.BytesIO(bytes((total + 7) // 8))
-    for at in range(0, total, step):
-        out.write(np.packbits(bits(at, min(step, total - at))))
+    out, seen = io.BytesIO(bytes((total + 7) // 8)), 0
+    for block in blocks:
+        if seen % 8:
+            raise ValueError(f"a block before the last ends at bit {seen}, not on a byte")
+        block = np.asarray(block, np.uint8).reshape(-1)
+        seen += block.size
+        if seen > total:
+            break
+        for at in range(0, block.size, step):
+            out.write(np.packbits(block[at : at + step]))
+        del block  # before the next one is made
+    if seen != total:
+        raise ValueError(f"expected {total} bits, got {seen}")
     return out.getvalue()
 
 
@@ -79,15 +99,19 @@ class BitMatrix:
 
     @classmethod
     def from_bit_array(cls, n: int, bits) -> "BitMatrix":
-        """Build from a 0/1 array of n*n bits in row-major order, of any shape."""
-        arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
-        if arr.size != n * n:
-            raise ValueError(f"expected {n * n} bits, got {arr.size}")
-        return cls(n, _packed(arr.size, lambda at, size: arr[at : at + size]))
+        """Build from n*n bits in row-major order: one 0/1 array of any shape, or an
+        iterator of 0/1 arrays that hold them in turn, each but the last a whole number
+        of bytes, so that only one of them need exist at a time."""
+        return cls(n, _packed(n * n, bits if isinstance(bits, Iterator) else iter([bits])))
 
-    def bit_array(self) -> np.ndarray:
-        """Row-major 0/1 uint8 array of length n*n."""
-        return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8))[: self.n * self.n]
+    def bit_array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Row-major 0/1 uint8 array of rows start to stop (as a slice takes them), n bits
+        each, unpacked from only the bytes that hold them; all n*n bits by default."""
+        n = self.n
+        start, stop, _ = slice(start, stop).indices(n)
+        lo, hi = start * n, max(start, stop) * n
+        src = np.frombuffer(self.data, dtype=np.uint8)[lo >> 3 : (hi + 7) >> 3]
+        return np.unpackbits(src, count=(lo & 7) + hi - lo)[lo & 7 :]
 
     def get(self, i: int, j: int) -> int:
         """Bit at row i, column j; constant time."""
@@ -102,10 +126,11 @@ class BitMatrix:
         return int.from_bytes(self.data, "big").bit_count()
 
     def edges(self):
-        """Yield set bits as (i, j) pairs in row-major order."""
-        n = self.n
-        for flat in np.nonzero(self.bit_array())[0].tolist():
-            yield divmod(flat, n)
+        """Yield set bits as (i, j) pairs in row-major order, a row block at a time."""
+        n, step = self.n, row_block(self.n)
+        for start in range(0, n, step):
+            for flat in (np.flatnonzero(self.bit_array(start, start + step)) + start * n).tolist():
+                yield divmod(flat, n)
 
     def __eq__(self, other):
         if not isinstance(other, BitMatrix):
@@ -160,8 +185,10 @@ def generate_er(n: int, p: float, seed: int) -> BitMatrix:
         raise ValueError(f"vertex count must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)  # _packed's blocks draw from it in turn: one stream
-    return BitMatrix(n, _packed(n * n, lambda at, size: rng.random(size) < p))
+    rng = np.random.default_rng(seed)  # the blocks draw from it in turn: one stream
+    total, step = n * n, _PACK_BLOCK_BITS
+    blocks = (rng.random(min(step, total - at)) < p for at in range(0, total, step))
+    return BitMatrix(n, _packed(total, blocks))
 
 
 def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,

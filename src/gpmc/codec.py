@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, row_block
 from .patterns import CHUNK_WIDTH, SET_IDS, PatternSet, classify_chunks, pattern_set
 
 MAGIC = b"GPMC"
@@ -108,19 +108,23 @@ def total_chunks(n: int) -> int:
 def matrix_chunks(m: BitMatrix) -> np.ndarray:
     """All chunks of a matrix in encode order, as big-endian uint32 words.
 
-    Each row is packed to bytes, then zero-padded in bytes to whole chunks.
+    Each row is packed to bytes, then zero-padded in bytes to whole chunks, by row
+    blocks (row_block), so that one byte per bit is held for one block only.
     """
-    n = m.n
-    packed = np.packbits(m.bit_array().reshape(n, n), axis=1)  # the bits die here
+    n, step = m.n, row_block(m.n)
     rows = np.zeros((n, 4 * chunks_per_row(n)), np.uint8)
-    rows[:, : packed.shape[1]] = packed
+    for i in range(0, n, step):
+        rows[i : i + step, : (n + 7) // 8] = np.packbits(  # one block's bits live at a time
+            m.bit_array(i, i + step).reshape(-1, n), axis=1)
     return rows.view(">u4").reshape(-1)
 
 
 def chunks_to_matrix(chunks: np.ndarray, n: int) -> BitMatrix:
-    """Inverse of matrix_chunks: unpack each row's first n bits, dropping its pad."""
+    """Inverse of matrix_chunks: unpack each row's first n bits, dropping its pad, by row blocks."""
     rows = np.asarray(chunks, ">u4").view(np.uint8).reshape(n, 4 * chunks_per_row(n))
-    return BitMatrix.from_bit_array(n, np.unpackbits(rows, axis=1, count=n))
+    step = row_block(n)
+    return BitMatrix.from_bit_array(n, (np.unpackbits(rows[i : i + step], axis=1, count=n)
+                                        for i in range(0, n, step)))
 
 
 def _field_blocks(count: int, k: int):
@@ -179,8 +183,11 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
         _scatter(words, _offsets(hits, True, rank, k, bit), fields, 1 + k)
         _scatter(words, _offsets(misses, False, rank, k, bit), block.take(misses), RAW_FIELD_BITS)
         bit += RAW_FIELD_BITS * block.size - (CHUNK_WIDTH - k) * hits.size
-    payload = words[: -(-bit // 32)].astype(">u4").view(np.uint8)
-    graph = CompressedGraph(m.n, pset.id, payload[: (bit + 7) // 8].tobytes(), bit)
+    del chunks, block  # before the payload's one copy
+    payload = words[: -(-bit // 32)]
+    if np.little_endian:  # to big-endian in place
+        payload.byteswap(inplace=True)
+    graph = CompressedGraph(m.n, pset.id, payload.view(np.uint8)[: (bit + 7) // 8].tobytes(), bit)
     return graph, _stats(m.n, hist, bit)
 
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import re
 import tracemalloc
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from gpmc import (BitMatrix, EdgeList, EdgeRangeError, ParseError,
                   classify_chunks, format_edge_list_text, from_edge_list,
                   generate_chunk_mix, generate_er, parse_edge_list_text)
+from gpmc import bitmatrix
+from gpmc.bitmatrix import row_block
 from gpmc.codec import matrix_chunks
 
 from conftest import chunk_popcounts
@@ -131,14 +134,18 @@ class TestConstruction:
 
     @pytest.mark.parametrize("n", [1, 3, 7, 33, 100, 1000, 2100])
     def test_from_bit_array_packs_every_input_form(self, n):
-        # packed in blocks of 2^16 bits or a 32nd of the input: 10^6 bits (n = 1000)
-        # end in a partial 2^16-bit block, 4,410,000 (n = 2100) in a partial 32nd
+        # packed in slices of 2^16 bits or a 32nd of the input: 10^6 bits (n = 1000)
+        # end in a partial 2^16-bit slice, 4,410,000 (n = 2100) in a partial 32nd.
+        # An iterator's blocks of 8k rows are whole bytes, as are lists of 8 bits
+        # that cut across rows
         bits = np.random.default_rng(n).random((n, n)) < 0.3
         forms = [bits, bits.reshape(-1), bits.astype(np.uint8), bits.astype(np.uint8).ravel()]
+        forms += [iter([bits[i : i + rows] for i in range(0, n, rows)]) for rows in (8, 16, n + 8)]
         if n <= 1000:
-            forms += [bits.tolist(), bits.reshape(-1).astype(int).tolist()]
+            flat = bits.reshape(-1).astype(int).tolist()
+            forms += [bits.tolist(), flat, iter([flat[at : at + 8] for at in range(0, n * n, 8)])]
+        expected = np.packbits(bits.reshape(-1)).tobytes()
         for form in forms:
-            expected = np.packbits(np.asarray(form, np.uint8).reshape(-1)).tobytes()
             assert BitMatrix.from_bit_array(n, form).data == expected
 
     def test_from_bit_array_holds_one_packed_copy(self):
@@ -163,6 +170,53 @@ class TestConstruction:
         assert a == b
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 33, 100])
+    def test_bit_array_rows_are_the_matching_rows(self, n):
+        # a start row whose first bit lies inside a byte whenever n % 8 != 0; past the
+        # ends and reversed, the rows are those a slice of the rows takes
+        m = generate_er(n, 0.5, seed=n)
+        rows = m.bit_array().reshape(n, n)
+        assert m.bit_array(0, None).tolist() == m.bit_array().tolist()
+        for start in range(-2, n + 3):
+            for stop in range(-2, n + 3):
+                got = m.bit_array(start, stop)
+                assert got.dtype == np.uint8
+                assert got.tolist() == rows[start:stop].reshape(-1).tolist(), (start, stop)
+
+    def test_from_bit_array_rejects_wrong_blocks(self):
+        bits = np.ones(100, np.uint8)
+        with pytest.raises(ValueError, match="expected 100 bits, got 96"):
+            BitMatrix.from_bit_array(10, iter([bits[:64], bits[64:96]]))
+        with pytest.raises(ValueError, match="expected 100 bits, got 104"):
+            BitMatrix.from_bit_array(10, iter([bits[:64], bits[:40]]))
+        with pytest.raises(ValueError, match="expected 100 bits, got 104"):
+            BitMatrix.from_bit_array(10, itertools.repeat(bits[:8]))  # reads no further
+        with pytest.raises(ValueError, match="expected 100 bits, got 0"):
+            BitMatrix.from_bit_array(10, iter([]))
+        with pytest.raises(ValueError, match="a block before the last ends at bit 50"):
+            BitMatrix.from_bit_array(10, iter([bits[:50], bits[50:]]))
+        with pytest.raises(ValueError, match="a block before the last ends at bit 68"):
+            BitMatrix.from_bit_array(10, iter([bits[:64], bits[64:68], bits[68:]]))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 100, 511, 512, 1000, 2049, 8191, 8192, 10**5])
+    def test_block_rule(self, n):
+        # a 32nd of the rows, at least 2^18 bits, rounded up to whole bytes per block
+        rows = row_block(n)
+        assert rows % 8 == 0 and rows * n >= 1 << 18 and 32 * rows >= n
+        assert rows - 8 < max(n / 32, (1 << 18) / n)
+        if n == 8192:
+            assert rows == 256  # 32 blocks
+
+    @pytest.mark.parametrize("n", [1, 9, 700])
+    def test_edges_cross_row_blocks(self, n, monkeypatch):
+        m = generate_er(n, 0.3, seed=n)
+        expected = [divmod(int(flat), n) for flat in np.flatnonzero(m.bit_array())]
+        for rows in (8, 16, 64):
+            monkeypatch.setattr(bitmatrix, "row_block", lambda n, rows=rows: rows)
+            assert list(m.edges()) == expected
+
+
 class TestGenerateEr:
     def test_p_zero_is_empty(self):
         assert generate_er(50, 0.0, seed=1).popcount() == 0
@@ -183,15 +237,15 @@ class TestGenerateEr:
     @pytest.mark.parametrize("n", [1, 7, 2100])
     def test_blocks_draw_one_stream(self, n):
         # drawn block by block, the bits equal one draw of all n * n; at
-        # n = 2100 the 4,410,000 bits take 33 blocks of 137,808 bits, the last short
+        # n = 2100 the 4,410,000 bits take 68 blocks of 65,536 bits, the last short
         p, seed = 0.3, 5
         bits = np.random.default_rng(seed).random(n * n) < p
         assert generate_er(n, p, seed).data == np.packbits(bits).tobytes()
 
     def test_peak_is_a_block_of_draws(self):
-        # the float64 draws for a block of a 32nd of the bits are 2x the packed matrix,
-        # and the result 1x: 3.25x at n = 2048; blocks of 2^22 bits, whose draws are
-        # 64x the matrix at this n, held 73x
+        # the float64 draws for a block of 2^16 bits are 1x the packed matrix at
+        # n = 2048, and the result 1x: 2.13x; blocks of a 32nd of the bits held 3.25x,
+        # blocks of 2^22 bits, whose draws are 64x the matrix at this n, 73x
         gc.collect()
         tracemalloc.start()
         try:
@@ -200,7 +254,7 @@ class TestGenerateEr:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < 4 * len(m.data)
+        assert peak < 2.5 * len(m.data)
 
     def test_rejects_bad_probability(self):
         for p in (-0.1, 1.1):
