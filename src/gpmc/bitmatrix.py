@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 _PACK_BLOCK_BITS = 1 << 16  # the least bits _packed packs at a time; a multiple of 8
-_ROW_BLOCK_BITS = 1 << 18  # the least bits a row block holds (row_block)
+_ROW_BLOCK_BITS = 1 << 18  # bits a row block grows to, up to an eighth of the rows (row_block)
 
 
 class ParseError(ValueError):
@@ -42,9 +42,9 @@ class EdgeList:
 
 def row_block(n: int) -> int:
     """Rows per block where an n x n matrix goes through one byte per bit: a 32nd of the
-    rows and at least _ROW_BLOCK_BITS bits, rounded up to a multiple of 8 rows, so every
-    block but the last is a whole number of bytes."""
-    rows = max(-(-n // 32), -(-_ROW_BLOCK_BITS // n))
+    rows, or more, up to an eighth of them, to hold _ROW_BLOCK_BITS bits, rounded up to a
+    multiple of 8 rows, so every block but the last is a whole number of bytes."""
+    rows = max(-(-n // 32), min(-(-_ROW_BLOCK_BITS // n), -(-n // 8)))
     return -(-rows // 8) * 8
 
 

@@ -12,6 +12,7 @@ byte of the whole payload is padded.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,12 @@ class CorruptStreamError(ValueError):
 
 @dataclass(frozen=True)
 class CompressedGraph:
-    """Encoded adjacency matrix: header fields plus the packed payload."""
+    """Encoded adjacency matrix: header fields plus the packed payload, a read-only
+    bytes-like object (read_container leaves it a view of a bytes container)."""
 
     n: int
     pattern_set_id: int
-    payload: bytes
+    payload: bytes | memoryview
     payload_bit_length: int
 
     def __post_init__(self):
@@ -72,6 +74,10 @@ class CompressedGraph:
             raise FormatError(f"pattern set id must be in {SET_IDS}, got {self.pattern_set_id}")
         if len(self.payload) != (self.payload_bit_length + 7) // 8:
             raise FormatError("payload byte length disagrees with payload_bit_length")
+
+    def __reduce__(self):  # a view does not pickle; its bytes do
+        return CompressedGraph, (self.n, self.pattern_set_id, bytes(self.payload),
+                                 self.payload_bit_length)
 
 
 @dataclass(frozen=True)
@@ -105,33 +111,34 @@ def total_chunks(n: int) -> int:
     return n * chunks_per_row(n)
 
 
-def matrix_chunks(m: BitMatrix) -> np.ndarray:
-    """All chunks of a matrix in encode order, as big-endian uint32 words.
-
-    Each row is packed to bytes, then zero-padded in bytes to whole chunks, by row
-    blocks (row_block), so that one byte per bit is held for one block only.
-    """
-    n, step = m.n, row_block(m.n)
-    rows = np.zeros((n, 4 * chunks_per_row(n)), np.uint8)
-    for i in range(0, n, step):
-        rows[i : i + step, : (n + 7) // 8] = np.packbits(  # one block's bits live at a time
-            m.bit_array(i, i + step).reshape(-1, n), axis=1)
+def matrix_chunks(m: BitMatrix, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Chunks of rows start to stop (as a slice of the rows takes them; all by default) in
+    encode order, as big-endian uint32 words: each row packed to bytes, then zero-padded in
+    bytes to whole chunks. compress asks for one row block (row_block) at a time."""
+    n, width = m.n, 4 * chunks_per_row(m.n)
+    rows = np.packbits(m.bit_array(start, stop).reshape(-1, n), axis=1)
+    if rows.shape[1] < width:
+        rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
     return rows.view(">u4").reshape(-1)
 
 
-def chunks_to_matrix(chunks: np.ndarray, n: int) -> BitMatrix:
-    """Inverse of matrix_chunks: unpack each row's first n bits, dropping its pad, by row blocks."""
-    rows = np.asarray(chunks, ">u4").view(np.uint8).reshape(n, 4 * chunks_per_row(n))
-    step = row_block(n)
-    return BitMatrix.from_bit_array(n, (np.unpackbits(rows[i : i + step], axis=1, count=n)
-                                        for i in range(0, n, step)))
+def chunks_to_matrix(chunks, n: int) -> BitMatrix:
+    """Inverse of matrix_chunks: unpack each row's first n bits, dropping its pad. chunks is
+    one array of them all or an iterator of whole rows' chunks, such as each row block's in
+    turn, which from_bit_array pulls as it packs, so one block's bits live at a time."""
+    width = 4 * chunks_per_row(n)
+    blocks = chunks if isinstance(chunks, Iterator) else iter([chunks])
+    return BitMatrix.from_bit_array(n, (
+        np.unpackbits(np.asarray(block, ">u4").view(np.uint8).reshape(-1, width), axis=1, count=n)
+        for block in blocks))
 
 
-def _field_blocks(count: int, k: int):
-    """Slices of count fields in eighths of at most 2^16, so block arrays stay in cache,
-    then, for each j below that size, (32 - k) j for _offsets and j's tally for _count."""
-    step = min(1 << 16, -(-count // 8))
-    j = np.arange(step)
+def _field_blocks(n: int, k: int):
+    """Slices of the fields of each row block (row_block), which compress, decompress and
+    scan_stats each take in one pass, then, for each j below a block's size, (32 - k) j
+    for _offsets and j's tally for _count."""
+    count, step = total_chunks(n), row_block(n) * chunks_per_row(n)
+    j = np.arange(min(step, count))
     tally = ((j % _TALLIES) << k).astype(np.min_scalar_type((_TALLIES - 1) << k))
     j *= CHUNK_WIDTH - k
     return (slice(s, s + step) for s in range(0, count, step)), j, tally
@@ -169,12 +176,12 @@ def _scatter(words: np.ndarray, offsets: np.ndarray, fields: np.ndarray, width: 
 
 def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, CompressionStats]:
     """Encode a matrix against a dictionary; returns the stream and its census."""
-    k, chunks, bit = pset.indicator_bits, matrix_chunks(m), 0
-    words = np.zeros(chunks.size * RAW_FIELD_BITS // 32 + 2, np.uint32)  # room for all raw
-    blocks, rank, tally = _field_blocks(chunks.size, k)
-    hist = np.zeros(_TALLIES << k, np.int64)
-    for part in blocks:
-        block = chunks[part]
+    n, k, bit = m.n, pset.indicator_bits, 0
+    words = np.zeros(total_chunks(n) * RAW_FIELD_BITS // 32 + 2, np.uint32)  # room for all raw
+    blocks, rank, tally = _field_blocks(n, k)
+    hist, cpr = np.zeros(_TALLIES << k, np.int64), chunks_per_row(n)
+    for part in blocks:  # each row block is chunked, classified and placed while in cache
+        block = matrix_chunks(m, part.start // cpr, part.stop // cpr)
         idx = classify_chunks(block, pset)
         hits, misses = np.flatnonzero(idx >= 0), np.flatnonzero(idx < 0)
         fields = idx.take(hits)
@@ -183,12 +190,12 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
         _scatter(words, _offsets(hits, True, rank, k, bit), fields, 1 + k)
         _scatter(words, _offsets(misses, False, rank, k, bit), block.take(misses), RAW_FIELD_BITS)
         bit += RAW_FIELD_BITS * block.size - (CHUNK_WIDTH - k) * hits.size
-    del chunks, block  # before the payload's one copy
+    del block, idx, hits, misses, fields  # the last block's arrays, before the payload's copy
     payload = words[: -(-bit // 32)]
     if np.little_endian:  # to big-endian in place
         payload.byteswap(inplace=True)
-    graph = CompressedGraph(m.n, pset.id, payload.view(np.uint8)[: (bit + 7) // 8].tobytes(), bit)
-    return graph, _stats(m.n, hist, bit)
+    graph = CompressedGraph(n, pset.id, payload.view(np.uint8)[: (bit + 7) // 8].tobytes(), bit)
+    return graph, _stats(n, hist, bit)
 
 
 def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
@@ -352,9 +359,10 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     return flags, base + at
 
 
-def _words(payload: bytes) -> np.ndarray:
-    """The big-endian 32-bit words compress wrote, then at least one zero word."""
-    return np.frombuffer(payload + bytes(8 - len(payload) % 4), ">u4")
+def _words(payload) -> np.ndarray:
+    """The big-endian 32-bit words compress wrote, copied from payload bytes that start on
+    a word (any bytes-like object), zero-padded to whole words and then one zero word."""
+    return np.frombuffer(b"".join((payload, bytes(8 - len(payload) % 4))), ">u4")
 
 
 def _gather(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -383,14 +391,13 @@ def _indicators(src: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
 
 
 def _decode(words: np.ndarray, matched: np.ndarray, rank: np.ndarray, pset: PatternSet,
-            bit: int, out: np.ndarray) -> int:
-    """Chunk of each field of a field block from bit, into out, and the bit after the block.
-    Values are cast to out's dtype first: an indexed assignment that converts takes 2x."""
+            bit: int, out: np.ndarray) -> None:
+    """Chunk of each field of a field block from bit, into out. Values are cast to out's
+    dtype first: an indexed assignment that converts takes 2x."""
     k, hits, misses = pset.indicator_bits, np.flatnonzero(matched), np.flatnonzero(~matched)
     out[hits] = pset.values.astype(out.dtype).take(
         _indicators(words.view(np.uint8), _offsets(hits, True, rank, k, bit), k))
     out[misses] = _gather(words, _offsets(misses, False, rank, k, bit)).astype(out.dtype)
-    return bit + RAW_FIELD_BITS * matched.size - (CHUNK_WIDTH - k) * hits.size
 
 
 def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
@@ -403,22 +410,32 @@ def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
     return np.frombuffer(flags, np.bool_)
 
 
-def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
-    """Exact inverse of compress for a well-formed stream."""
-    matched, words, bit = _flags(c, pset), _words(c.payload), 0
-    blocks, rank, tally = _field_blocks(matched.size, pset.indicator_bits)
-    chunks = np.empty(matched.size, ">u4")
+def _decoded(c: CompressedGraph, pset: PatternSet, matched: np.ndarray) -> Iterator[np.ndarray]:
+    """Chunks of each row block in turn, decoded from a zero-padded copy of the payload
+    words that hold that block's fields, as query_edge cuts its field."""
+    k, src, bit = pset.indicator_bits, np.frombuffer(c.payload, np.uint8), 0
+    blocks, rank, _ = _field_blocks(c.n, k)
     for block in blocks:
-        bit = _decode(words, matched[block], rank, pset, bit, chunks[block])
-    del matched, words, blocks, rank, tally  # only the chunks stay alive through the repack
-    return chunks_to_matrix(chunks, c.n)
+        flags = matched[block]
+        end = bit + RAW_FIELD_BITS * flags.size - (CHUNK_WIDTH - k) * int(np.count_nonzero(flags))
+        chunks = np.empty(flags.size, ">u4")
+        _decode(_words(src[bit >> 5 << 2 : (end + 7) >> 3]), flags, rank, pset, bit & 31, chunks)
+        yield chunks
+        bit = end
+
+
+def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
+    """Exact inverse of compress for a well-formed stream. The walk ends, and frees its
+    window, before the matrix's buffer is made; each row block is then decoded as the
+    repack pulls it."""
+    return chunks_to_matrix(_decoded(c, pset, _flags(c, pset)), c.n)
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     """Recompute compression stats from the stream without rebuilding the matrix,
     reading only the flag and indicator of each matched field."""
     matched, k, src = _flags(c, pset), pset.indicator_bits, np.frombuffer(c.payload, np.uint8)
-    blocks, rank, tally = _field_blocks(matched.size, k)
+    blocks, rank, tally = _field_blocks(c.n, k)
     hist, bit = np.zeros(_TALLIES << k, np.int64), 0
     for block in blocks:
         hits = np.flatnonzero(matched[block])
@@ -471,7 +488,9 @@ def read_container(data: bytes) -> CompressedGraph:
         raise TruncationError(
             f"container is {len(data)} bytes, expected {expected} "
             f"for {bit_length} payload bits")
-    c = CompressedGraph(n, set_id, bytes(data[HEADER_LEN:]), bit_length)
+    # a bytes container cannot change, so its payload is read in place; other input is copied
+    payload = memoryview(data)[HEADER_LEN:] if isinstance(data, bytes) else bytes(data[HEADER_LEN:])
+    c = CompressedGraph(n, set_id, payload, bit_length)
     # every field takes 1 + k to 33 bits, so this bounds all decode work
     count, k = total_chunks(n), pattern_set(set_id).indicator_bits
     if bit_length < count * (1 + k):

@@ -199,14 +199,17 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match="a block before the last ends at bit 68"):
             BitMatrix.from_bit_array(10, iter([bits[:64], bits[64:68], bits[68:]]))
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 100, 511, 512, 1000, 2049, 8191, 8192, 10**5])
+    @pytest.mark.parametrize("n", [1, 7, 8, 100, 511, 512, 1000, 1024, 2049, 4096, 8191, 8192,
+                                   10**5])
     def test_block_rule(self, n):
-        # a 32nd of the rows, at least 2^18 bits, rounded up to whole bytes per block
+        # a 32nd of the rows, or more, up to an eighth of them, to hold 2^18 bits, rounded
+        # up to whole bytes per block
         rows = row_block(n)
-        assert rows % 8 == 0 and rows * n >= 1 << 18 and 32 * rows >= n
-        assert rows - 8 < max(n / 32, (1 << 18) / n)
-        if n == 8192:
-            assert rows == 256  # 32 blocks
+        assert rows % 8 == 0 and 32 * rows >= n
+        assert rows * n >= 1 << 18 or rows - 8 < n / 8
+        assert rows - 8 < max(n / 32, min(n / 8, (1 << 18) / n))
+        if n in (1000, 1024, 2049, 4096, 8192):  # 8, 8, 17, 32 and 32 blocks
+            assert rows == {1000: 128, 1024: 128, 2049: 128, 4096: 128, 8192: 256}[n]
 
     @pytest.mark.parametrize("n", [1, 9, 700])
     def test_edges_cross_row_blocks(self, n, monkeypatch):

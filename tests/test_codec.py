@@ -1,6 +1,5 @@
 import gc
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,12 +158,15 @@ class TestChunking:
         # blocks of 8 rows: many blocks, the last one partial unless 8 divides n
         m = generate_er(n, p, seed)
         expected = whole_matrix_chunks(m)
-        with mock.patch.object(codec, "row_block", lambda n: 8):
-            got = matrix_chunks(m)
-            assert got.dtype == ">u4" and got.tolist() == expected.tolist()
-            if dirty_pads:  # every pad bit set, which both passes drop
-                expected[chunks_per_row(n) - 1 :: chunks_per_row(n)] |= (1 << (-n % 32)) - 1
-            assert chunks_to_matrix(expected, n) == whole_chunks_to_matrix(expected, n) == m
+        blocks = [matrix_chunks(m, i, i + 8) for i in range(0, n, 8)]
+        assert all(block.dtype == ">u4" for block in blocks)
+        assert np.concatenate(blocks).tolist() == expected.tolist()
+        if dirty_pads:  # every pad bit set, which both passes drop
+            expected[chunks_per_row(n) - 1 :: chunks_per_row(n)] |= (1 << (-n % 32)) - 1
+        assert chunks_to_matrix(expected, n) == whole_chunks_to_matrix(expected, n) == m
+        cut = chunks_per_row(n) * 8
+        assert chunks_to_matrix(iter([expected[s : s + cut] for s in range(0, expected.size, cut)]),
+                                n) == m
 
     def test_round_trip_through_many_row_blocks(self, set3):
         # n % 8 = 1: rows start at every bit of a byte; 16 blocks of 128 rows, then a
@@ -324,14 +326,17 @@ class TestQueryEdge:
 
 class TestPeakMemory:
     """tracemalloc peak of each call above what was live, against the packed
-    matrix: 4.12x to 4.20x for compress, 4.15x to 4.27x for decompress and 2.3x to
+    matrix: 3.39x to 3.53x for compress, 2.80x to 2.88x for decompress and 2.3x to
     2.4x for scan_stats on numpy 2.4, at n = 1024 and at n = 1000. The row blocks
-    set the first two: a block of 2^18 bits or more, one byte per bit, is 2x the
-    matrix at these n (at n = 8192, a 32nd of the rows, 0.25x). Converting the
-    whole matrix at once held 9.05x and 10.13x to 10.16x; decompress measured 11.03x
-    to 11.05x while from_bit_array packed the whole matrix into one array and then
-    copied it to bytes, and a field block's int64 rank array still alive at the
-    repack adds 0.25x at n = 1024. For scan_stats it was 3.8x to 3.9x
+    set the first two: a block of an eighth of the rows, one byte per bit, is 1x the
+    matrix at these n (at n = 8192, a 32nd of the rows, 0.25x), and its fields'
+    int64 temporaries, 8 bytes or more per 32 bits, weigh as much again. Blocks of
+    2^18 bits, a quarter of the rows, held 5.9x to 6.3x and 4.3x to 4.5x; a
+    whole-matrix chunk array with field blocks of their own 4.10x to 4.20x and
+    4.13x to 4.27x. Converting the whole matrix at once held 9.05x and 10.13x to
+    10.16x; decompress measured 11.03x to 11.05x while from_bit_array packed the
+    whole matrix into one array and then copied it to bytes. For scan_stats it was
+    3.8x to 3.9x
     when the walk's window was refilled by one unpack of its size. The walk
     sets scan_stats' peak: after it, reading only matched fields, scan_stats
     holds 1.73x with the walk's flags at n = 1024, where laying out every field
@@ -359,11 +364,24 @@ class TestPeakMemory:
         (c, _), compress_peak = self.peak(compress, m, set3)
         decoded, decompress_peak = self.peak(decompress, c, set3)
         assert decoded == m
-        assert compress_peak < 4.5 * len(m.data)
-        assert decompress_peak < 4.5 * len(m.data)
+        assert compress_peak < 3.75 * len(m.data)
+        assert decompress_peak < 3.1 * len(m.data)
         stats, stats_peak = self.peak(scan_stats, c, set3)
         assert stats == compress(m, set3)[1]
         assert stats_peak < 2.5 * len(m.data)
+
+    def test_all_raw_decompress_holds_no_payload_copy(self, set1):
+        # all raw, so the payload is 1.03x the matrix: decompress(read_container(blob))
+        # peaks at 3.46x after the walk (2.56x), with the flags, the result and one row
+        # block's bits and field arrays alive. A copy of the whole payload, by
+        # read_container or padded for the decode, adds 1.03x; with both and a
+        # whole-matrix chunk array it held 5.16x
+        m = generate_er(1024, 0.5, 1)
+        blob = codec.write_container(compress(m, set1)[0])
+        assert len(blob) > 1.03 * len(m.data)
+        decoded, peak = self.peak(lambda b: decompress(codec.read_container(b), set1), blob)
+        assert decoded == m
+        assert peak < 3.75 * len(m.data)
 
     @pytest.mark.parametrize("n, bound", ((4096, 0.6), (1024, 2.75)))
     def test_walk_holds_one_window_not_the_payload(self, set1, n, bound):

@@ -1,10 +1,12 @@
+import copy
 import hashlib
+import pickle
 
 import pytest
 
 from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError,
-                  TruncationError, compress, generate_er, pattern_set, read_container,
-                  write_container)
+                  TruncationError, compress, decompress, generate_er, pattern_set, read_container,
+                  scan_stats, write_container)
 
 # two n=100 matrices built without the RNG: rows end in pad bits, and each set
 # meets both matched and raw chunks in the first
@@ -70,6 +72,33 @@ class TestRead:
             pset = all_sets[int(rng.integers(0, 3))]
             c, _ = compress(m, pset)
             assert read_container(write_container(c)) == c
+
+    def test_bytes_container_is_read_in_place(self, set3):
+        # a view of the container's payload, not a copy, that behaves as the bytes would:
+        # equal, same hash, pickled and copied as a graph that holds them
+        m = generate_er(70, 0.1, seed=2)
+        c, _ = compress(m, set3)
+        blob = write_container(c)
+        graph = read_container(blob)
+        assert isinstance(graph.payload, memoryview) and graph.payload.obj is blob
+        assert graph.payload.readonly and bytes(graph.payload) == c.payload
+        assert graph == c and hash(graph) == hash(c) and {graph, c} == {c}
+        for clone in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph), copy.copy(graph)):
+            assert clone == graph and hash(clone) == hash(graph)
+            assert type(clone.payload) is bytes
+        assert decompress(graph, set3) == m and scan_stats(graph, set3) == compress(m, set3)[1]
+        assert write_container(graph) == blob
+
+    def test_writable_container_is_copied(self, set3):
+        # the graph read from a bytearray, or a view of one, does not change when it does
+        c, _ = compress(generate_er(40, 0.2, seed=3), set3)
+        for wrap in (bytearray, lambda b: memoryview(bytearray(b))):
+            data = wrap(write_container(c))
+            graph = read_container(data)
+            data[-1] ^= 0xFF
+            data[24:] = bytes(len(data) - 24)
+            assert graph == c and bytes(graph.payload) == c.payload
+            assert pickle.loads(pickle.dumps(graph)) == c
 
     def test_bad_magic(self, set1):
         c, _ = compress(BitMatrix.zeros(64), set1)

@@ -11,8 +11,8 @@ strategy forced by patching its routing constants. It must do so too when its
 unpack window is shrunk to a few bytes, so that it is refilled mid-field and
 mid-run; when its lanes are cut to a few fields, so that segment edges fall
 mid-field; when a stream's runs change length partway, so that its routing
-switches strategy mid-walk; and when the decode tail's field blocks are
-shrunk to a few fields.
+switches strategy mid-walk; and when the row blocks, which are the field
+blocks of the encoder and of every decoder, are shrunk to a few rows.
 """
 
 import struct
@@ -29,6 +29,7 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, T
                   read_container, reference_compress, scan_stats, total_chunks, write_container)
 from gpmc import codec
 from gpmc.cli import build_parser
+from gpmc.bitmatrix import row_block
 from gpmc.codec import (_field_blocks, _flags, _lanes, _offsets, _unpack, _walk, chunks_per_row,
                         chunks_to_matrix)
 from gpmc.patterns import _ENTRIES, SET_IDS
@@ -176,10 +177,10 @@ def streams(draw, shapes=("random", "runs", "switch", "ones", "zeros", "alternat
     return bits, n, pset
 
 
-def placed(matched, k):
+def placed(matched, n, k):
     """Offset of every field by the rank rule, in the codec's field blocks, each block
     starting where the fields before it end."""
-    (blocks, rank, _), offsets, bit = codec._field_blocks(matched.size, k), [], 0
+    (blocks, rank, _), offsets, bit = codec._field_blocks(n, k), [], 0
     for block in blocks:
         flags = matched[block]
         hits, misses = np.flatnonzero(flags), np.flatnonzero(~flags)
@@ -198,7 +199,7 @@ def check_against_reference(bits, n, pset):
         offsets, flags, values = expected[1]
         got_flags = _flags(c, pset)
         assert got_flags.tolist() == flags
-        assert placed(got_flags, pset.indicator_bits) == (offsets, len(bits))
+        assert placed(got_flags, n, pset.indicator_bits) == (offsets, len(bits))
         assert decompress(c, pset) == chunks_to_matrix(np.array(values, dtype=np.uint32), n)
         hist = np.bincount([pset.patterns.index(v) for v, f in zip(values, flags) if f],
                            minlength=len(pset.patterns))
@@ -339,19 +340,17 @@ def check_query(bits, n, pset, i, j):
     assert query_edge(c, pset, i, j) == (pset.patterns[index] >> (31 - j % 32)) & 1
 
 
-def fixed_blocks(size):
-    """A stand-in for codec._field_blocks that cuts every stream into blocks of size fields,
-    with the rank and tally arrays the codec's own rule gives blocks of that size."""
-    def blocks(count, k):
-        _, rank, tally = _field_blocks(8 * size, k)  # eighths of 8 * size fields
-        return (slice(s, s + size) for s in range(0, count, size)), rank, tally
-    return blocks
+def row_blocks(rows):
+    """Every row block (codec.row_block) cut to the given rows, a multiple of 8, for the
+    encoder, the decoders and the chunk repack alike."""
+    return patch("gpmc.codec.row_block", lambda n: rows)
 
 
 # multiples of 8 from the smallest window that always holds a whole field
 # after a refill (the walk's byte starts up to 7 bits before it) upwards
 WINDOWS = (40, 64, 264)
-FIELD_BLOCKS = (1, 7, 64)
+# rows per row block: at n = 33, 70 and 100, blocks of 16, 24 and 32 fields at 8 rows
+ROW_BLOCKS = (8, 16, 64)
 
 
 class TestWindowBoundaries:
@@ -500,31 +499,42 @@ class TestLanes:
 
 
 class TestFieldBlocks:
-    def test_block_rule(self):
-        assert list(_field_blocks(1, 6)[0]) == [slice(0, 1)]
-        assert list(_field_blocks(8, 6)[0]) == [slice(s, s + 1) for s in range(8)]
-        assert list(_field_blocks(100, 6)[0]) == [slice(s, s + 13) for s in range(0, 100, 13)]
-        assert list(_field_blocks(1 << 20, 6)[0]) == [slice(s, s + (1 << 16))
-                                                      for s in range(0, 1 << 20, 1 << 16)]
+    @pytest.mark.parametrize("n", (1, 33, 100, 1000, 2049, 4096, 8192))
+    def test_block_rule(self, n):
+        # one field block per row block: row_block(n) rows of chunks_per_row(n) fields
+        step = row_block(n) * chunks_per_row(n)
+        blocks, rank, _ = _field_blocks(n, 6)
+        assert list(blocks) == [slice(s, s + step) for s in range(0, total_chunks(n), step)]
+        assert rank.size == min(step, total_chunks(n))
+        if n == 8192:
+            assert step == 1 << 16 and len(range(0, total_chunks(n), step)) == 32
+
+    def test_block_rule_follows_row_block(self):
+        with row_blocks(8):
+            assert list(_field_blocks(1, 6)[0]) == [slice(0, 8)]
+            assert list(_field_blocks(8, 6)[0]) == [slice(0, 8)]
+            assert list(_field_blocks(100, 6)[0]) == [slice(s, s + 32) for s in range(0, 400, 32)]
+            assert _field_blocks(100, 6)[1].size == 32
 
     @pytest.mark.parametrize("k", (0, 5, 6, 8, 9, 16))
     def test_rank_and_tally_arrays(self, k):
         # one entry per field of the longest block: (32 - k) j, and j % 4 above a
         # k-bit indicator in the narrowest type that holds it, so that ORing it into
         # the indicators widens them no further
-        _, rank, tally = _field_blocks(100, k)
-        assert rank.tolist() == [(32 - k) * j for j in range(13)]
-        assert tally.tolist() == [(j % 4) << k for j in range(13)]
+        with row_blocks(8):
+            _, rank, tally = _field_blocks(40, k)  # 8 rows of 2 fields
+        assert rank.tolist() == [(32 - k) * j for j in range(16)]
+        assert tally.tolist() == [(j % 4) << k for j in range(16)]
         assert tally.dtype == (np.uint8 if k <= 6 else np.uint16 if k <= 14 else np.uint32)
 
-    @pytest.mark.parametrize("size", FIELD_BLOCKS)
+    @pytest.mark.parametrize("rows", ROW_BLOCKS)
     @pytest.mark.parametrize("n", (1, 33, 70, 100))
-    def test_codec_matches_the_oracle(self, size, n, all_sets):
+    def test_codec_matches_the_oracle(self, rows, n, all_sets):
         matrices = (generate_er(n, 0.05, seed=n), generate_er(n, 0.4, seed=n + 1),
                     BitMatrix.zeros(n))
         if n % 32 == 0 or n == 1:
             matrices = matrices[:2]
-        with patch("gpmc.codec._field_blocks", fixed_blocks(size)):
+        with row_blocks(rows):
             for m in matrices:
                 for pset in all_sets:
                     expected = reference_compress(m, pset)
@@ -536,36 +546,37 @@ class TestFieldBlocks:
                         j = 13 * i % n
                         assert query_edge(c, pset, i, j) == m.get(i, j)
 
-    @pytest.mark.parametrize("size", FIELD_BLOCKS)
-    def test_chunk_mix_matches_the_oracle(self, size, all_sets):
-        m = generate_chunk_mix(64, 0.4, 0.3, 0.2, seed=size)
-        with patch("gpmc.codec._field_blocks", fixed_blocks(size)):
+    @pytest.mark.parametrize("rows", ROW_BLOCKS)
+    def test_chunk_mix_matches_the_oracle(self, rows, all_sets):
+        m = generate_chunk_mix(64, 0.4, 0.3, 0.2, seed=rows)
+        with row_blocks(rows):
             for pset in all_sets:
                 assert compress(m, pset) == reference_compress(m, pset)
 
     @pytest.mark.parametrize("routing", ROUTINGS)
-    @pytest.mark.parametrize("size", FIELD_BLOCKS)
+    @pytest.mark.parametrize("rows", ROW_BLOCKS)
     @settings(max_examples=100, deadline=None)
     @given(stream=streams())
-    def test_decoders_match_the_reference(self, size, routing, stream):
-        with patch("gpmc.codec._field_blocks", fixed_blocks(size)), routed(routing):
+    def test_decoders_match_the_reference(self, rows, routing, stream):
+        with row_blocks(rows), routed(routing):
             check_against_reference(*stream)
 
     @pytest.mark.parametrize("routing", ROUTINGS)
     @pytest.mark.parametrize("set_id", SET_IDS)
     def test_top_indicator_in_a_later_block(self, routing, set_id):
-        # 80 fields in blocks of 7, every third raw; the top indicator 2^k - 1 at one
-        # matched field from the sixth block on, at several bit alignments, and at the
-        # last field: every decoder reads it as the set's last entry
+        # 80 fields in row blocks of 8 rows, 16 fields, every third raw; the top indicator
+        # 2^k - 1 at one matched field from the third block on, at several bit alignments,
+        # at a block's first and last field, and at the stream's last field: every
+        # decoder reads it as the set's last entry
         pset = pattern_set(set_id)
         k, n, top = pset.indicator_bits, 40, len(pset) - 1
-        for first in (36, 37, 39, 40, 42, 43, 45, 46, 70):
+        for first in (36, 37, 39, 40, 42, 43, 45, 46, 48, 63, 70):
             bits = []
             for i in range(total_chunks(n)):
                 index = top if i in (first, 79) else i % 7
                 bits += [0] + [i & 1] * 32 if i % 3 == 2 else [1] + [
                     (index >> b) & 1 for b in reversed(range(k))]
-            with patch("gpmc.codec._field_blocks", fixed_blocks(7)), routed(routing):
+            with row_blocks(8), routed(routing):
                 check_every_reader(bits, n, pset)
                 assert scan_stats(graph_of(bits, n, pset), pset).per_pattern[top] == 2
 
