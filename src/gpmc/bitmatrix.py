@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import io
 from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-_PACK_BLOCK_BITS = 1 << 16  # the least bits _packed packs at a time; a multiple of 8
+_PACK_BLOCK_BITS = 1 << 16  # bits generate_er draws at a time; a multiple of 8
 _ROW_BLOCK_BITS = 1 << 18  # bits a row block grows to, up to an eighth of the rows (row_block)
 
 
@@ -50,10 +49,8 @@ def row_block(n: int) -> int:
 
 def _packed(total: int, blocks) -> bytes:
     """total bits packed MSB-first from 0/1 arrays that hold them in order, each but the
-    last a whole number of bytes. Each is packed as it arrives, in slices of
-    _PACK_BLOCK_BITS or a 32nd of total, whichever is more, straight into one buffer of
-    the result's size, which CPython's BytesIO hands over as bytes without a copy."""
-    step = max(_PACK_BLOCK_BITS, total // 256 * 8)
+    last a whole number of bytes. Each is packed whole as it arrives, straight into one
+    buffer of the result's size, which CPython's BytesIO hands over as bytes without a copy."""
     out, seen = io.BytesIO(bytes((total + 7) // 8)), 0
     for block in blocks:
         if seen % 8:
@@ -62,8 +59,7 @@ def _packed(total: int, blocks) -> bytes:
         seen += block.size
         if seen > total:
             break
-        for at in range(0, block.size, step):
-            out.write(np.packbits(block[at : at + step]))
+        out.write(np.packbits(block))
         del block  # before the next one is made
     if seen != total:
         raise ValueError(f"expected {total} bits, got {seen}")
@@ -98,11 +94,11 @@ class BitMatrix:
         return cls(n)
 
     @classmethod
-    def from_bit_array(cls, n: int, bits) -> "BitMatrix":
-        """Build from n*n bits in row-major order: one 0/1 array of any shape, or an
-        iterator of 0/1 arrays that hold them in turn, each but the last a whole number
-        of bytes, so that only one of them need exist at a time."""
-        return cls(n, _packed(n * n, bits if isinstance(bits, Iterator) else iter([bits])))
+    def from_bit_array(cls, n: int, blocks) -> "BitMatrix":
+        """Build from n*n bits in row-major order, held in turn by an iterable of 0/1 arrays
+        of any shape, each but the last a whole number of bytes: a generator of row blocks
+        needs only one of them to exist at a time, and one array of all bits is [bits]."""
+        return cls(n, _packed(n * n, blocks))
 
     def bit_array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Row-major 0/1 uint8 array of rows start to stop (as a slice takes them), n bits

@@ -79,6 +79,11 @@ class CompressedGraph:
         return CompressedGraph, (self.n, self.pattern_set_id, bytes(self.payload),
                                  self.payload_bit_length)
 
+    def __eq__(self, other):  # a graph's value, as it pickles: one bytes comparison
+        if not isinstance(other, CompressedGraph):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
 
 @dataclass(frozen=True)
 class CompressionStats:
@@ -122,12 +127,11 @@ def matrix_chunks(m: BitMatrix, start: int = 0, stop: int | None = None) -> np.n
     return rows.view(">u4").reshape(-1)
 
 
-def chunks_to_matrix(chunks, n: int) -> BitMatrix:
-    """Inverse of matrix_chunks: unpack each row's first n bits, dropping its pad. chunks is
-    one array of them all or an iterator of whole rows' chunks, such as each row block's in
-    turn, which from_bit_array pulls as it packs, so one block's bits live at a time."""
+def chunks_to_matrix(blocks, n: int) -> BitMatrix:
+    """Inverse of matrix_chunks: unpack each row's first n bits, dropping its pad. blocks is
+    an iterable of whole rows' chunks, such as each row block's in turn, which
+    from_bit_array pulls as it packs, so one block's bits live at a time."""
     width = 4 * chunks_per_row(n)
-    blocks = chunks if isinstance(chunks, Iterator) else iter([chunks])
     return BitMatrix.from_bit_array(n, (
         np.unpackbits(np.asarray(block, ">u4").view(np.uint8).reshape(-1, width), axis=1, count=n)
         for block in blocks))
@@ -488,9 +492,8 @@ def read_container(data: bytes) -> CompressedGraph:
         raise TruncationError(
             f"container is {len(data)} bytes, expected {expected} "
             f"for {bit_length} payload bits")
-    # a bytes container cannot change, so its payload is read in place; other input is copied
-    payload = memoryview(data)[HEADER_LEN:] if isinstance(data, bytes) else bytes(data[HEADER_LEN:])
-    c = CompressedGraph(n, set_id, payload, bit_length)
+    # bytes() keeps a bytes container, which cannot change, and copies any other input
+    c = CompressedGraph(n, set_id, memoryview(bytes(data))[HEADER_LEN:], bit_length)
     # every field takes 1 + k to 33 bits, so this bounds all decode work
     count, k = total_chunks(n), pattern_set(set_id).indicator_bits
     if bit_length < count * (1 + k):

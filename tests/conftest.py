@@ -28,7 +28,7 @@ def build_sample_matrix() -> BitMatrix:
     for i, row in enumerate(SAMPLE_ROWS):
         for j, ch in enumerate(row):
             bits[i * n + j] = ch == "1"
-    return BitMatrix.from_bit_array(n, bits)
+    return BitMatrix.from_bit_array(n, [bits])
 
 
 def chunk_popcounts(chunks: np.ndarray) -> np.ndarray:

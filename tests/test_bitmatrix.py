@@ -130,33 +130,35 @@ class TestConstruction:
 
     def test_from_bit_array_rejects_wrong_bit_count(self):
         with pytest.raises(ValueError, match="expected 9 bits, got 8"):
-            BitMatrix.from_bit_array(3, np.ones(8, np.uint8))
+            BitMatrix.from_bit_array(3, [np.ones(8, np.uint8)])
 
     @pytest.mark.parametrize("n", [1, 3, 7, 33, 100, 1000, 2100])
     def test_from_bit_array_packs_every_input_form(self, n):
-        # packed in slices of 2^16 bits or a 32nd of the input: 10^6 bits (n = 1000)
-        # end in a partial 2^16-bit slice, 4,410,000 (n = 2100) in a partial 32nd.
-        # An iterator's blocks of 8k rows are whole bytes, as are lists of 8 bits
-        # that cut across rows
+        # one array of all bits is a one-element list. An iterator's blocks of 8k rows
+        # are whole bytes, as are lists of 8 bits that cut across rows
         bits = np.random.default_rng(n).random((n, n)) < 0.3
-        forms = [bits, bits.reshape(-1), bits.astype(np.uint8), bits.astype(np.uint8).ravel()]
+        forms = [[form] for form in (bits, bits.reshape(-1), bits.astype(np.uint8),
+                                     bits.astype(np.uint8).ravel())]
         forms += [iter([bits[i : i + rows] for i in range(0, n, rows)]) for rows in (8, 16, n + 8)]
         if n <= 1000:
             flat = bits.reshape(-1).astype(int).tolist()
-            forms += [bits.tolist(), flat, iter([flat[at : at + 8] for at in range(0, n * n, 8)])]
+            forms += [[bits.tolist()], [flat],
+                      iter([flat[at : at + 8] for at in range(0, n * n, 8)])]
         expected = np.packbits(bits.reshape(-1)).tobytes()
         for form in forms:
             assert BitMatrix.from_bit_array(n, form).data == expected
 
     def test_from_bit_array_holds_one_packed_copy(self):
-        # beyond its input it holds the result and one block: 1.11x the packed matrix
-        # at n = 1024, where packing all bits and then copying them to bytes held 2x
+        # beyond its input it holds the result and one packed block of 128 rows, as
+        # decompress feeds them: 1.17x the packed matrix at n = 1024, where packing all
+        # bits and then copying them to bytes held 2x
         bits = generate_er(1024, 0.3, seed=1).bit_array()
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            m = BitMatrix.from_bit_array(1024, bits)
+            m = BitMatrix.from_bit_array(1024, (bits[at : at + 128 * 1024]
+                                                for at in range(0, bits.size, 128 * 1024)))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -26,7 +26,7 @@ def whole_matrix_chunks(m):
 def whole_chunks_to_matrix(chunks, n):
     """chunks_to_matrix as one per-bit pass over the whole matrix: the reference."""
     rows = np.asarray(chunks, ">u4").view(np.uint8).reshape(n, 4 * chunks_per_row(n))
-    return BitMatrix.from_bit_array(n, np.unpackbits(rows, axis=1, count=n))
+    return BitMatrix.from_bit_array(n, [np.unpackbits(rows, axis=1, count=n)])
 
 
 def assert_size_formula(stats, pset):
@@ -127,7 +127,7 @@ class TestChunking:
         m = generate_er(45, 0.3, seed=9)
         chunks = matrix_chunks(m)
         assert chunks.size == 45 * chunks_per_row(45) == 90
-        assert chunks_to_matrix(chunks, 45) == m
+        assert chunks_to_matrix([chunks], 45) == m
 
     def test_pad_bits_are_zero(self):
         m = generate_er(33, 1.0, seed=0)
@@ -143,14 +143,14 @@ class TestChunking:
                     for i in range(n) for c in range(cpr)]
         chunks = matrix_chunks(m)
         assert chunks.dtype == ">u4" and chunks.tolist() == expected
-        assert chunks_to_matrix(chunks, n) == m
-        assert chunks_to_matrix(chunks.astype(">u4"), n) == m
+        assert chunks_to_matrix([chunks], n) == m
+        assert chunks_to_matrix([chunks.astype(">u4")], n) == m
 
     def test_repack_drops_stray_pad_bits(self):
         m = generate_er(45, 0.3, seed=9)
         chunks = matrix_chunks(m)
         chunks[1::2] |= (1 << (32 - 45 % 32)) - 1  # every pad bit set
-        assert chunks_to_matrix(chunks, 45) == m
+        assert chunks_to_matrix([chunks], 45) == m
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 80), st.floats(0, 1), st.integers(0, 2**32 - 1), st.booleans())
@@ -163,7 +163,7 @@ class TestChunking:
         assert np.concatenate(blocks).tolist() == expected.tolist()
         if dirty_pads:  # every pad bit set, which both passes drop
             expected[chunks_per_row(n) - 1 :: chunks_per_row(n)] |= (1 << (-n % 32)) - 1
-        assert chunks_to_matrix(expected, n) == whole_chunks_to_matrix(expected, n) == m
+        assert chunks_to_matrix([expected], n) == whole_chunks_to_matrix(expected, n) == m
         cut = chunks_per_row(n) * 8
         assert chunks_to_matrix(iter([expected[s : s + cut] for s in range(0, expected.size, cut)]),
                                 n) == m
@@ -177,7 +177,7 @@ class TestChunking:
         m = generate_er(n, 0.01, 7)
         chunks = matrix_chunks(m)
         assert chunks.tolist() == whole_matrix_chunks(m).tolist()
-        assert chunks_to_matrix(chunks, n) == m
+        assert chunks_to_matrix([chunks], n) == m
         c, stats = compress(m, set3)
         assert decompress(c, set3) == m
         assert scan_stats(c, set3) == stats
@@ -186,7 +186,7 @@ class TestChunking:
         chunks = matrix_chunks(generate_er(45, 0.3, seed=9))
         for wrong in (chunks[:-1], chunks[:-2], np.append(chunks, 0)):
             with pytest.raises(ValueError):
-                chunks_to_matrix(wrong, 45)
+                chunks_to_matrix([wrong], 45)
 
 
 class TestDecompressStreams:
@@ -326,7 +326,7 @@ class TestQueryEdge:
 
 class TestPeakMemory:
     """tracemalloc peak of each call above what was live, against the packed
-    matrix: 3.39x to 3.53x for compress, 2.80x to 2.88x for decompress and 2.3x to
+    matrix: 3.39x to 3.53x for compress, 2.88x to 2.92x for decompress and 2.3x to
     2.4x for scan_stats on numpy 2.4, at n = 1024 and at n = 1000. The row blocks
     set the first two: a block of an eighth of the rows, one byte per bit, is 1x the
     matrix at these n (at n = 8192, a 32nd of the rows, 0.25x), and its fields'

@@ -3,6 +3,8 @@ import hashlib
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError,
                   TruncationError, compress, decompress, generate_er, pattern_set, read_container,
@@ -23,6 +25,43 @@ GOLDEN_SHA256 = {
     ("sparse", 2): "b1f79961eb4a520add0c41fe1479418a195d618daf7780707c55f3ddd77e2ce8",
     ("sparse", 3): "9a554c872df9037ca657fd8221d41b1dacdcb3abd32387e9b81a8e00b9489b52",
 }
+
+
+@st.composite
+def graph_pairs(draw):
+    """Two graphs, each read in place from bytes, read from a bytearray whose reserved
+    byte is drawn, or the bytes-backed graph compress made. The second is the first's
+    matrix and set compressed again, another drawn graph, or the first with one payload
+    bit of its last byte flipped, its pad bits left zero."""
+    def matrix_and_set():
+        m = generate_er(draw(st.integers(1, 40)), draw(st.sampled_from([0.0, 0.05, 0.5])),
+                        draw(st.integers(0, 3)))
+        return m, pattern_set(draw(st.integers(1, 3)))
+
+    def form(c):
+        how = draw(st.sampled_from(["in place", "bytearray", "bytes"]))
+        if how == "bytes":
+            return c
+        data = write_container(c)
+        if how == "bytearray":
+            data = bytearray(data)
+            data[7] = draw(st.integers(0, 255))
+        return read_container(data)
+
+    m, pset = matrix_and_set()
+    first = compress(m, pset)[0]
+    second = draw(st.sampled_from(["again", "other", "last byte"]))
+    if second == "again":
+        other = compress(m, pset)[0]
+    elif second == "other":
+        other = compress(*matrix_and_set())[0]
+    else:
+        payload = bytearray(first.payload)
+        used = first.payload_bit_length - 8 * (len(payload) - 1)  # 1 to 8 bits
+        payload[-1] ^= 0x80 >> draw(st.integers(0, used - 1))
+        other = CompressedGraph(first.n, first.pattern_set_id, bytes(payload),
+                                first.payload_bit_length)
+    return form(first), form(other)
 
 
 class TestWrite:
@@ -88,6 +127,17 @@ class TestRead:
             assert type(clone.payload) is bytes
         assert decompress(graph, set3) == m and scan_stats(graph, set3) == compress(m, set3)[1]
         assert write_container(graph) == blob
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_pairs())
+    def test_graphs_are_equal_as_their_containers_are(self, pair):
+        # the header's reserved byte is not read, so the containers compared are rewritten
+        a, b = pair
+        same = write_container(a) == write_container(b)
+        assert (a == b) is same and (b == a) is same and (a != b) is not same
+        if same:
+            assert hash(a) == hash(b)
+        assert a.__eq__(write_container(a)) is NotImplemented and a != write_container(a)
 
     def test_writable_container_is_copied(self, set3):
         # the graph read from a bytearray, or a view of one, does not change when it does

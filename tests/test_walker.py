@@ -200,7 +200,7 @@ def check_against_reference(bits, n, pset):
         got_flags = _flags(c, pset)
         assert got_flags.tolist() == flags
         assert placed(got_flags, n, pset.indicator_bits) == (offsets, len(bits))
-        assert decompress(c, pset) == chunks_to_matrix(np.array(values, dtype=np.uint32), n)
+        assert decompress(c, pset) == chunks_to_matrix([np.array(values, dtype=np.uint32)], n)
         hist = np.bincount([pset.patterns.index(v) for v, f in zip(values, flags) if f],
                            minlength=len(pset.patterns))
         assert scan_stats(c, pset).per_pattern == tuple(int(x) for x in hist)
