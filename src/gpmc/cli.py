@@ -215,7 +215,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError, IndexError, MemoryError) as exc:  # n past what memory holds
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -11,6 +11,7 @@ byte of the whole payload is padded.
 
 from __future__ import annotations
 
+import io
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -57,8 +58,8 @@ class CorruptStreamError(ValueError):
 
 @dataclass(frozen=True)
 class CompressedGraph:
-    """Encoded adjacency matrix: header fields plus the packed payload, a read-only
-    bytes-like object (read_container leaves it a view of a bytes container)."""
+    """Encoded adjacency matrix: header fields plus the packed payload, a read-only bytes-like
+    object (compress and read_container leave it a view of a bytes container's tail)."""
 
     n: int
     pattern_set_id: int
@@ -179,26 +180,34 @@ def _scatter(words: np.ndarray, offsets: np.ndarray, fields: np.ndarray, width: 
 
 
 def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, CompressionStats]:
-    """Encode a matrix against a dictionary; returns the stream and its census."""
+    """Encode a matrix against a dictionary; returns the stream and its census. The payload goes
+    into its container's bytes, as the view read_container gives, which write_container returns."""
     n, k, bit = m.n, pset.indicator_bits, 0
-    words = np.zeros(total_chunks(n) * RAW_FIELD_BITS // 32 + 2, np.uint32)  # room for all raw
     blocks, rank, tally = _field_blocks(n, k)
     hist, cpr = np.zeros(_TALLIES << k, np.int64), chunks_per_row(n)
-    for part in blocks:  # each row block is chunked, classified and placed while in cache
+    words = np.zeros((31 + RAW_FIELD_BITS * rank.size >> 5) + 2, np.uint32)  # a block's, reused
+    out = io.BytesIO()
+    out.seek(HEADER_LEN)  # the header's slot
+    for part in blocks:  # each row block is chunked, classified, placed and written while in cache
         block = matrix_chunks(m, part.start // cpr, part.stop // cpr)
         idx = classify_chunks(block, pset)
         hits, misses = np.flatnonzero(idx >= 0), np.flatnonzero(idx < 0)
         fields = idx.take(hits)
         _count(hist, fields, tally)
         fields |= 1 << k  # flag 1, then the k-bit index; a raw field is flag 0, then its chunk
-        _scatter(words, _offsets(hits, True, rank, k, bit), fields, 1 + k)
-        _scatter(words, _offsets(misses, False, rank, k, bit), block.take(misses), RAW_FIELD_BITS)
-        bit += RAW_FIELD_BITS * block.size - (CHUNK_WIDTH - k) * hits.size
-    del block, idx, hits, misses, fields  # the last block's arrays, before the payload's copy
-    payload = words[: -(-bit // 32)]
-    if np.little_endian:  # to big-endian in place
-        payload.byteswap(inplace=True)
-    graph = CompressedGraph(n, pset.id, payload.view(np.uint8)[: (bit + 7) // 8].tobytes(), bit)
+        lead, size = bit & 31, RAW_FIELD_BITS * block.size - (CHUNK_WIDTH - k) * hits.size
+        whole = (lead + size) >> 5  # words the block fills; word 0 carries the last one's partial
+        words[1 : whole + 2] = 0
+        _scatter(words, _offsets(hits, True, rank, k, lead), fields, 1 + k)
+        _scatter(words, _offsets(misses, False, rank, k, lead), block.take(misses), RAW_FIELD_BITS)
+        if np.little_endian:  # to big-endian in place
+            words[:whole].byteswap(inplace=True)
+        out.write(words[:whole])
+        words[0] = words[whole]
+        bit += size
+    out.write(int(words[0]).to_bytes(4, "big")[: ((bit & 31) + 7) // 8])
+    _HEADER.pack_into(out.getbuffer(), 0, MAGIC, VERSION, pset.id, CHUNK_WIDTH, 0, n, bit)
+    graph = CompressedGraph(n, pset.id, memoryview(out.getvalue())[HEADER_LEN:], bit)
     return graph, _stats(n, hist, bit)
 
 
@@ -469,9 +478,15 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
 
 
 def write_container(c: CompressedGraph) -> bytes:
-    """Serialize: the header, then the packed payload."""
+    """Serialize: the header, then the packed payload; bytes that hold both already come back."""
     header = _HEADER.pack(MAGIC, VERSION, c.pattern_set_id, CHUNK_WIDTH, 0,
                           c.n, c.payload_bit_length)
+    base = getattr(c.payload, "obj", None)
+    if (type(base) is bytes and len(base) == HEADER_LEN + c.payload.nbytes
+            and c.payload.contiguous and base.startswith(header)
+            and np.frombuffer(c.payload, np.uint8).ctypes.data
+            == np.frombuffer(base, np.uint8, offset=HEADER_LEN).ctypes.data):
+        return base
     return header + c.payload
 
 

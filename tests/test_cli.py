@@ -93,6 +93,17 @@ class TestCompress:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_vertex_count_past_memory_is_input_error(self, tmp_path, capsys):
+        # the matrix of 3e9 vertices needs 999 PiB, past any address space, so numpy
+        # refuses it at once, allocating nothing
+        edges = tmp_path / "huge.edges"
+        edges.write_text("3000000000\n0 1\n")
+        out = tmp_path / "huge.gpmc"
+        assert main(["compress", str(edges), str(out), "--set", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestDecompress:
     def test_round_trip_edge_set(self, tmp_path, small_graph):

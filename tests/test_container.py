@@ -30,17 +30,18 @@ GOLDEN_SHA256 = {
 @st.composite
 def graph_pairs(draw):
     """Two graphs, each read in place from bytes, read from a bytearray whose reserved
-    byte is drawn, or the bytes-backed graph compress made. The second is the first's
-    matrix and set compressed again, another drawn graph, or the first with one payload
-    bit of its last byte flipped, its pad bits left zero."""
+    byte is drawn, or as compress made it, a view of its own container's bytes. The second
+    is the first's matrix and set compressed again, another drawn graph, or a graph that
+    holds the first's payload as bytes with one bit of its last byte flipped, its pad bits
+    left zero."""
     def matrix_and_set():
         m = generate_er(draw(st.integers(1, 40)), draw(st.sampled_from([0.0, 0.05, 0.5])),
                         draw(st.integers(0, 3)))
         return m, pattern_set(draw(st.integers(1, 3)))
 
     def form(c):
-        how = draw(st.sampled_from(["in place", "bytearray", "bytes"]))
-        if how == "bytes":
+        how = draw(st.sampled_from(["in place", "bytearray", "as made"]))
+        if how == "as made":
             return c
         data = write_container(c)
         if how == "bytearray":
@@ -98,6 +99,45 @@ class TestWrite:
         blob = write_container(c)
         assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name, set_id]
         assert read_container(blob) == c
+
+
+class TestInPlaceWrite:
+    """write_container hands back the bytes object a graph's payload ends when that object
+    starts with the graph's header, as compress and read_container leave it, and otherwise
+    builds the container from the header and the payload."""
+
+    @staticmethod
+    def by_hand(c):
+        return (b"GPMC" + bytes((1, c.pattern_set_id, 32, 0)) + c.n.to_bytes(8, "big")
+                + c.payload_bit_length.to_bytes(8, "big") + bytes(c.payload))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 80), st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.integers(0, 3),
+           st.integers(1, 3), st.integers(1, 255))
+    def test_written_in_place_or_rebuilt(self, n, p, seed, set_id, reserved):
+        c = compress(generate_er(n, p, seed), pattern_set(set_id))[0]
+        blob = write_container(c)
+        assert blob == self.by_hand(c) and type(blob) is bytes
+        assert isinstance(c.payload, memoryview) and c.payload.obj is blob
+        assert write_container(read_container(blob)) is blob
+        # a nonzero reserved byte, read in place, is written back as zero
+        dirty = bytearray(blob)
+        dirty[7] = reserved
+        dirty = bytes(dirty)
+        assert write_container(read_container(dirty)) == blob
+        # read_container's copy of a bytearray is handed back, never the bytearray
+        data = bytearray(blob)
+        out = write_container(read_container(data))
+        assert out == blob and type(out) is bytes and out is not data
+        # views of the container's head and of a bytearray's tail hold other bytes
+        size, bits = len(c.payload), c.payload_bit_length
+        for view in (memoryview(blob)[:size], memoryview(bytearray(blob))[24:]):
+            other = CompressedGraph(n, set_id, view, bits)
+            out = write_container(other)
+            assert out == self.by_hand(other) and out is not blob
+        for clone in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+            assert type(clone.payload) is bytes and clone == c
+            assert write_container(clone) == blob
 
 
 class TestRead:
