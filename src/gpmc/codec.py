@@ -237,11 +237,12 @@ def _lanes(src: np.ndarray, start: int, stop: int, k: int) -> tuple[np.ndarray, 
 
     The region is cut into segments, and one lane per segment walks from its first
     bit, all lanes in step, marking each bit it lands on with its step number, until
-    it leaves its segment. A lane's path is right from the first bit it shares with
-    the true path, which enters segment j where lane j - 1 left. So for each segment
-    a walker on the true path steps from there, appending its flags to lane j - 1's,
-    until it lands on a mark; lane j's flags count from that step. A lane that does
-    not meet the true path in its segment ends the pass there.
+    every lane has left its segment. A lane's path is right from the first bit it
+    shares with the true path, which enters segment j where lane j - 1 left. So for
+    each segment a walker on the true path steps from there, all walkers in step,
+    appending its flags to lane j - 1's; a walker that lands on a mark or leaves its
+    segment stays in place from then on. Lane j's flags count from the step of the
+    mark its walker met; a lane whose walker met none ends the pass there.
     """
     origin, mark = start & ~7, 64  # a bit's width is at most 33; from `mark` on, a step number
     size = stop - origin
@@ -249,43 +250,40 @@ def _lanes(src: np.ndarray, start: int, stop: int, k: int) -> tuple[np.ndarray, 
     _unpack(src, origin, width[:-1])
     width *= np.uint8(CHUNK_WIDTH - k)
     np.subtract(np.uint8(RAW_FIELD_BITS), width, out=width)  # the width of a field at each bit
-    # the most fields a lane takes: with k >= 5, at most 176 in 1,056 bits, so a lane's
-    # step numbers, counted from mark, fit in a byte
+    # the most fields a lane or a walker takes in its segment: with k >= 5, at most 176
+    # in 1,056 bits, so a lane's step numbers, counted from mark, fit in a byte
     steps = -(-_LANE_BITS // (1 + k))
     lane = np.arange(start - origin, size - CHUNK_WIDTH - _LANE_BITS + 1, _LANE_BITS)
     bound = lane + _LANE_BITS  # whole segments only: a short one would rarely meet the true path
-    # each lane's field widths, 0 once it has left its segment, then the true walker's
-    walked = np.zeros((lane.size, 2 * steps + 1), np.uint8)
-    pos, waiting = lane.copy(), width.size - 1
-    for step in range(steps):
-        live = pos < bound
-        column = walked[:, step]
-        np.multiply(width[pos], live, out=column)
+    # row s holds lane j's s-th field width in column j, 0 once the lane has left its
+    # segment; the rows after the lanes' hold segment j's walker fields in column j - 1,
+    # 0 once the walker stays
+    walked = np.zeros((2 * steps, lane.size), np.uint8)
+    pos, waiting, step = lane.copy(), width.size - 1, 0
+    while (live := pos < bound).any():
+        row = walked[step]
+        np.multiply(width[pos], live, out=row)
         width[np.where(live, pos, waiting)] = mark + step
-        pos += column
-    seg, true, end = np.arange(1, lane.size), pos[:-1].copy(), bound[1:]
-    into = np.arange(lane.size - 1) * walked.shape[1] + steps  # lane j - 1's next free byte
-    good, first = np.zeros(lane.size, bool), np.zeros(lane.size, np.intp)
-    good[0] = True
-    for _ in range(steps + 1):
+        pos += row
+        step += 1
+    true, end, rows = pos[:-1].copy(), bound[1:], step
+    while True:
         field = width[true]
-        done = (field >= mark) | (true >= end)
-        if done.any():
-            met = done & (true < end)
-            good[seg[met]], first[seg[met]] = True, field[met] - mark
-            keep = ~done
-            keep &= seg < seg[done & ~met].min(initial=lane.size)
-            seg, true, end, into, field = seg[keep], true[keep], end[keep], into[keep], field[keep]
-            if not seg.size:
-                break
-        walked.reshape(-1)[into] = field
-        into += 1
-        true += field
-    found = lane.size if good.all() else int(good.argmin())
+        go = field < mark
+        go &= true < end
+        if not go.any():
+            break
+        row = walked[rows, :-1]
+        np.multiply(field, go, out=row)
+        true += row
+        rows += 1
+    met = (field >= mark) & (true < end)  # segment j's walker met lane j at step field - mark
+    found = lane.size if met.all() else 1 + int(met.argmin())
     del width  # before the read-out's temporaries
-    walked = walked[:found]
-    walked[-1, steps:] = 0  # the last lane ends at its own exit
-    walked[np.arange(walked.shape[1]) < first[:found, None]] = 0  # and each starts where it met
+    walked = walked[:rows, :found].T
+    walked[-1, step:] = 0  # the last lane ends at its own exit
+    first = field[: found - 1, None] - np.uint8(mark)
+    walked[1:][np.arange(rows) < first] = 0  # and each after the first starts where it met
     flags = (walked[walked != 0] < RAW_FIELD_BITS).view(np.uint8)
     return flags, origin + int(pos[found - 1]), found == lane.size
 
@@ -302,11 +300,12 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     window's. While runs average under _RUN_FIELDS fields it walks short runs
     instead, choosing again every _PROBE_RUNS runs and, on short runs, at each
     refill from the flags it set. Short runs go by lanes (_lanes), a region of
-    up to _REGION_BITS bits at a time, and the window is refilled where a pass
-    ends. Where fewer than _MIN_LANES lanes fit, and for the rest of the walk
-    once a pass stops early, the walk steps field by field in unchecked batches
-    that fit in the window, as a field takes at most 33 bits. The last few
-    fields go by runs.
+    up to _REGION_BITS bits at a time, whose lanes and then whose walkers on the
+    true path each step in lockstep; the window is refilled where a pass ends.
+    Where fewer than _MIN_LANES lanes fit, and for the rest of the walk once a
+    pass stops early, the walk steps field by field in unchecked batches that
+    fit in the window, as a field takes at most 33 bits. The last few fields go
+    by runs.
     """
     matched_width, src = 1 + k, np.frombuffer(payload, np.uint8)
     window = bytearray(min(_BLOCK_BITS, bit_length))
@@ -322,8 +321,7 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
         refill = size - at < RAW_FIELD_BITS and base + size < bit_length
         if short_runs and refill or runs == _PROBE_RUNS:
             if short_runs:  # one run, then one more per flag change
-                changes = np.diff(np.frombuffer(flags, np.uint8)[seen:done])
-                runs = 1 + int(np.count_nonzero(changes))
+                runs = 1 + int(np.count_nonzero(np.diff(np.frombuffer(flags, np.uint8)[seen:done])))
             short_runs, seen, runs = runs * _RUN_FIELDS > done - seen, done, 0
         if refill:
             base, at = base + (at & ~7), at & 7
@@ -337,6 +335,7 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
                 end -= (CHUNK_WIDTH - k) * int(found.sum())
             np.frombuffer(flags, np.uint8)[done : done + found.size] = found
             done, region = done + found.size, _REGION_BITS if whole else 0
+            del found  # before the next pass
             base, at, size = end & ~7, end & 7, 0  # the window is refilled from end
             continue
         if short_runs and (batch := min(count - done, (size - at) // RAW_FIELD_BITS)):

@@ -449,7 +449,56 @@ def period_40_matrix():
     return BitMatrix(2048, np.tile(row, 2048).tobytes())
 
 
+@st.composite
+def regions(draw):
+    """(bits, start, stop, k): bits with a drawn share of ones, and a lanes pass's
+    region in them, from a drawn start to a drawn stop at least as far on as the
+    walk asks of a pass under SMALL_LANES."""
+    k = draw(st.sampled_from(WIDTHS))
+    share = draw(st.sampled_from(((0, 1), (0, 1, 1, 1), (0, 1, 1, 1, 1, 1, 1, 1))))
+    least = SMALL_LANES["_MIN_LANES"] * SMALL_LANES["_LANE_BITS"]
+    bits = draw(st.lists(st.sampled_from(share), min_size=least, max_size=1500))
+    start = draw(st.integers(0, len(bits) - least))
+    return bits, start, draw(st.integers(start + least, len(bits))), k
+
+
+def check_pass(bits, start, stop, k, found, end, whole):
+    """A pass's flags are the reference walk's first ones from start, it ends after
+    the last of them, and a whole pass reaches the last segment's end."""
+    _, expected, length = reference_walk(bits[start:], len(bits) - start, found.size, k)
+    assert found.size and found.astype(bool).tolist() == expected
+    assert end == start + length <= stop
+    assert not whole or end > stop - 32 - codec._LANE_BITS
+
+
 class TestLanes:
+    @settings(max_examples=300, deadline=None)
+    @given(region=regions())
+    def test_pass_matches_the_reference_walk(self, region):
+        # segments of 66 bits: a lane's edges fall mid-field and passes stop early
+        # as often as they are whole
+        bits, start, stop, k = region
+        with patch.multiple("gpmc.codec", **SMALL_LANES):
+            found, end, whole = _lanes(np.frombuffer(packed(bits), np.uint8), start, stop, k)
+            check_pass(bits, start, stop, k, found, end, whole)
+
+    def test_set_1_pass_that_stops_early_matches_the_reference(self, set1):
+        # ER n = 1024, p = 0.03 under set 1 (k = 5): the walk's first pass stops early,
+        # after 5,088 of 32,768 fields, and the walk steps the rest
+        m = generate_er(1024, 0.03, 1)
+        c, stats = compress(m, set1)
+        bits = np.unpackbits(np.frombuffer(c.payload, np.uint8))[: c.payload_bit_length]
+        passes = []
+        with patch("gpmc.codec._lanes", side_effect=lambda *a: passes.append((a, _lanes(*a)))
+                   or passes[-1][1]):
+            flags, end = _walk(c.payload, c.payload_bit_length, total_chunks(m.n), 5)
+        assert [result[0].size for _, result in passes] == [5088]
+        (_, start, stop, k), result = passes[0]
+        assert not result[2]
+        check_pass(bits.tolist(), start, stop, k, *result)
+        assert end == c.payload_bit_length
+        assert np.frombuffer(flags, np.bool_).sum() == stats.matched
+
     @pytest.mark.parametrize("lane_bits", (99, 231, 1056))
     def test_period_40_stream_steps_from_the_first_lane_that_never_meets(self, set3, lane_bits):
         # none of the segment lengths is a multiple of 40, so some lane starts off the
