@@ -165,18 +165,22 @@ def _count(hist: np.ndarray, indicators: np.ndarray, tally: np.ndarray) -> None:
     hist += np.bincount(indicators | tally[: indicators.size], minlength=hist.size)
 
 
-def _scatter(words: np.ndarray, offsets: np.ndarray, fields: np.ndarray, width: int) -> None:
-    """Inverse of _gather: add each field of width bits into words at its bit offset. It
-    lies in the 64 bits from the word holding its first bit, so its halves add into that
-    word and the next; fields never overlap, so adding ORs."""
-    fields = np.left_shift(fields, (64 - width - (offsets & 31)).view(np.uint64),
-                           dtype=np.uint64, casting="unsafe")
-    at = offsets >> 5
+def _split(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bit offsets as _scatter and _gather take them, so that callers free the offsets first:
+    the 32-bit word that holds each one's first bit, and its place in that word as a uint8."""
+    return offsets >> 5, offsets.astype(np.uint8) & 31
+
+
+def _scatter(words: np.ndarray, at: np.ndarray, shift: np.ndarray, fields: np.ndarray,
+             width: int) -> None:
+    """Inverse of _gather: add each field of width bits into words, shift bits into word at
+    (_split). It lies in the 64 bits from that word, so its halves add into that word and
+    the next; fields never overlap, so adding ORs."""
+    fields = np.left_shift(fields, np.uint8(64 - width) - shift, dtype=np.uint64, casting="unsafe")
     # each field's low half, then its high half, whatever the host byte order
     halves = fields.astype("<u8", copy=False).view("<u4")
     np.add.at(words, at, halves[1::2])
-    at += 1
-    np.add.at(words, at, halves[::2])
+    np.add.at(words[1:], at, halves[::2])
 
 
 def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, CompressionStats]:
@@ -193,13 +197,15 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
         idx = classify_chunks(block, pset)
         hits, misses = np.flatnonzero(idx >= 0), np.flatnonzero(idx < 0)
         fields = idx.take(hits)
+        del idx
         _count(hist, fields, tally)
         fields |= 1 << k  # flag 1, then the k-bit index; a raw field is flag 0, then its chunk
         lead, size = bit & 31, RAW_FIELD_BITS * block.size - (CHUNK_WIDTH - k) * hits.size
         whole = (lead + size) >> 5  # words the block fills; word 0 carries the last one's partial
         words[1 : whole + 2] = 0
-        _scatter(words, _offsets(hits, True, rank, k, lead), fields, 1 + k)
-        _scatter(words, _offsets(misses, False, rank, k, lead), block.take(misses), RAW_FIELD_BITS)
+        _scatter(words, *_split(_offsets(hits, True, rank, k, lead)), fields, 1 + k)
+        _scatter(words, *_split(_offsets(misses, False, rank, k, lead)), block.take(misses),
+                 RAW_FIELD_BITS)
         if np.little_endian:  # to big-endian in place
             words[:whole].byteswap(inplace=True)
         out.write(words[:whole])
@@ -377,12 +383,11 @@ def _words(payload) -> np.ndarray:
     return np.frombuffer(b"".join((payload, bytes(8 - len(payload) % 4))), ">u4")
 
 
-def _gather(words: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Inverse of _scatter: the 33-bit window at each offset, cut from its word and the next."""
-    at = offsets >> 5
+def _gather(words: np.ndarray, at: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Inverse of _scatter: the 33-bit window shift bits into word at (_split) and the next."""
     fields = np.left_shift(words.take(at), 32, dtype=np.uint64)
-    fields |= words.take(at + 1)
-    np.left_shift(fields, offsets & 31, out=fields, dtype=np.uint64, casting="unsafe")
+    fields |= words[1:].take(at)
+    fields <<= shift
     fields >>= np.uint64(64 - RAW_FIELD_BITS)
     return fields
 
@@ -404,12 +409,14 @@ def _indicators(src: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
 
 def _decode(words: np.ndarray, matched: np.ndarray, rank: np.ndarray, pset: PatternSet,
             bit: int, out: np.ndarray) -> None:
-    """Chunk of each field of a field block from bit, into out. Values are cast to out's
-    dtype first: an indexed assignment that converts takes 2x."""
-    k, hits, misses = pset.indicator_bits, np.flatnonzero(matched), np.flatnonzero(~matched)
+    """Chunk of each field of a field block from bit, into out, matched fields first. Values
+    are cast to out's dtype first: an indexed assignment that converts takes 2x."""
+    k, hits = pset.indicator_bits, np.flatnonzero(matched)
     out[hits] = pset.values.astype(out.dtype).take(
         _indicators(words.view(np.uint8), _offsets(hits, True, rank, k, bit), k))
-    out[misses] = _gather(words, _offsets(misses, False, rank, k, bit)).astype(out.dtype)
+    del hits
+    misses = np.flatnonzero(~matched)
+    out[misses] = _gather(words, *_split(_offsets(misses, False, rank, k, bit))).astype(out.dtype)
 
 
 def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
@@ -422,13 +429,20 @@ def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
     return np.frombuffer(flags, np.bool_)
 
 
+def _block_flags(flags: np.ndarray, blocks, count: int) -> Iterator[np.ndarray]:
+    """Each field block's flags in turn, one byte per field, from a stream's count flags packed
+    one bit per field. Each block but the last starts on a byte: row_block is a multiple of 8."""
+    for block in blocks:
+        size = min(block.stop, count) - block.start
+        yield np.unpackbits(flags[block.start >> 3 :], count=size).view(np.bool_)
+
+
 def _decoded(c: CompressedGraph, pset: PatternSet, matched: np.ndarray) -> Iterator[np.ndarray]:
-    """Chunks of each row block in turn, decoded from a zero-padded copy of the payload
-    words that hold that block's fields, as query_edge cuts its field."""
+    """Chunks of each row block in turn, from packed flags (_block_flags), decoded from a
+    zero-padded copy of the payload words that hold that block's fields, as query_edge does."""
     k, src, bit = pset.indicator_bits, np.frombuffer(c.payload, np.uint8), 0
     blocks, rank, _ = _field_blocks(c.n, k)
-    for block in blocks:
-        flags = matched[block]
+    for flags in _block_flags(matched, blocks, total_chunks(c.n)):
         end = bit + RAW_FIELD_BITS * flags.size - (CHUNK_WIDTH - k) * int(np.count_nonzero(flags))
         chunks = np.empty(flags.size, ">u4")
         _decode(_words(src[bit >> 5 << 2 : (end + 7) >> 3]), flags, rank, pset, bit & 31, chunks)
@@ -437,22 +451,23 @@ def _decoded(c: CompressedGraph, pset: PatternSet, matched: np.ndarray) -> Itera
 
 
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
-    """Exact inverse of compress for a well-formed stream. The walk ends, and frees its
-    window, before the matrix's buffer is made; each row block is then decoded as the
-    repack pulls it."""
-    return chunks_to_matrix(_decoded(c, pset, _flags(c, pset)), c.n)
+    """Exact inverse of compress for a well-formed stream. The walk ends, its window freed
+    and its flags packed to one bit per field, before the matrix's buffer is made; each row
+    block then unpacks its own flags and is decoded as the repack pulls it."""
+    return chunks_to_matrix(_decoded(c, pset, np.packbits(_flags(c, pset))), c.n)
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     """Recompute compression stats from the stream without rebuilding the matrix,
-    reading only the flag and indicator of each matched field."""
-    matched, k, src = _flags(c, pset), pset.indicator_bits, np.frombuffer(c.payload, np.uint8)
+    reading only the flag and indicator of each matched field. The walk's flags are held
+    packed, one bit per field, as decompress holds them."""
+    matched, k = np.packbits(_flags(c, pset)), pset.indicator_bits
     blocks, rank, tally = _field_blocks(c.n, k)
-    hist, bit = np.zeros(_TALLIES << k, np.int64), 0
-    for block in blocks:
-        hits = np.flatnonzero(matched[block])
+    hist, bit, src = np.zeros(_TALLIES << k, np.int64), 0, np.frombuffer(c.payload, np.uint8)
+    for flags in _block_flags(matched, blocks, total_chunks(c.n)):
+        hits = np.flatnonzero(flags)
         _count(hist, _indicators(src, _offsets(hits, True, rank, k, bit), k), tally)
-        bit += RAW_FIELD_BITS * matched[block].size - (CHUNK_WIDTH - k) * hits.size
+        bit += RAW_FIELD_BITS * flags.size - (CHUNK_WIDTH - k) * hits.size
     return _stats(c.n, hist, c.payload_bit_length)
 
 

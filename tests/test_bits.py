@@ -3,21 +3,23 @@
 Every field is handled as the 33-bit window at its bit offset: its own
 bits, then zeros up to 33 bits. Both sides find a field by one rule: the
 32-bit word at offset >> 5 holds its first bit, and its window lies in that
-word and the next, shifted by offset & 31. _scatter adds such windows,
-fields of 1 to 33 bits back to back, into 32-bit words, in one call or block
-by block, and the same fields given as values of their own width, as
-compress gives matched fields, to the same words; _gather cuts the 33 bits
-at each offset out again from the payload's words as _words reads them,
-which end in a zero word.
+word and the next, shifted by offset & 31. _split gives both from the
+offsets, the shift as a uint8, and both sides take them in place of the
+offsets. _scatter adds such windows, fields of 1 to 33 bits back to back,
+into 32-bit words, in one call or block by block, and the same fields given
+as values of their own width, as compress gives matched fields, to the same
+words; _gather cuts the 33 bits at each offset out again from the payload's
+words as _words reads them, which end in a zero word.
 Each must undo the other, and the bits past the last field must stay zero,
-since read_container rejects a payload with dirty padding.
+since read_container rejects a payload with dirty padding. None of the three
+changes an array it is given.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpmc.codec import _gather, _scatter, _words
+from gpmc.codec import _gather, _scatter, _split, _words
 
 
 @st.composite
@@ -47,12 +49,19 @@ def test_gather_undoes_scatter(case, block):
     nbits = int(widths.sum())
     windows = np.array([v << (33 - w) for v, w in zip(values, case[0])], dtype=np.uint64)
     words = np.zeros(nbits // 32 + 2, dtype=np.uint32)
+    at, shift = _split(offsets)
+    assert offsets.tolist() == (np.cumsum(widths) - widths).tolist()
+    assert at.tolist() == (offsets >> 5).tolist() and shift.tolist() == (offsets & 31).tolist()
+    assert shift.dtype == np.uint8
+    held = at.copy(), shift.copy(), windows.copy()
     for s in range(0, len(values), block):
-        _scatter(words, offsets[s : s + block], windows[s : s + block], 33)
+        _scatter(words, at[s : s + block], shift[s : s + block], windows[s : s + block], 33)
+    assert all(np.array_equal(a, b) for a, b in zip((at, shift, windows), held))
     assert not words[-(-nbits // 32) :].any()  # nothing written past the last field
     by_width = np.zeros_like(words)
     for w in set(case[0]):
-        _scatter(by_width, offsets[widths == w], np.array(values, np.uint64)[widths == w], w)
+        _scatter(by_width, at[widths == w], shift[widths == w],
+                 np.array(values, np.uint64)[widths == w], w)
     assert by_width.tolist() == words.tolist()
     payload = words.astype(">u4").tobytes()[: (nbits + 7) // 8]
     assert len(payload) == (nbits + 7) // 8
@@ -63,7 +72,8 @@ def test_gather_undoes_scatter(case, block):
     assert payload == int(expected, 2).to_bytes(len(payload), "big")
     # each gathered window is the 33 bits from its offset, zeros past the payload,
     # so its top bits are the field
-    gathered = _gather(_words(payload), offsets).tolist()
+    gathered = _gather(_words(payload), at, shift).tolist()
+    assert all(np.array_equal(a, b) for a, b in zip((at, shift), held))
     bits = expected + "0" * 33
     assert gathered == [int(bits[o : o + 33], 2) for o in offsets.tolist()]
     assert [g >> (33 - w) for g, w in zip(gathered, case[0])] == values

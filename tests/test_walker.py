@@ -630,6 +630,48 @@ class TestFieldBlocks:
                 assert scan_stats(graph_of(bits, n, pset), pset).per_pattern[top] == 2
 
 
+def check_block_flags(m, pset):
+    """decompress and scan_stats hold the walk's flags packed, one bit per field: the flags
+    their block loops read, one row block at a time, are _flags' bytes for that block."""
+    c, stats = compress(m, pset)
+    expected = _flags(c, pset)
+    blocks = list(_field_blocks(m.n, pset.indicator_bits)[0])
+    for decoder, result in ((decompress, m), (scan_stats, stats)):
+        read = []
+
+        def spy(*args, unpack=codec._block_flags):
+            for flags in unpack(*args):
+                read.append(flags.copy())
+                yield flags
+
+        with patch("gpmc.codec._block_flags", spy):
+            assert decoder(c, pset) == result
+        assert len(read) == len(blocks)
+        for block, flags in zip(blocks, read):
+            assert flags.dtype == np.bool_
+            assert np.array_equal(flags, expected[block])
+
+
+class TestPackedFlags:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 80), set_id=st.sampled_from(SET_IDS),
+           p=st.sampled_from((0.0, 0.02, 0.05, 0.2, 0.5)), seed=st.integers(0, 1 << 16))
+    def test_each_block_reads_its_own_flags(self, n, set_id, p, seed):
+        check_block_flags(generate_er(n, p, seed), pattern_set(set_id))
+
+    @pytest.mark.parametrize("n, last_fields, last_byte_bits", (
+        (33, 2, 2),  # the last of 5 row blocks is one row of 2 fields
+        (1000, 3328, 8),  # the last of 8 row blocks is 104 rows, of whole bytes
+        (2049, 65, 1),  # the last of 17 row blocks is one row of 65 fields
+    ))
+    def test_partial_last_block_and_byte(self, n, last_fields, last_byte_bits, all_sets):
+        last = list(_field_blocks(n, 6)[0])[-1]
+        assert total_chunks(n) - last.start == last_fields
+        assert (total_chunks(n) - 1) % 8 + 1 == last_byte_bits
+        for pset in all_sets:
+            check_block_flags(generate_er(n, 0.02, n), pset)
+
+
 @st.composite
 def damaged_containers(draw):
     n = draw(st.integers(1, 48))
