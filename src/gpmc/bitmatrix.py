@@ -17,6 +17,7 @@ import numpy as np
 
 _PACK_BLOCK_BITS = 1 << 16  # bits generate_er draws at a time; a multiple of 8
 _ROW_BLOCK_BITS = 1 << 18  # bits a row block grows to, up to an eighth of the rows (row_block)
+PIECE_ROWS = 32  # rows of a row block that the codec holds at one byte per bit; a multiple of 8
 
 
 class ParseError(ValueError):
@@ -47,22 +48,25 @@ def row_block(n: int) -> int:
     return -(-rows // 8) * 8
 
 
-def _packed(total: int, blocks) -> bytes:
-    """total bits packed MSB-first from 0/1 arrays that hold them in order, each but the
-    last a whole number of bytes. Each is packed whole as it arrives, straight into one
+def _packed(n: int, blocks) -> bytes:
+    """An n x n matrix's bits packed MSB-first from 0/1 arrays that hold them in order, each
+    but the last a whole number of bytes. Each is packed whole as it arrives, straight into one
     buffer of the result's size, which CPython's BytesIO hands over as bytes without a copy."""
-    out, seen = io.BytesIO(bytes((total + 7) // 8)), 0
+    try:
+        out, seen = io.BytesIO(bytes((n * n + 7) // 8)), 0
+    except MemoryError:  # which bytes() raises with no message
+        raise MemoryError(f"a matrix of n={n} vertices needs {(n * n + 7) // 8} bytes") from None
     for block in blocks:
         if seen % 8:
             raise ValueError(f"a block before the last ends at bit {seen}, not on a byte")
         block = np.asarray(block, np.uint8).reshape(-1)
         seen += block.size
-        if seen > total:
+        if seen > n * n:
             break
         out.write(np.packbits(block))
         del block  # before the next one is made
-    if seen != total:
-        raise ValueError(f"expected {total} bits, got {seen}")
+    if seen != n * n:
+        raise ValueError(f"expected {n * n} bits, got {seen}")
     return out.getvalue()
 
 
@@ -98,7 +102,7 @@ class BitMatrix:
         """Build from n*n bits in row-major order, held in turn by an iterable of 0/1 arrays
         of any shape, each but the last a whole number of bytes: a generator of row blocks
         needs only one of them to exist at a time, and one array of all bits is [bits]."""
-        return cls(n, _packed(n * n, blocks))
+        return cls(n, _packed(n, blocks))
 
     def bit_array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Row-major 0/1 uint8 array of rows start to stop (as a slice takes them), n bits
@@ -184,7 +188,7 @@ def generate_er(n: int, p: float, seed: int) -> BitMatrix:
     rng = np.random.default_rng(seed)  # the blocks draw from it in turn: one stream
     total, step = n * n, _PACK_BLOCK_BITS
     blocks = (rng.random(min(step, total - at)) < p for at in range(0, total, step))
-    return BitMatrix(n, _packed(total, blocks))
+    return BitMatrix(n, _packed(n, blocks))
 
 
 def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import BitMatrix, row_block
+from .bitmatrix import PIECE_ROWS, BitMatrix, row_block
 from .patterns import CHUNK_WIDTH, SET_IDS, PatternSet, classify_chunks, pattern_set
 
 MAGIC = b"GPMC"
@@ -119,23 +119,24 @@ def total_chunks(n: int) -> int:
 
 def matrix_chunks(m: BitMatrix, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Chunks of rows start to stop (as a slice of the rows takes them; all by default) in
-    encode order, as big-endian uint32 words: each row packed to bytes, then zero-padded in
-    bytes to whole chunks. compress asks for one row block (row_block) at a time."""
-    n, width = m.n, 4 * chunks_per_row(m.n)
-    rows = np.packbits(m.bit_array(start, stop).reshape(-1, n), axis=1)
-    if rows.shape[1] < width:
-        rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
+    encode order, as big-endian uint32 words: each row packed to bytes, zero-padded to whole
+    chunks. compress asks for a row block (row_block), PIECE_ROWS rows of it unpacked at a time."""
+    n, packed, (start, stop, _) = m.n, (m.n + 7) >> 3, slice(start, stop).indices(m.n)
+    rows = np.zeros((max(start, stop) - start, 4 * chunks_per_row(n)), np.uint8)  # pad included
+    for at in range(start, stop, PIECE_ROWS):
+        rows[at - start : at - start + PIECE_ROWS, :packed] = np.packbits(
+            m.bit_array(at, min(at + PIECE_ROWS, stop)).reshape(-1, n), axis=1)
     return rows.view(">u4").reshape(-1)
 
 
 def chunks_to_matrix(blocks, n: int) -> BitMatrix:
     """Inverse of matrix_chunks: unpack each row's first n bits, dropping its pad. blocks is
-    an iterable of whole rows' chunks, such as each row block's in turn, which
-    from_bit_array pulls as it packs, so one block's bits live at a time."""
-    width = 4 * chunks_per_row(n)
+    an iterable of whole rows' chunks, such as each row block's in turn, whose rows
+    from_bit_array pulls PIECE_ROWS at a time as it packs, so one piece's bits live at a time."""
     return BitMatrix.from_bit_array(n, (
-        np.unpackbits(np.asarray(block, ">u4").view(np.uint8).reshape(-1, width), axis=1, count=n)
-        for block in blocks))
+        np.unpackbits(rows[at : at + PIECE_ROWS], axis=1, count=n) for block in blocks
+        for rows in [np.asarray(block, ">u4").view(np.uint8).reshape(-1, 4 * chunks_per_row(n))]
+        for at in range(0, len(rows), PIECE_ROWS)))
 
 
 def _field_blocks(n: int, k: int):
@@ -143,7 +144,7 @@ def _field_blocks(n: int, k: int):
     scan_stats each take in one pass, then, for each j below a block's size, (32 - k) j
     for _offsets and j's tally for _count."""
     count, step = total_chunks(n), row_block(n) * chunks_per_row(n)
-    j = np.arange(min(step, count))
+    j = np.arange(min(step, count), dtype=np.int32 if CHUNK_WIDTH * step < 1 << 31 else np.int64)
     tally = ((j % _TALLIES) << k).astype(np.min_scalar_type((_TALLIES - 1) << k))
     j *= CHUNK_WIDTH - k
     return (slice(s, s + step) for s in range(0, count, step)), j, tally
@@ -166,9 +167,10 @@ def _count(hist: np.ndarray, indicators: np.ndarray, tally: np.ndarray) -> None:
 
 
 def _split(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bit offsets as _scatter and _gather take them, so that callers free the offsets first:
-    the 32-bit word that holds each one's first bit, and its place in that word as a uint8."""
-    return offsets >> 5, offsets.astype(np.uint8) & 31
+    """Bit offsets as _scatter and _gather take them, cut in place so that no copy lives beside
+    them: the 32-bit word that holds each one's first bit, and its place in it as a uint8."""
+    shift = offsets.astype(np.uint8) & 31  # before the offsets become word indices
+    return np.right_shift(offsets, 5, out=offsets), shift
 
 
 def _scatter(words: np.ndarray, at: np.ndarray, shift: np.ndarray, fields: np.ndarray,
@@ -196,16 +198,18 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
         block = matrix_chunks(m, part.start // cpr, part.stop // cpr)
         idx = classify_chunks(block, pset)
         hits, misses = np.flatnonzero(idx >= 0), np.flatnonzero(idx < 0)
-        fields = idx.take(hits)
-        del idx
+        fields, raw = idx.take(hits).astype(np.uint8), block.take(misses)  # 2^k | index <= 127
+        del idx, block
         _count(hist, fields, tally)
         fields |= 1 << k  # flag 1, then the k-bit index; a raw field is flag 0, then its chunk
-        lead, size = bit & 31, RAW_FIELD_BITS * block.size - (CHUNK_WIDTH - k) * hits.size
+        lead, size = bit & 31, (1 + k) * fields.size + RAW_FIELD_BITS * raw.size
         whole = (lead + size) >> 5  # words the block fills; word 0 carries the last one's partial
         words[1 : whole + 2] = 0
-        _scatter(words, *_split(_offsets(hits, True, rank, k, lead)), fields, 1 + k)
-        _scatter(words, *_split(_offsets(misses, False, rank, k, lead)), block.take(misses),
-                 RAW_FIELD_BITS)
+        hits = _offsets(hits, True, rank, k, lead)  # each kind's indices go once its offsets exist
+        _scatter(words, *_split(hits), fields, 1 + k)
+        misses = _offsets(misses, False, rank, k, lead)
+        _scatter(words, *_split(misses), raw, RAW_FIELD_BITS)
+        del hits, fields, misses, raw  # before the next block's
         if np.little_endian:  # to big-endian in place
             words[:whole].byteswap(inplace=True)
         out.write(words[:whole])
@@ -395,13 +399,14 @@ def _gather(words: np.ndarray, at: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def _indicators(src: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
     """Indicator of the matched field at each bit offset, read from the 2 payload bytes of
     src from its flag's on, which hold flag and indicator as k is at most 6. A paper set
-    has 2 ** k entries, so every indicator names one."""
-    at = offsets >> 3
-    words = src[at].astype(np.uint16)
-    at += 1
+    has 2 ** k entries, so every indicator names one. The offsets are consumed in place."""
+    shift = offsets.astype(np.uint8) & 7
+    offsets >>= 3
+    words = src[offsets].astype(np.uint16)
+    offsets += 1
     words <<= 8
-    words |= np.take(src, at, mode="clip")  # a byte past the payload holds no bit of the field
-    words <<= offsets.astype(np.uint16) & 7  # the flag to bit 15
+    words |= np.take(src, offsets, mode="clip")  # a byte past the payload holds none of its bits
+    words <<= shift  # the flag to bit 15
     words >>= 15 - k
     words &= (1 << k) - 1  # drop the flag and the bits before it
     return words
@@ -442,11 +447,12 @@ def _decoded(c: CompressedGraph, pset: PatternSet, matched: np.ndarray) -> Itera
     zero-padded copy of the payload words that hold that block's fields, as query_edge does."""
     k, src, bit = pset.indicator_bits, np.frombuffer(c.payload, np.uint8), 0
     blocks, rank, _ = _field_blocks(c.n, k)
+    chunks = np.empty(rank.size, ">u4")  # reused: the repack takes each block before the next
     for flags in _block_flags(matched, blocks, total_chunks(c.n)):
         end = bit + RAW_FIELD_BITS * flags.size - (CHUNK_WIDTH - k) * int(np.count_nonzero(flags))
-        chunks = np.empty(flags.size, ">u4")
-        _decode(_words(src[bit >> 5 << 2 : (end + 7) >> 3]), flags, rank, pset, bit & 31, chunks)
-        yield chunks
+        out = chunks[: flags.size]
+        _decode(_words(src[bit >> 5 << 2 : (end + 7) >> 3]), flags, rank, pset, bit & 31, out)
+        yield out
         bit = end
 
 

@@ -4,15 +4,16 @@ Every field is handled as the 33-bit window at its bit offset: its own
 bits, then zeros up to 33 bits. Both sides find a field by one rule: the
 32-bit word at offset >> 5 holds its first bit, and its window lies in that
 word and the next, shifted by offset & 31. _split gives both from the
-offsets, the shift as a uint8, and both sides take them in place of the
-offsets. _scatter adds such windows, fields of 1 to 33 bits back to back,
-into 32-bit words, in one call or block by block, and the same fields given
+offsets, the shift as a uint8 first and then the word index in place over
+the offsets, so no copy of them lives beside it; both sides take these in
+place of the offsets. _scatter adds such windows, fields of 1 to 33 bits
+back to back, into 32-bit words, in one call or block by block, and the same fields given
 as values of their own width, as compress gives matched fields, to the same
 words; _gather cuts the 33 bits at each offset out again from the payload's
 words as _words reads them, which end in a zero word.
 Each must undo the other, and the bits past the last field must stay zero,
-since read_container rejects a payload with dirty padding. None of the three
-changes an array it is given.
+since read_container rejects a payload with dirty padding. Neither of those
+two changes an array it is given.
 """
 
 import numpy as np
@@ -49,8 +50,9 @@ def test_gather_undoes_scatter(case, block):
     nbits = int(widths.sum())
     windows = np.array([v << (33 - w) for v, w in zip(values, case[0])], dtype=np.uint64)
     words = np.zeros(nbits // 32 + 2, dtype=np.uint32)
-    at, shift = _split(offsets)
-    assert offsets.tolist() == (np.cumsum(widths) - widths).tolist()
+    given = offsets.copy()
+    at, shift = _split(given)
+    assert at is given  # the word indices are the offsets, cut in place
     assert at.tolist() == (offsets >> 5).tolist() and shift.tolist() == (offsets & 31).tolist()
     assert shift.dtype == np.uint8
     held = at.copy(), shift.copy(), windows.copy()

@@ -59,6 +59,15 @@ class TestGenerate:
         ratio = float(dict(kv.split("=") for kv in line.split())["ratio"])
         assert 0.68 <= ratio <= 0.72
 
+    def test_generate_past_memory_names_the_size(self, tmp_path, capsys):
+        # generate's buffer is bytes(n * n / 8), whose MemoryError has no message: the
+        # line names n and the bytes, which no address space holds, so nothing is allocated
+        out = tmp_path / "g.txt"
+        assert main(["generate", str(out), "--n", "3000000000", "--p", "0", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not out.exists()
+        assert err.startswith("error: ") and "3000000000" in err and "1125000000000000000" in err
+
 
 class TestCompress:
     def test_zero_graph_summary(self, tmp_path, capsys):

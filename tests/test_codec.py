@@ -11,6 +11,7 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError,
                   generate_chunk_mix, generate_er, pattern_set, query_edge,
                   ratio_for_match_fraction, scan_stats, total_chunks)
 from gpmc import codec
+from gpmc.bitmatrix import PIECE_ROWS
 from gpmc.codec import _walk, chunks_per_row, matrix_chunks, chunks_to_matrix
 
 
@@ -182,6 +183,46 @@ class TestChunking:
         assert decompress(c, set3) == m
         assert scan_stats(c, set3) == stats
 
+    @pytest.mark.parametrize("n", [257, 1000, 2049, 4104])
+    def test_whole_row_blocks_match_the_whole_matrix_pass(self, n):
+        # each row block goes through one byte per bit PIECE_ROWS rows at a time: at
+        # these n a block holds several pieces, and the last block's last piece is
+        # partial (blocks of 40, 128, 128 and 136 rows; the last of 17, 104, 1 and 24)
+        m, step = generate_er(n, 0.3, n), codec.row_block(n)
+        assert step > PIECE_ROWS and (n % step) % PIECE_ROWS
+        blocks = [matrix_chunks(m, s, s + step) for s in range(0, n, step)]
+        assert np.array_equal(np.concatenate(blocks), whole_matrix_chunks(m))
+        assert chunks_to_matrix(blocks, n) == m
+
+    @pytest.mark.parametrize("n", [1000, 2049, 4104])
+    def test_per_bit_arrays_hold_one_piece(self, set3, monkeypatch, n):
+        # compress and decompress cut the same pieces, each at most PIECE_ROWS rows, and
+        # every bit goes through one of them once each way
+        m, sizes = generate_er(n, 0.01, n), []
+        bit_array, from_bit_array = BitMatrix.bit_array, BitMatrix.from_bit_array.__func__
+
+        def spy_bit_array(self, *rows):
+            bits = bit_array(self, *rows)
+            sizes.append(bits.size)
+            return bits
+
+        def spy_from_bit_array(cls, n, blocks):
+            def spied():
+                for bits in blocks:
+                    sizes.append(np.size(bits))
+                    yield bits
+            return from_bit_array(cls, n, spied())
+
+        monkeypatch.setattr(BitMatrix, "bit_array", spy_bit_array)
+        monkeypatch.setattr(BitMatrix, "from_bit_array", classmethod(spy_from_bit_array))
+        c, _ = compress(m, set3)
+        encoded = sizes[:]
+        assert decompress(c, set3) == m
+        assert sizes[len(encoded) :] == encoded
+        assert sum(encoded) == n * n and max(encoded) <= PIECE_ROWS * n
+        assert len(encoded) == sum(-(-min(codec.row_block(n), n - s) // PIECE_ROWS)
+                                   for s in range(0, n, codec.row_block(n)))
+
     def test_repack_rejects_wrong_chunk_count(self):
         chunks = matrix_chunks(generate_er(45, 0.3, seed=9))
         for wrong in (chunks[:-1], chunks[:-2], np.append(chunks, 0)):
@@ -326,11 +367,14 @@ class TestQueryEdge:
 
 class TestPeakMemory:
     """tracemalloc peak of each call above what was live, against the packed
-    matrix: 2.45x to 2.52x for compress, 2.69x to 2.73x for decompress and 2.3x to
-    2.4x for scan_stats on numpy 2.4, at n = 1024 and at n = 1000. The row blocks
-    set the first two: a block of an eighth of the rows, one byte per bit, is 1x the
-    matrix at these n (at n = 8192, a 32nd of the rows, 0.25x), and its fields'
-    int64 temporaries, 8 bytes or more per 32 bits, weigh most of that again. Both
+    matrix: 1.63x to 1.66x for compress and 2.3x to 2.4x for decompress and
+    scan_stats on numpy 2.4, at n = 1024 and at n = 1000. The walk's window of 2^18
+    bytes, 2x the matrix at these n, sets the last two. A row block goes through one
+    byte per bit PIECE_ROWS rows at a time, a quarter of a block at these n; while a
+    whole block did, an eighth of the rows and 1x the matrix at these n (at n = 8192,
+    a 32nd of the rows, 0.25x), with its fields' int64 ranks and classes, its
+    indices alive beside their offsets and their bit offsets beside their word
+    indices, compress held 2.45x to 2.52x and decompress 2.69x to 2.73x. Both
     decoders hold the walk's flags packed, one bit per field; kept at one byte per
     field through the decode, with each block's matched and raw field indices alive
     together and the raw fields' bit offsets beside their word indices, decompress
@@ -372,11 +416,21 @@ class TestPeakMemory:
         (c, _), compress_peak = self.peak(compress, m, set3)
         decoded, decompress_peak = self.peak(decompress, c, set3)
         assert decoded == m
-        assert compress_peak < 2.65 * len(m.data)
-        assert decompress_peak < 2.85 * len(m.data)
+        assert compress_peak <= 1.85 * len(m.data)
+        assert decompress_peak <= 2.45 * len(m.data)
         stats, stats_peak = self.peak(scan_stats, c, set3)
         assert stats == compress(m, set3)[1]
         assert stats_peak < 2.45 * len(m.data)
+
+    def test_compress_holds_one_piece_per_bit(self, set3):
+        # at n = 4096 a row block is 128 rows, 0.25x the matrix at one byte per bit, and
+        # a piece of PIECE_ROWS rows a quarter of that: compress peaks at 0.52x, its
+        # container and one block's field temporaries. With the whole block at one byte
+        # per bit and its int64 temporaries it held 0.77x
+        m = generate_er(4096, 0.001, 1)
+        (c, _), peak = self.peak(compress, m, set3)
+        assert decompress(c, set3) == m
+        assert peak < 0.6 * len(m.data)
 
     def test_scan_stats_holds_packed_flags(self, set3):
         # at n = 4096 the walk's window is an eighth of the matrix, so the flags set
@@ -390,28 +444,30 @@ class TestPeakMemory:
 
     def test_all_raw_decompress_holds_no_payload_copy(self, set1):
         # all raw, so the payload is 1.03x the matrix: decompress(read_container(blob))
-        # peaks at 2.94x after the walk (2.56x), with the packed flags, the result and
-        # one row block's bits or field arrays alive. With byte flags and each field's
-        # index, bit offset and word index alive together it held 3.46x. A copy of the
-        # whole payload, by read_container or padded for the decode, adds 1.03x; with
-        # both and a whole-matrix chunk array it held 5.16x
+        # peaks at 2.69x after the walk (2.56x), with the packed flags, the result and
+        # one row block's field arrays alive (2.94x with the block's bits at one byte
+        # per bit and its chunks held twice at each block's turn). With byte flags and
+        # each field's index, bit offset and word index alive together it held 3.46x.
+        # A copy of the whole payload, by read_container or padded for the decode, adds
+        # 1.03x; with both and a whole-matrix chunk array it held 5.16x
         m = generate_er(1024, 0.5, 1)
         blob = codec.write_container(compress(m, set1)[0])
         assert len(blob) > 1.03 * len(m.data)
         decoded, peak = self.peak(lambda b: decompress(codec.read_container(b), set1), blob)
         assert decoded == m
-        assert peak < 3.1 * len(m.data)
+        assert peak < 2.8 * len(m.data)
 
     def test_all_raw_compress_writes_its_container_in_place(self, set1):
         # all raw, so the container is 1.03x the matrix: write_container(compress(m))
-        # peaks at 1.57x, the container, the buffer's growth slack and one row block's
-        # temporaries (1.63x with its match indices and bit offsets held to the end). A
-        # word array sized for an all-raw stream, the payload copied out of it and the
-        # header copied in front held 2.13x
+        # peaks at 1.40x, the container, the buffer's growth slack and one row block's
+        # temporaries (1.57x with the block's bits at one byte per bit and its indices
+        # beside their offsets, 1.63x with its match indices and bit offsets held to
+        # the end). A word array sized for an all-raw stream, the payload copied out of
+        # it and the header copied in front held 2.13x
         m = generate_er(4096, 0.5, 1)
         blob, peak = self.peak(lambda: codec.write_container(compress(m, set1)[0]))
         assert codec.read_container(blob) == compress(m, set1)[0]
-        assert peak < 1.7 * len(m.data)
+        assert peak < 1.5 * len(m.data)
 
     @pytest.mark.parametrize("n, bound", ((4096, 0.6), (1024, 2.75)))
     def test_walk_holds_one_window_not_the_payload(self, set1, n, bound):
