@@ -169,7 +169,10 @@ def from_edge_list(el: EdgeList) -> BitMatrix:
     if bad.any():
         edge = ", ".join(map(str, edges[int(np.argmax(bad))]))
         raise EdgeRangeError(f"edge ({edge}) out of range for n={n}")
-    packed = np.zeros((n * n + 7) // 8, dtype=np.uint8)
+    try:
+        packed = np.zeros((n * n + 7) // 8, dtype=np.uint8)
+    except MemoryError:  # numpy's names the bytes but not n
+        raise MemoryError(f"a matrix of n={n} vertices needs {(n * n + 7) // 8} bytes") from None
     flat = pairs[:, 0] * n + pairs[:, 1]
     # OR, not assignment: a byte may hold several edges, and repeats collapse
     np.bitwise_or.at(packed, flat >> 3, (0x80 >> (flat & 7)).astype(np.uint8))

@@ -298,30 +298,42 @@ def _lanes(src: np.ndarray, start: int, stop: int, k: int) -> tuple[np.ndarray, 
     return flags, origin + int(pos[found - 1]), found == lane.size
 
 
-def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearray, int]:
-    """Flag of each of the first count fields, one byte per field (1 for a
-    matched field), reading only flag bits, and the bit after the last field.
+def _put(flags: bytearray, start: int, bits: np.ndarray) -> None:
+    """Write 0/1 bytes as bits start on of packed flags, whose bits from start on are 0."""
+    packed = np.packbits(np.concatenate((np.zeros(start & 7, np.uint8), bits)))
+    np.frombuffer(flags, np.uint8)[start >> 3 :][: packed.size] |= packed
 
-    The walk takes one of three paths at a time. It starts by runs, from one
-    reused window of unpacked bits, one byte per bit, refilled from the walk's
-    byte whenever fewer than 33 bits are left, so it holds a whole field or the
-    rest of the stream. In a run the flags sit at a fixed stride, so bytes.find
-    over strided slices, doubling while the run lasts, finds its end or the
-    window's. While runs average under _RUN_FIELDS fields it walks short runs
-    instead, choosing again every _PROBE_RUNS runs and, on short runs, at each
-    refill from the flags it set. Short runs go by lanes (_lanes), a region of
-    up to _REGION_BITS bits at a time, whose lanes and then whose walkers on the
-    true path each step in lockstep; the window is refilled where a pass ends.
-    Where fewer than _MIN_LANES lanes fit, and for the rest of the walk once a
-    pass stops early, the walk steps field by field in unchecked batches that
-    fit in the window, as a field takes at most 33 bits. The last few fields go
-    by runs.
+
+def _set(flags: bytearray, start: int, stop: int) -> None:
+    """Set bits start to stop of packed flags, stop > start, whose bits from start on are 0."""
+    lo, hi = start >> 3, (stop - 1) >> 3  # the bytes of the first and the last bit
+    flags[lo] |= 0xFF >> (start & 7)
+    flags[lo + 1 : hi + 1] = b"\xff" * (hi - lo)
+    flags[hi] &= ~(0xFF >> ((stop - 1) % 8 + 1))  # the bits after stop stay 0
+
+
+def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearray, int]:
+    """Flag of each of the first count fields, packed one bit per field MSB-first (1 for
+    a matched field, 0 in the last byte's pad), reading only flag bits, and the bit after
+    the last field.
+
+    The walk takes one of three paths at a time. It starts by runs, from a window of
+    unpacked bits, one byte per bit, refilled from the walk's byte whenever fewer than 33
+    bits are left, so it holds a whole field or the rest of the stream. In a run the flags
+    sit at a fixed stride, so bytes.find over strided slices, doubling while the run lasts,
+    finds its end or the window's. While runs average under _RUN_FIELDS fields it walks
+    short runs instead, choosing again every _PROBE_RUNS runs and, on short runs, at each
+    refill from the flags it set. Short runs go by lanes (_lanes), a region of up to
+    _REGION_BITS bits at a time, whose lanes and then whose walkers on the true path each
+    step in lockstep, with no window held. Where fewer than _MIN_LANES lanes fit, and once
+    a pass stops early, the walk steps field by field in unchecked batches that fit in the
+    window, as a field takes at most 33 bits. The last few fields go by runs.
     """
     matched_width, src = 1 + k, np.frombuffer(payload, np.uint8)
-    window = bytearray(min(_BLOCK_BITS, bit_length))
+    window = None  # made at a refill, let go before each lanes pass
     # field d starts at bit d * (1 + k) or later, so no more can start in the
-    # stream; all start matched and the walk zeroes only the raw ones
-    flags = bytearray(b"\x01") * min(count, -(-bit_length // matched_width))
+    # stream; all start raw, and the walk sets the matched ones' bits in order
+    flags = bytearray(-(-min(count, -(-bit_length // matched_width)) // 8))
     done = base = at = size = 0  # window: bits base to base + size; walk: bit base + at
     short_runs, seen, runs = False, 0, 0  # strategy, the field it was chosen at, runs since
     # bits of the next lanes pass: a quarter of a region at first, as a pass that stops
@@ -330,31 +342,36 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     while done < count:
         refill = size - at < RAW_FIELD_BITS and base + size < bit_length
         if short_runs and refill or runs == _PROBE_RUNS:
-            if short_runs:  # one run, then one more per flag change
-                runs = 1 + int(np.count_nonzero(np.diff(np.frombuffer(flags, np.uint8)[seen:done])))
+            if short_runs:  # the flags since seen as an int, then one run plus one per change
+                runs = int.from_bytes(flags[seen >> 3 : (done + 7) >> 3], "big") >> (-done % 8)
+                runs = 1 + ((runs ^ runs >> 1) & (1 << max(done - seen - 1, 0)) - 1).bit_count()
             short_runs, seen, runs = runs * _RUN_FIELDS > done - seen, done, 0
         if refill:
+            window = window or bytearray(min(_BLOCK_BITS, bit_length))
             base, at = base + (at & ~7), at & 7
             size = min(bit_length - base, len(window))
             _unpack(src, base, np.frombuffer(window, np.uint8)[:size])
         if short_runs and min(bit_length - base - at, region) >= _MIN_LANES * _LANE_BITS:
+            window = None  # the pass holds a region of its own
             found, end, whole = _lanes(src, base + at, min(bit_length, base + at + region), k)
             if found.size > count - done:  # end after the count-th field
                 found = found[: count - done]
                 end = base + at + RAW_FIELD_BITS * found.size
                 end -= (CHUNK_WIDTH - k) * int(found.sum())
-            np.frombuffer(flags, np.uint8)[done : done + found.size] = found
+            _put(flags, done, found)
             done, region = done + found.size, _REGION_BITS if whole else 0
             del found  # before the next pass
-            base, at, size = end & ~7, end & 7, 0  # the window is refilled from end
+            base, at, size = end & ~7, end & 7, 0  # a window is made and filled from end
             continue
         if short_runs and (batch := min(count - done, (size - at) // RAW_FIELD_BITS)):
-            for d in range(done, done + batch):
+            step = bytearray(batch)
+            for d in range(batch):
                 if window[at]:
+                    step[d] = 1
                     at += matched_width
                 else:
-                    flags[d] = 0
                     at += RAW_FIELD_BITS
+            _put(flags, done, np.frombuffer(step, np.uint8))
             done += batch
             continue
         if base + at >= bit_length:
@@ -373,8 +390,8 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
                 run += r
                 break
             run, span = stop, 2 * span
-        if not flag:
-            flags[done : done + run] = bytes(run)
+        if flag:
+            _set(flags, done, done + run)
         at += run * width
         done += run
         runs += 1
@@ -425,13 +442,13 @@ def _decode(words: np.ndarray, matched: np.ndarray, rank: np.ndarray, pset: Patt
 
 
 def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
-    """Flag of every field, after walking the whole stream."""
+    """Flag of every field, packed one bit per field (_walk), after walking the whole stream."""
     _check_set(c, pset)
     length, k = c.payload_bit_length, pset.indicator_bits
     flags, end = _walk(c.payload, length, total_chunks(c.n), k)
     if end != length:
         raise CorruptStreamError(f"{length - end} unconsumed payload bits after the final chunk")
-    return np.frombuffer(flags, np.bool_)
+    return np.frombuffer(flags, np.uint8)
 
 
 def _block_flags(flags: np.ndarray, blocks, count: int) -> Iterator[np.ndarray]:
@@ -458,16 +475,15 @@ def _decoded(c: CompressedGraph, pset: PatternSet, matched: np.ndarray) -> Itera
 
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
     """Exact inverse of compress for a well-formed stream. The walk ends, its window freed
-    and its flags packed to one bit per field, before the matrix's buffer is made; each row
+    and its flags packed one bit per field, before the matrix's buffer is made; each row
     block then unpacks its own flags and is decoded as the repack pulls it."""
-    return chunks_to_matrix(_decoded(c, pset, np.packbits(_flags(c, pset))), c.n)
+    return chunks_to_matrix(_decoded(c, pset, _flags(c, pset)), c.n)
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
-    """Recompute compression stats from the stream without rebuilding the matrix,
-    reading only the flag and indicator of each matched field. The walk's flags are held
-    packed, one bit per field, as decompress holds them."""
-    matched, k = np.packbits(_flags(c, pset)), pset.indicator_bits
+    """Recompute compression stats from the stream without rebuilding the matrix, reading
+    only the flag and indicator of each matched field, from the walk's packed flags."""
+    matched, k = _flags(c, pset), pset.indicator_bits
     blocks, rank, tally = _field_blocks(c.n, k)
     hist, bit, src = np.zeros(_TALLIES << k, np.int64), 0, np.frombuffer(c.payload, np.uint8)
     for flags in _block_flags(matched, blocks, total_chunks(c.n)):
@@ -490,7 +506,7 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     length = min(c.payload_bit_length, RAW_FIELD_BITS * (target + 1))
     k = pset.indicator_bits
     flags, end = _walk(c.payload, length, target + 1, k)
-    matched = np.frombuffer(flags, np.bool_)[target:]
+    matched = np.array([flags[target >> 3] >> (~target & 7) & 1], np.bool_)
     offset = end - (1 + k if matched[0] else RAW_FIELD_BITS)
     at, chunk = 4 * (offset >> 5), np.empty(1, np.uint32)
     _decode(_words(c.payload[at : at + 8]), matched, np.zeros(1, int), pset, offset & 31, chunk)

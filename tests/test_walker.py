@@ -12,7 +12,9 @@ unpack window is shrunk to a few bytes, so that it is refilled mid-field and
 mid-run; when its lanes are cut to a few fields, so that segment edges fall
 mid-field; when a stream's runs change length partway, so that its routing
 switches strategy mid-walk; and when the row blocks, which are the field
-blocks of the encoder and of every decoder, are shrunk to a few rows.
+blocks of the encoder and of every decoder, are shrunk to a few rows. The
+walker yields its flags packed, one bit per field: each comparison unpacks
+them and checks that the pad after the last field is 0.
 """
 
 import struct
@@ -106,15 +108,27 @@ def reference_query(bits, n, pset, i, j):
     return (pset.patterns[index] >> (31 - j % 32)) & 1
 
 
-def uniform(shape, n, k):
-    """A stream of every field matched, every field raw, or the two alternating; the
-    i-th matched field's indicator is i's low k bits, and a raw field is 32 copies
-    of i's low bit."""
+def stream(flags, k):
+    """A stream of fields with the given flags: the i-th field, if matched, has i's low
+    k bits as its indicator, and if raw, 32 copies of i's low bit."""
     bits = []
-    for i in range(total_chunks(n)):
-        flag = shape == "ones" or (shape == "alternating" and i % 2 == 0)
+    for i, flag in enumerate(flags):
         bits += [1] + [(i >> b) & 1 for b in range(k)] if flag else [0] + [i & 1] * 32
     return bits
+
+
+def uniform(shape, n, k):
+    """A stream of every field matched, every field raw, or the two alternating."""
+    return stream([shape == "ones" or (shape == "alternating" and i % 2 == 0)
+                   for i in range(total_chunks(n))], k)
+
+
+def unpacked(flags, count):
+    """The walk's count flags, packed one bit per field, as bools, once they are checked
+    to fill whole bytes only up to the last field and to hold 0 in the pad after it."""
+    bits = np.unpackbits(np.frombuffer(flags, np.uint8)).view(np.bool_)
+    assert bits.size == 8 * -(-count // 8) and not bits[count:].any()
+    return bits[:count]
 
 
 def outcome(fn, *args):
@@ -197,7 +211,7 @@ def check_against_reference(bits, n, pset):
     expected = outcome(reference_decode, bits, n, pset)
     if expected[0] == "ok":
         offsets, flags, values = expected[1]
-        got_flags = _flags(c, pset)
+        got_flags = unpacked(_flags(c, pset), total_chunks(n))
         assert got_flags.tolist() == flags
         assert placed(got_flags, n, pset.indicator_bits) == (offsets, len(bits))
         assert decompress(c, pset) == chunks_to_matrix([np.array(values, dtype=np.uint32)], n)
@@ -265,6 +279,35 @@ class TestWalkAgainstReference:
             check_walk(*stream)
 
     @pytest.mark.parametrize("routing", ROUTINGS)
+    @pytest.mark.parametrize("kind", ("raw", "matched"))
+    def test_run_inside_one_byte(self, routing, kind, set3):
+        # n = 24, one field per row: a run of one kind at fields a to b - 1, both in the
+        # second byte of flags, among fields of the other kind, so the run's bits, and
+        # those of the runs on either side, start or end inside a byte
+        for a in range(8, 16):
+            for b in range(a + 1, 17):
+                flags = [(a <= i < b) == (kind == "matched") for i in range(24)]
+                with routed(routing):
+                    check_walk(stream(flags, 6), 24, set3)
+                    check_against_reference(stream(flags, 6), 24, set3)
+
+    @pytest.mark.parametrize("m", (0, 2))
+    @pytest.mark.parametrize("j", range(1, 8))
+    def test_lanes_pass_from_inside_a_byte(self, m, j, set3):
+        # lanes forced from the end of the first run: 8m + j matched fields, then a raw one
+        # and a tenth of the rest matched, at random, so the first pass writes its flags
+        # from field 8m + j, inside a byte, and the 66-bit lanes meet the true path often
+        # enough that a later pass writes from wherever the one before it ended
+        rest = np.random.default_rng(j).random(399 - 8 * m - j) < 0.1
+        flags = [True] * (8 * m + j) + [False] + rest.tolist()
+        starts = []
+        with routed("lanes"), patch("gpmc.codec._lanes",
+                                    side_effect=lambda *a: starts.append(a[1]) or _lanes(*a)):
+            check_walk(stream(flags, 6), 100, set3)
+            check_against_reference(stream(flags, 6), 100, set3)
+        assert starts[0] == 7 * (8 * m + j) and len(set(starts)) >= 2
+
+    @pytest.mark.parametrize("routing", ROUTINGS)
     def test_huge_count_on_a_short_stream_fails_fast(self, routing):
         # a raw field, so that forced steps per field follow the first run, then
         # 15 matched ones: 16 fields in 138 bits; space is never set aside for 2^35
@@ -306,7 +349,8 @@ def check_walk(bits, n, pset):
     got = outcome(_walk, packed(bits), len(bits), count, k)
     if expected[0] == "ok":
         _, flags, end = expected[1]
-        assert got == ("ok", (bytearray(flags), end))
+        assert got[0] == "ok" and got[1][1] == end
+        assert unpacked(got[1][0], count).tolist() == flags
     else:
         assert got == expected
 
@@ -393,7 +437,7 @@ class TestWindowBoundaries:
         bits = ([0] + [1, 0] * 16) * 3000
         with patch("gpmc.codec._BLOCK_BITS", 64), routed(routing), \
                 patch("gpmc.codec.np.unpackbits", wraps=np.unpackbits) as unpack:
-            assert _walk(packed(bits), len(bits), 3000, 5) == (bytes(3000), len(bits))
+            assert _walk(packed(bits), len(bits), 3000, 5) == (bytes(3000 // 8), len(bits))
         counts = [call.kwargs["count"] for call in unpack.call_args_list]
         assert 64 in counts
         # a lanes region reaches at most 1024 bits past the walk's byte
@@ -497,7 +541,7 @@ class TestLanes:
         assert not result[2]
         check_pass(bits.tolist(), start, stop, k, *result)
         assert end == c.payload_bit_length
-        assert np.frombuffer(flags, np.bool_).sum() == stats.matched
+        assert unpacked(flags, total_chunks(m.n)).sum() == stats.matched
 
     @pytest.mark.parametrize("lane_bits", (99, 231, 1056))
     def test_period_40_stream_steps_from_the_first_lane_that_never_meets(self, set3, lane_bits):
@@ -518,7 +562,7 @@ class TestLanes:
             assert scan_stats(c, set3) == stats
         assert len(passes) == 3 and not any(whole for _, _, whole in passes)
         assert _walk(c.payload, c.payload_bit_length, count, 6) == (
-            bytearray([1, 0] * (count // 2)), c.payload_bit_length)
+            bytes([0b10101010]) * (count // 8), c.payload_bit_length)
 
     def test_real_streams_meet_and_take_whole_passes(self, set3):
         # at p = 0.02 every lane of 1056 bits meets the true path: each pass is whole
@@ -530,7 +574,7 @@ class TestLanes:
             flags, end = _walk(c.payload, c.payload_bit_length, total_chunks(m.n), 6)
         assert len(passes) >= 3 and all(whole for _, _, whole in passes)
         assert end == c.payload_bit_length
-        assert np.frombuffer(flags, np.bool_).sum() == stats.matched
+        assert unpacked(flags, total_chunks(m.n)).sum() == stats.matched
         assert decompress(c, set3) == m
 
     @pytest.mark.parametrize("size, cut", ((64, 16), (4096, 1024)))
@@ -632,9 +676,9 @@ class TestFieldBlocks:
 
 def check_block_flags(m, pset):
     """decompress and scan_stats hold the walk's flags packed, one bit per field: the flags
-    their block loops read, one row block at a time, are _flags' bytes for that block."""
+    their block loops read, one row block at a time, are _flags' bits for that block."""
     c, stats = compress(m, pset)
-    expected = _flags(c, pset)
+    expected = unpacked(_flags(c, pset), total_chunks(m.n))
     blocks = list(_field_blocks(m.n, pset.indicator_bits)[0])
     for decoder, result in ((decompress, m), (scan_stats, stats)):
         read = []
