@@ -28,7 +28,7 @@ _HEADER = struct.Struct(">4s4B2Q")
 HEADER_LEN = _HEADER.size
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
-_BLOCK_BITS = 1 << 18  # payload bits in the walk's reused unpack window; a multiple of 8, >= 40
+_BLOCK_BITS = 1 << 18  # the most payload bits in the walk's reused unpack window; a multiple of 8
 # The walk by runs chooses again every _PROBE_RUNS runs, the short-run walk at each
 # refill: under _RUN_FIELDS fields per run, a walk by runs costs more.
 _RUN_FIELDS = 24
@@ -231,8 +231,8 @@ def _unpack(src: np.ndarray, bit: int, out: np.ndarray) -> None:
     """Unpack out.size payload bits from bit, a multiple of 8, into out, one byte per bit.
 
     np.unpackbits has no out=, so this goes in slices of _SLICE_BITS bits or a 32nd
-    of the payload's bits, whichever is more: a window or region that is a large
-    share of the payload gets small temporaries, and a payload of 32 windows or
+    of the payload's bits, whichever is more: a window that is a large share of
+    the payload gets small temporaries, and a payload of 32 windows or
     more, next to which one window weighs little, pays no call per slice.
     """
     cut = max(_SLICE_BITS, src.size // 32 * 8)
@@ -241,61 +241,58 @@ def _unpack(src: np.ndarray, bit: int, out: np.ndarray) -> None:
         out[at : at + part] = np.unpackbits(src[(bit + at) >> 3 :], count=part)
 
 
+def _steps(width: np.ndarray, pos: np.ndarray, walked: np.ndarray) -> int:
+    """Step walkers at flat indices pos of width in lockstep, each step's widths into the
+    next row of walked, until every walker stands on a 0 width; the rows written."""
+    for step, row in enumerate(walked):
+        width.take(pos, out=row, mode="clip")
+        pos += row
+        if step % 8 == 7 and not row.any():
+            return step + 1
+    return len(walked)
+
+
 def _lanes(src: np.ndarray, start: int, stop: int, k: int) -> tuple[np.ndarray, int, bool]:
     """Flags of the fields from bit start that begin before stop - 32, so end by stop,
     the bit after the last one found, and whether all of them were found.
 
-    The region is cut into segments, and one lane per segment walks from its first
-    bit, all lanes in step, marking each bit it lands on with its step number, until
-    every lane has left its segment. A lane's path is right from the first bit it
-    shares with the true path, which enters segment j where lane j - 1 left. So for
-    each segment a walker on the true path steps from there, all walkers in step,
-    appending its flags to lane j - 1's; a walker that lands on a mark or leaves its
-    segment stays in place from then on. Lane j's flags count from the step of the
-    mark its walker met; a lane whose walker met none ends the pass there.
+    The bits from start are cut into segments of _LANE_BITS, laid out one row per
+    segment: the field width at each of its bits, then a sink of 0s one field wide, on
+    which a walk that has left its segment stays. First one lane per segment walks from
+    its first bit to its exit, all in step; that exit guesses where the true path enters
+    the next segment. Then every segment is walked again from its guess, the first from
+    start, which is exact, recording its widths. Segments are right up to the first whose
+    guess is not where the walk of the one before it left: their widths are the flags.
     """
-    origin, mark = start & ~7, 64  # a bit's width is at most 33; from `mark` on, a step number
-    size = stop - origin
-    width = np.zeros(size + 1, np.uint8)  # the last byte takes waiting lanes' marks
-    _unpack(src, origin, width[:-1])
+    segments = (stop - CHUNK_WIDTH - start) // _LANE_BITS  # whole ones only
+    first = start + _LANE_BITS * np.arange(segments)
+    lead = first & 7  # each segment's first bit in its row, which starts at that bit's byte
+    size = _LANE_BITS + 14 >> 3  # bytes that hold a segment from there
+    rows = np.zeros((segments, _LANE_BITS + 47 >> 3), np.uint8)  # then zeros, for a 33-bit sink
+    spans = np.lib.stride_tricks.sliding_window_view(src, size)  # the size bytes from each byte
+    for row in range(min(8, segments)):  # rows 8 apart start _LANE_BITS bytes apart
+        rows[row::8, :size] = spans[first[row] >> 3 :: _LANE_BITS][: segments - row + 7 >> 3]
+    width = np.unpackbits(rows).reshape(segments, -1)
+    del rows
     width *= np.uint8(CHUNK_WIDTH - k)
     np.subtract(np.uint8(RAW_FIELD_BITS), width, out=width)  # the width of a field at each bit
-    # the most fields a lane or a walker takes in its segment: with k >= 5, at most 176
-    # in 1,056 bits, so a lane's step numbers, counted from mark, fit in a byte
-    steps = -(-_LANE_BITS // (1 + k))
-    lane = np.arange(start - origin, size - CHUNK_WIDTH - _LANE_BITS + 1, _LANE_BITS)
-    bound = lane + _LANE_BITS  # whole segments only: a short one would rarely meet the true path
-    # row s holds lane j's s-th field width in column j, 0 once the lane has left its
-    # segment; the rows after the lanes' hold segment j's walker fields in column j - 1,
-    # 0 once the walker stays
-    walked = np.zeros((2 * steps, lane.size), np.uint8)
-    pos, waiting, step = lane.copy(), width.size - 1, 0
-    while (live := pos < bound).any():
-        row = walked[step]
-        np.multiply(width[pos], live, out=row)
-        width[np.where(live, pos, waiting)] = mark + step
-        pos += row
-        step += 1
-    true, end, rows = pos[:-1].copy(), bound[1:], step
-    while True:
-        field = width[true]
-        go = field < mark
-        go &= true < end
-        if not go.any():
-            break
-        row = walked[rows, :-1]
-        np.multiply(field, go, out=row)
-        true += row
-        rows += 1
-    met = (field >= mark) & (true < end)  # segment j's walker met lane j at step field - mark
-    found = lane.size if met.all() else 1 + int(met.argmin())
+    for row in range(min(8, segments)):
+        width[row::8, lead[row] + _LANE_BITS :] = 0
+    base = lead + width.shape[1] * np.arange(segments)  # each segment's first bit in width
+    width = width.reshape(-1)
+    walked = np.empty((-(-_LANE_BITS // (1 + k)), segments), np.uint8)  # a row per step
+    pos = base.copy()
+    _steps(width, pos, walked)  # the lanes: each exit, past its segment's end, guesses
+    guess = pos - base - _LANE_BITS  # the next one's entry
+    pos[0], pos[1:] = base[0], base[1:] + guess[:-1]
+    steps = _steps(width, pos, walked)
     del width  # before the read-out's temporaries
-    walked = walked[:rows, :found].T
-    walked[-1, step:] = 0  # the last lane ends at its own exit
-    first = field[: found - 1, None] - np.uint8(mark)
-    walked[1:][np.arange(rows) < first] = 0  # and each after the first starts where it met
+    left = pos - base - _LANE_BITS
+    right = guess[:-1] == left[:-1]  # segment j + 1 enters where segment j's walk left
+    found = segments if right.all() else 1 + int(right.argmin())
+    walked = walked[:steps, :found].T  # each segment's widths in turn
     flags = (walked[walked != 0] < RAW_FIELD_BITS).view(np.uint8)
-    return flags, origin + int(pos[found - 1]), found == lane.size
+    return flags, start + _LANE_BITS * found + int(left[found - 1]), found == segments
 
 
 def _put(flags: bytearray, start: int, bits: np.ndarray) -> None:
@@ -324,13 +321,16 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     finds its end or the window's. While runs average under _RUN_FIELDS fields it walks
     short runs instead, choosing again every _PROBE_RUNS runs and, on short runs, at each
     refill from the flags it set. Short runs go by lanes (_lanes), a region of up to
-    _REGION_BITS bits at a time, whose lanes and then whose walkers on the true path each
-    step in lockstep, with no window held. Where fewer than _MIN_LANES lanes fit, and once
+    _REGION_BITS bits at a time, whose lanes guess where the true path enters each segment
+    and then walk each from its guess, all in lockstep, with no window held. The window
+    holds an eighth of the payload's bits, up to _BLOCK_BITS and at least 40, so that it
+    never outweighs the payload. Where fewer than _MIN_LANES lanes fit, and once
     a pass stops early, the walk steps field by field in unchecked batches that fit in the
     window, as a field takes at most 33 bits. The last few fields go by runs.
     """
     matched_width, src = 1 + k, np.frombuffer(payload, np.uint8)
-    window = None  # made at a refill, let go before each lanes pass
+    # the window, in whole bytes: made at a refill, let go before each lanes pass
+    window, room = None, min(_BLOCK_BITS, bit_length, max(40, -(-bit_length // 64) * 8))
     # field d starts at bit d * (1 + k) or later, so no more can start in the
     # stream; all start raw, and the walk sets the matched ones' bits in order
     flags = bytearray(-(-min(count, -(-bit_length // matched_width)) // 8))
@@ -347,7 +347,7 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
                 runs = 1 + ((runs ^ runs >> 1) & (1 << max(done - seen - 1, 0)) - 1).bit_count()
             short_runs, seen, runs = runs * _RUN_FIELDS > done - seen, done, 0
         if refill:
-            window = window or bytearray(min(_BLOCK_BITS, bit_length))
+            window = window or bytearray(room)
             base, at = base + (at & ~7), at & 7
             size = min(bit_length - base, len(window))
             _unpack(src, base, np.frombuffer(window, np.uint8)[:size])

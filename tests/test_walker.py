@@ -434,16 +434,23 @@ class TestWindowBoundaries:
     def test_window_is_refilled_per_window_of_bits(self, routing):
         # 3000 raw fields: each refill unpacks at most 64 bits and lets at least one
         # field be walked; under lanes, regions of up to 1024 bits cover most of them
-        bits = ([0] + [1, 0] * 16) * 3000
+        bits, sizes, unpack = ([0] + [1, 0] * 16) * 3000, [], np.unpackbits
+
+        def spy(*args, **kwargs):
+            out = unpack(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
         with patch("gpmc.codec._BLOCK_BITS", 64), routed(routing), \
-                patch("gpmc.codec.np.unpackbits", wraps=np.unpackbits) as unpack:
+                patch("gpmc.codec.np.unpackbits", spy):
             assert _walk(packed(bits), len(bits), 3000, 5) == (bytes(3000 // 8), len(bits))
-        counts = [call.kwargs["count"] for call in unpack.call_args_list]
-        assert 64 in counts
-        # a lanes region reaches at most 1024 bits past the walk's byte
-        assert max(counts) <= (1024 + 7 if routing == "lanes" else 64)
-        assert len([count for count in counts if count <= 64]) <= 3000
-        assert len(bits) <= sum(counts) <= 2 * len(bits)
+        assert 64 in sizes
+        # a lanes region reaches at most 1024 bits past the walk's bit: 15 whole segments
+        # of 66 bits, each unpacked in a row of 112 bits, from the byte of its first bit
+        # on and then a sink
+        assert max(sizes) <= (15 * 112 if routing == "lanes" else 64)
+        assert len([size for size in sizes if size <= 64]) <= 3000
+        assert len(bits) <= sum(sizes) <= 2 * len(bits)
 
 
 class TestStrategySwitch:
@@ -528,7 +535,7 @@ class TestLanes:
 
     def test_set_1_pass_that_stops_early_matches_the_reference(self, set1):
         # ER n = 1024, p = 0.03 under set 1 (k = 5): the walk's first pass stops early,
-        # after 5,088 of 32,768 fields, and the walk steps the rest
+        # after 5,126 of 32,768 fields, and the walk steps the rest
         m = generate_er(1024, 0.03, 1)
         c, stats = compress(m, set1)
         bits = np.unpackbits(np.frombuffer(c.payload, np.uint8))[: c.payload_bit_length]
@@ -536,7 +543,7 @@ class TestLanes:
         with patch("gpmc.codec._lanes", side_effect=lambda *a: passes.append((a, _lanes(*a)))
                    or passes[-1][1]):
             flags, end = _walk(c.payload, c.payload_bit_length, total_chunks(m.n), 5)
-        assert [result[0].size for _, result in passes] == [5088]
+        assert [result[0].size for _, result in passes] == [5126]
         (_, start, stop, k), result = passes[0]
         assert not result[2]
         check_pass(bits.tolist(), start, stop, k, *result)
@@ -566,16 +573,41 @@ class TestLanes:
 
     def test_real_streams_meet_and_take_whole_passes(self, set3):
         # at p = 0.02 every lane of 1056 bits meets the true path: each pass is whole
-        m = generate_er(4096, 0.02, 1)
-        c, stats = compress(m, set3)
-        passes = []
-        with patch("gpmc.codec._lanes", side_effect=lambda *a: passes.append(_lanes(*a))
-                   or passes[-1]):
-            flags, end = _walk(c.payload, c.payload_bit_length, total_chunks(m.n), 6)
-        assert len(passes) >= 3 and all(whole for _, _, whole in passes)
-        assert end == c.payload_bit_length
-        assert unpacked(flags, total_chunks(m.n)).sum() == stats.matched
-        assert decompress(c, set3) == m
+        check_whole_passes(generate_er(4096, 0.02, 1), set3)
+
+    def test_set_1_streams_keep_the_residue_and_take_whole_passes(self, set1):
+        # k = 5: the true path keeps its residue mod gcd(6, 33) = 3, and so does every
+        # lane, its segment cut from the pass's start bit, not from that bit's byte.
+        # With segments cut from the byte, the second pass here stopped after 115 fields
+        check_whole_passes(generate_er(4096, 0.005, 1), set1)
+
+    @pytest.mark.parametrize("start", range(8))
+    def test_lanes_start_on_the_true_paths_residue(self, start):
+        # every bit 1 under k = 5: every field is 6 bits, so a lane meets the true path
+        # only on its residue mod 3, and lanes _LANE_BITS apart from start all do
+        segments = ((1 << 14) - 32 - start) // codec._LANE_BITS
+        src = np.frombuffer(packed([1] * (1 << 14)), np.uint8)
+        found, end, whole = _lanes(src, start, 1 << 14, 5)
+        assert whole and found.size == segments * codec._LANE_BITS // 6 and found.all()
+        assert end == start + 6 * found.size
+
+    @pytest.mark.parametrize("seed", (0, 2, 3))
+    def test_mixed_streams_take_later_passes_from_inside_a_byte(self, seed, set3):
+        # half of 1,400 flags matched at random, so 7- and 33-bit fields mix, under lanes
+        # of 59 * 33 bits in regions of 8 lanes: of the multiples of 33 from 330 to 2640
+        # in steps of 231, the least at which each of 10 such streams took three passes
+        # (the 66-bit lanes of SMALL_LANES seldom meet the true path here, so their second
+        # pass stops early). Every pass starts inside a byte.
+        rng = np.random.default_rng(seed)
+        bits = stream([False] + (rng.random(1399) < 0.5).tolist(), 6)
+        starts = []
+        with routed("lanes"), patch.multiple("gpmc.codec", _LANE_BITS=1947,
+                                             _REGION_BITS=8 * 1947), \
+                patch("gpmc.codec._lanes", side_effect=lambda *a: starts.append(a[1])
+                      or _lanes(*a)):
+            check_walk(bits, 200, set3)
+            check_against_reference(bits, 200, set3)
+        assert len(set(starts)) >= 3 and all(start % 8 for start in starts)
 
     @pytest.mark.parametrize("size, cut", ((64, 16), (4096, 1024)))
     def test_unpack_slices_grow_with_the_payload(self, size, cut):
@@ -589,6 +621,20 @@ class TestLanes:
         counts = [call.kwargs["count"] for call in unpack.call_args_list]
         assert max(counts) == cut and sum(counts) == out.size
         assert np.array_equal(out, np.unpackbits(src)[8 : 8 + out.size])
+
+
+def check_whole_passes(m, pset):
+    """The walk of m's stream takes at least three lanes passes, every one whole."""
+    c, stats = compress(m, pset)
+    passes = []
+    with patch("gpmc.codec._lanes", side_effect=lambda *a: passes.append(_lanes(*a))
+               or passes[-1]):
+        flags, end = _walk(c.payload, c.payload_bit_length, total_chunks(m.n),
+                           pset.indicator_bits)
+    assert len(passes) >= 3 and all(whole for _, _, whole in passes)
+    assert end == c.payload_bit_length
+    assert unpacked(flags, total_chunks(m.n)).sum() == stats.matched
+    assert decompress(c, pset) == m
 
 
 class TestFieldBlocks:
