@@ -48,14 +48,20 @@ def row_block(n: int) -> int:
     return -(-rows // 8) * 8
 
 
-def _packed(n: int, blocks) -> bytes:
-    """An n x n matrix's bits packed MSB-first from 0/1 arrays that hold them in order, each
-    but the last a whole number of bytes. Each is packed whole as it arrives, straight into one
-    buffer of the result's size, which CPython's BytesIO hands over as bytes without a copy."""
+def _zeroed(n: int) -> io.BytesIO:
+    """An n x n matrix's zeroed bytes, which every constructor fills in place (an array over
+    getbuffer() must go before that view's release, which refuses) and CPython's BytesIO then
+    hands over as bytes without a copy. A matrix past memory fails here, naming n."""
     try:
-        out, seen = io.BytesIO(bytes((n * n + 7) // 8)), 0
+        return io.BytesIO(bytes((n * n + 7) // 8))
     except MemoryError:  # which bytes() raises with no message
         raise MemoryError(f"a matrix of n={n} vertices needs {(n * n + 7) // 8} bytes") from None
+
+
+def _packed(n: int, blocks) -> bytes:
+    """An n x n matrix's bits packed MSB-first from 0/1 arrays that hold them in order, each
+    but the last a whole number of bytes, and each packed whole into its bytes as it arrives."""
+    out, seen = _zeroed(n), 0
     for block in blocks:
         if seen % 8:
             raise ValueError(f"a block before the last ends at bit {seen}, not on a byte")
@@ -78,18 +84,14 @@ class BitMatrix:
     def __init__(self, n: int, data: bytes | None = None):
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
+        packed = _zeroed(n).getvalue() if data is None else bytes(data)
         nbytes = (n * n + 7) // 8
-        if data is None:
-            packed = bytes(nbytes)
-        else:
-            packed = bytes(data)
-            if len(packed) != nbytes:
-                raise ValueError(
-                    f"expected {nbytes} packed bytes for n={n}, got {len(packed)}")
-            tail = (n * n) % 8
-            if tail and packed[-1] & ((1 << (8 - tail)) - 1):
-                # mask stray bits past n*n so equality stays canonical
-                packed = packed[:-1] + bytes([packed[-1] & (0xFF << (8 - tail)) & 0xFF])
+        if len(packed) != nbytes:
+            raise ValueError(f"expected {nbytes} packed bytes for n={n}, got {len(packed)}")
+        tail = (n * n) % 8
+        if tail and packed[-1] & ((1 << (8 - tail)) - 1):
+            # mask stray bits past n*n so equality stays canonical
+            packed = packed[:-1] + bytes([packed[-1] & (0xFF << (8 - tail)) & 0xFF])
         self.n = n
         self.data = packed
 
@@ -169,14 +171,12 @@ def from_edge_list(el: EdgeList) -> BitMatrix:
     if bad.any():
         edge = ", ".join(map(str, edges[int(np.argmax(bad))]))
         raise EdgeRangeError(f"edge ({edge}) out of range for n={n}")
-    try:
-        packed = np.zeros((n * n + 7) // 8, dtype=np.uint8)
-    except MemoryError:  # numpy's names the bytes but not n
-        raise MemoryError(f"a matrix of n={n} vertices needs {(n * n + 7) // 8} bytes") from None
     flat = pairs[:, 0] * n + pairs[:, 1]
-    # OR, not assignment: a byte may hold several edges, and repeats collapse
-    np.bitwise_or.at(packed, flat >> 3, (0x80 >> (flat & 7)).astype(np.uint8))
-    return BitMatrix(n, packed.tobytes())
+    out = _zeroed(n)
+    with out.getbuffer() as view:  # OR: a byte may hold several edges, or one edge twice
+        np.bitwise_or.at(np.frombuffer(view, np.uint8), flat >> 3,
+                         (0x80 >> (flat & 7)).astype(np.uint8))
+    return BitMatrix(n, out.getvalue())
 
 
 def generate_er(n: int, p: float, seed: int) -> BitMatrix:
@@ -221,6 +221,7 @@ def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,
     if n_filler < 0:
         raise ValueError("rounded chunk counts exceed the total chunk count")
 
+    out = _zeroed(n)  # before the draws, so a matrix too big for memory fails at once
     rng = np.random.default_rng(seed)
     singles = 1 << (31 - rng.integers(0, 32, size=n_single, dtype=np.int64))
     pairs = (1 << 31) | (1 << (31 - rng.integers(1, 32, size=n_pair, dtype=np.int64)))
@@ -237,8 +238,9 @@ def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,
     fillers = (1 << (31 - p1)) | (1 << (31 - p2)) | (1 << (31 - p3))
 
     chunks = np.concatenate([np.zeros(n_zero, dtype=np.int64), singles, pairs, fillers])
-    chunks = rng.permutation(chunks).astype(np.uint32)
-    return BitMatrix(n, chunks.astype(">u4").tobytes())
+    with out.getbuffer() as view:
+        np.frombuffer(view, ">u4")[:] = rng.permutation(chunks)
+    return BitMatrix(n, out.getvalue())
 
 
 def parse_edge_list_text(text: str | bytes) -> EdgeList:

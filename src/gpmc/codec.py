@@ -336,9 +336,10 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     flags = bytearray(-(-min(count, -(-bit_length // matched_width)) // 8))
     done = base = at = size = 0  # window: bits base to base + size; walk: bit base + at
     short_runs, seen, runs = False, 0, 0  # strategy, the field it was chosen at, runs since
-    # bits of the next lanes pass: a quarter of a region at first, as a pass that stops
-    # early costs most of a whole one, then whole regions; none once a pass stops early
-    region = _REGION_BITS >> 2
+    # bits of the next lanes pass, each room for _MIN_LANES lanes at least: a quarter of a
+    # region at first, as a pass that stops early costs most of a whole one, then whole
+    # regions; none once a pass stops early
+    region = max(_REGION_BITS >> 2, _MIN_LANES * _LANE_BITS)
     while done < count:
         refill = size - at < RAW_FIELD_BITS and base + size < bit_length
         if short_runs and refill or runs == _PROBE_RUNS:
@@ -359,7 +360,7 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
                 end = base + at + RAW_FIELD_BITS * found.size
                 end -= (CHUNK_WIDTH - k) * int(found.sum())
             _put(flags, done, found)
-            done, region = done + found.size, _REGION_BITS if whole else 0
+            done, region = done + found.size, max(region, _REGION_BITS) if whole else 0
             del found  # before the next pass
             base, at, size = end & ~7, end & 7, 0  # a window is made and filled from end
             continue
@@ -430,15 +431,16 @@ def _indicators(src: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
 
 
 def _decode(words: np.ndarray, matched: np.ndarray, rank: np.ndarray, pset: PatternSet,
-            bit: int, out: np.ndarray) -> None:
-    """Chunk of each field of a field block from bit, into out, matched fields first. Values
-    are cast to out's dtype first: an indexed assignment that converts takes 2x."""
+            bit: int, out: np.ndarray) -> np.ndarray:
+    """Chunk of each field of a field block from bit, into out, matched fields first; out.
+    Values are cast to out's dtype first: an indexed assignment that converts takes 2x."""
     k, hits = pset.indicator_bits, np.flatnonzero(matched)
     out[hits] = pset.values.astype(out.dtype).take(
         _indicators(words.view(np.uint8), _offsets(hits, True, rank, k, bit), k))
     del hits
     misses = np.flatnonzero(~matched)
     out[misses] = _gather(words, *_split(_offsets(misses, False, rank, k, bit))).astype(out.dtype)
+    return out
 
 
 def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
@@ -451,33 +453,30 @@ def _flags(c: CompressedGraph, pset: PatternSet) -> np.ndarray:
     return np.frombuffer(flags, np.uint8)
 
 
-def _block_flags(flags: np.ndarray, blocks, count: int) -> Iterator[np.ndarray]:
-    """Each field block's flags in turn, one byte per field, from a stream's count flags packed
-    one bit per field. Each block but the last starts on a byte: row_block is a multiple of 8."""
+def _block_spans(matched: np.ndarray, blocks, count: int, k: int) -> Iterator[tuple]:
+    """Each field block's flags, one bool per field, from count packed flags (_flags), each
+    block from a byte as row_block is a multiple of 8, and the bits it spans: (flags, bit, end)."""
+    bit = 0
     for block in blocks:
         size = min(block.stop, count) - block.start
-        yield np.unpackbits(flags[block.start >> 3 :], count=size).view(np.bool_)
-
-
-def _decoded(c: CompressedGraph, pset: PatternSet, matched: np.ndarray) -> Iterator[np.ndarray]:
-    """Chunks of each row block in turn, from packed flags (_block_flags), decoded from a
-    zero-padded copy of the payload words that hold that block's fields, as query_edge does."""
-    k, src, bit = pset.indicator_bits, np.frombuffer(c.payload, np.uint8), 0
-    blocks, rank, _ = _field_blocks(c.n, k)
-    chunks = np.empty(rank.size, ">u4")  # reused: the repack takes each block before the next
-    for flags in _block_flags(matched, blocks, total_chunks(c.n)):
+        flags = np.unpackbits(matched[block.start >> 3 :], count=size).view(np.bool_)
         end = bit + RAW_FIELD_BITS * flags.size - (CHUNK_WIDTH - k) * int(np.count_nonzero(flags))
-        out = chunks[: flags.size]
-        _decode(_words(src[bit >> 5 << 2 : (end + 7) >> 3]), flags, rank, pset, bit & 31, out)
-        yield out
+        yield flags, bit, end
         bit = end
 
 
 def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
-    """Exact inverse of compress for a well-formed stream. The walk ends, its window freed
-    and its flags packed one bit per field, before the matrix's buffer is made; each row
-    block then unpacks its own flags and is decoded as the repack pulls it."""
-    return chunks_to_matrix(_decoded(c, pset, _flags(c, pset)), c.n)
+    """Exact inverse of compress for a well-formed stream. The walk ends, its flags packed,
+    before the matrix's buffer is made; each row block is then decoded as the repack pulls
+    it, from a zero-padded copy of the payload words that hold its fields, as query_edge does."""
+    matched, k = _flags(c, pset), pset.indicator_bits
+    blocks, rank, _ = _field_blocks(c.n, k)
+    src = np.frombuffer(c.payload, np.uint8)
+    chunks = np.empty(rank.size, ">u4")  # reused: the repack takes each block before the next
+    return chunks_to_matrix((
+        _decode(_words(src[bit >> 5 << 2 : (end + 7) >> 3]), flags, rank, pset, bit & 31,
+                chunks[: flags.size])
+        for flags, bit, end in _block_spans(matched, blocks, total_chunks(c.n), k)), c.n)
 
 
 def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
@@ -485,11 +484,10 @@ def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     only the flag and indicator of each matched field, from the walk's packed flags."""
     matched, k = _flags(c, pset), pset.indicator_bits
     blocks, rank, tally = _field_blocks(c.n, k)
-    hist, bit, src = np.zeros(_TALLIES << k, np.int64), 0, np.frombuffer(c.payload, np.uint8)
-    for flags in _block_flags(matched, blocks, total_chunks(c.n)):
+    hist, src = np.zeros(_TALLIES << k, np.int64), np.frombuffer(c.payload, np.uint8)
+    for flags, bit, _ in _block_spans(matched, blocks, total_chunks(c.n), k):
         hits = np.flatnonzero(flags)
         _count(hist, _indicators(src, _offsets(hits, True, rank, k, bit), k), tally)
-        bit += RAW_FIELD_BITS * flags.size - (CHUNK_WIDTH - k) * hits.size
     return _stats(c.n, hist, c.payload_bit_length)
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import re
 import tracemalloc
@@ -92,6 +93,24 @@ class TestFromEdgeList:
         edges = [(u % n, v % n) for u, v in raw_edges]
         m = from_edge_list(EdgeList(n, edges))
         assert sorted(set(edges)) == list(m.edges())
+
+    @pytest.mark.parametrize("n", (1024, 2048))
+    def test_edges_are_set_in_the_matrix_bytes(self, n):
+        # 1,053 and 4,296 edges: the matrix's bytes, its edges' int64 pairs and bit
+        # indices, 1.41x to 1.42x the matrix. A zeroed numpy array that was then copied
+        # to bytes held 2.21x to 2.22x
+        m = generate_er(n, 0.001, 1)
+        edges = EdgeList(n, list(m.edges()))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = from_edge_list(edges)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert built == m
+        assert peak < 1.6 * len(m.data)
 
 
 class TestGet:
@@ -320,6 +339,35 @@ class TestGenerateChunkMix:
         third = 1.0 / 3.0
         with pytest.raises(ValueError, match="rounded"):
             generate_chunk_mix(32, third, third, third, seed=0)
+
+
+# SHA-256 of the packed bytes of each builder: how a matrix is built must not change them
+GOLDEN_ER = {
+    (1, 0.5, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    (33, 0.1, 2): "4bd5ddc0f179ae28b41e1521cbcdb2abef2e265170853968025940eee99a70cd",
+    (1000, 0.01, 3): "3093bc2a64dd7025174f2a8a688f27bd299b928b8f5d405eff049c68c8804369",
+    (2048, 0.001, 1): "b5f96933330a9ffbbee91df0f8bf34a939ce4cb53e25f9ca267301b14eb7c29d",
+}
+GOLDEN_CHUNK_MIX = {
+    (64, 0.4, 0.3, 0.2, 1): "93ec0b58d18016c2820abb8ad91b2ef598ddf6fe04e1b4c03cb612f25e0c6b84",
+    (96, 0.2, 0.0, 0.086, 2): "10c55a1819560a7fa324554188dd38513ccbd16fb78b112004ad8df35f6c4ab2",
+    (256, 0.0, 0.57, 0.0, 3): "338f2de57bedfbc03a3eb930e691134d9b6c293b3b7e3b28ed389a2a2e5100b2",
+    (1024, 0.5, 0.3, 0.1, 7): "cfb158c7c3e552f1ef277db76111f49dd05a82870e4e3d6ce6ee6b4e93d9c619",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("args", sorted(GOLDEN_ER))
+    def test_er_and_its_edge_list(self, args):
+        # the edge list in reverse order: ingest sets the same bytes whatever the order
+        m = generate_er(*args)
+        assert hashlib.sha256(m.data).hexdigest() == GOLDEN_ER[args]
+        assert from_edge_list(EdgeList(m.n, list(m.edges())[::-1])).data == m.data
+
+    @pytest.mark.parametrize("args", sorted(GOLDEN_CHUNK_MIX))
+    def test_chunk_mix(self, args):
+        m = generate_chunk_mix(*args[:4], seed=args[4])
+        assert hashlib.sha256(m.data).hexdigest() == GOLDEN_CHUNK_MIX[args]
 
 
 class TestEdgeListText:

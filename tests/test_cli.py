@@ -1,12 +1,17 @@
+import gc
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from gpmc import (GeneratorSpec, compress, format_edge_list_text, from_edge_list,
-                  parse_edge_list_text, pattern_set, query_edge, read_container,
-                  write_container)
+from gpmc import (BitMatrix, GeneratorSpec, compress, format_edge_list_text, from_edge_list,
+                  generate_chunk_mix, parse_edge_list_text, pattern_set, query_edge,
+                  read_container, write_container)
 from gpmc.cli import main
 from gpmc.metrics import make_matrix
+
+# the one message for a matrix that no address space holds
+PAST_MEMORY = "a matrix of n=3000000000 vertices needs 1125000000000000000 bytes"
 
 
 def write_zero_graph(path: Path, n: int) -> None:
@@ -59,14 +64,30 @@ class TestGenerate:
         ratio = float(dict(kv.split("=") for kv in line.split())["ratio"])
         assert 0.68 <= ratio <= 0.72
 
-    def test_generate_past_memory_names_the_size(self, tmp_path, capsys):
-        # generate's buffer is bytes(n * n / 8), whose MemoryError has no message: the
-        # line names n and the bytes, which no address space holds, so nothing is allocated
+    @pytest.mark.parametrize("kind", ("er", "zero", "chunk-mix"))
+    def test_generate_past_memory_names_the_size(self, tmp_path, capsys, kind):
+        # every kind builds its matrix in one buffer of n * n / 8 bytes, whose MemoryError
+        # names n and the bytes; no address space holds them, so nothing is allocated
         out = tmp_path / "g.txt"
-        assert main(["generate", str(out), "--n", "3000000000", "--p", "0", "--seed", "1"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and not out.exists()
-        assert err.startswith("error: ") and "3000000000" in err and "1125000000000000000" in err
+        assert main(["generate", str(out), "--kind", kind, "--n", "3000000000",
+                     "--p", "0", "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {PAST_MEMORY}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", (BitMatrix, BitMatrix.zeros, generate_chunk_mix))
+    def test_every_builder_past_memory_names_the_size(self, make):
+        # the buffer is taken before any draw, so each call fails at once, having
+        # allocated nothing
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError) as error:
+                make(3_000_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(error.value) == PAST_MEMORY
+        assert peak < 1 << 20
 
 
 class TestCompress:
@@ -227,6 +248,15 @@ class TestExperiment:
 
     def test_empty_sizes_is_usage_error(self, tmp_path):
         assert main(["experiment", str(tmp_path / "x.csv"), "--sizes", ""]) == 1
+
+    @pytest.mark.parametrize("generator", ("zero", "calibrated"))
+    def test_size_past_memory_names_the_size(self, tmp_path, capsys, generator):
+        # the calibrated generator is the chunk mix: both fail in the matrix's one buffer
+        out = tmp_path / "rows.csv"
+        assert main(["experiment", str(out), "--generator", generator,
+                     "--sizes", "3000000000"]) == 2
+        assert capsys.readouterr().err == f"error: {PAST_MEMORY}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("option, value", (("--sizes", "1,x"), ("--sets", "4"),
                                                ("--sets", "1,x")))

@@ -32,8 +32,8 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, T
 from gpmc import codec
 from gpmc.cli import build_parser
 from gpmc.bitmatrix import row_block
-from gpmc.codec import (_field_blocks, _flags, _lanes, _offsets, _unpack, _walk, chunks_per_row,
-                        chunks_to_matrix)
+from gpmc.codec import (_MIN_LANES, _field_blocks, _flags, _lanes, _offsets, _unpack, _walk,
+                        chunks_per_row, chunks_to_matrix)
 from gpmc.patterns import _ENTRIES, SET_IDS
 
 TYPED = (FormatError, TruncationError, CorruptStreamError)
@@ -571,9 +571,15 @@ class TestLanes:
         assert _walk(c.payload, c.payload_bit_length, count, 6) == (
             bytes([0b10101010]) * (count // 8), c.payload_bit_length)
 
-    def test_real_streams_meet_and_take_whole_passes(self, set3):
-        # at p = 0.02 every lane of 1056 bits meets the true path: each pass is whole
-        check_whole_passes(generate_er(4096, 0.02, 1), set3)
+    @pytest.mark.parametrize("lane_bits", (1056, 2112))
+    def test_real_streams_meet_and_take_whole_passes(self, set3, lane_bits):
+        # at p = 0.02 every lane of 1056 or 2112 bits meets the true path: each pass is
+        # whole. _MIN_LANES lanes of 2112 bits (64 raw fields) take more than the first
+        # pass's quarter region, so each pass is sized to hold them; sized by the region
+        # alone, the walk took no pass and stepped the stream field by field, 4x to 5x slower
+        assert _MIN_LANES * 2112 > codec._REGION_BITS >> 2
+        with patch("gpmc.codec._LANE_BITS", lane_bits):
+            check_whole_passes(generate_er(4096, 0.02, 1), set3)
 
     def test_set_1_streams_keep_the_residue_and_take_whole_passes(self, set1):
         # k = 5: the true path keeps its residue mod gcd(6, 33) = 3, and so does every
@@ -611,8 +617,9 @@ class TestLanes:
 
     @pytest.mark.parametrize("size, cut", ((64, 16), (4096, 1024)))
     def test_unpack_slices_grow_with_the_payload(self, size, cut):
-        # slices of 16 bits, or of a 32nd of the payload's bits if that is more:
-        # the window's and a region's temporaries stay small next to the payload
+        # slices of 16 bits, or of a 32nd of the payload's bits if that is more: the
+        # temporaries of a window refill stay small next to the payload (a lanes pass
+        # unpacks its own rows, not through _unpack)
         src = np.arange(size).astype(np.uint8)
         out = np.zeros(8 * size - 24, np.uint8)
         with patch("gpmc.codec._SLICE_BITS", 16), \
@@ -721,25 +728,30 @@ class TestFieldBlocks:
 
 
 def check_block_flags(m, pset):
-    """decompress and scan_stats hold the walk's flags packed, one bit per field: the flags
-    their block loops read, one row block at a time, are _flags' bits for that block."""
+    """decompress and scan_stats hold the walk's flags packed, one bit per field, and read
+    them through one generator: the flags it gives, one row block at a time, are _flags'
+    bits for that block, and each block's span runs from where the one before it ended
+    to where its fields end, the last at the stream's end."""
     c, stats = compress(m, pset)
     expected = unpacked(_flags(c, pset), total_chunks(m.n))
+    widths = np.where(expected, 1 + pset.indicator_bits, 33)
     blocks = list(_field_blocks(m.n, pset.indicator_bits)[0])
     for decoder, result in ((decompress, m), (scan_stats, stats)):
         read = []
 
-        def spy(*args, unpack=codec._block_flags):
-            for flags in unpack(*args):
-                read.append(flags.copy())
-                yield flags
+        def spy(*args, spans=codec._block_spans):
+            for flags, bit, end in spans(*args):
+                read.append((flags.copy(), bit, end))
+                yield flags, bit, end
 
-        with patch("gpmc.codec._block_flags", spy):
+        with patch("gpmc.codec._block_spans", spy):
             assert decoder(c, pset) == result
         assert len(read) == len(blocks)
-        for block, flags in zip(blocks, read):
+        for block, (flags, bit, end) in zip(blocks, read):
             assert flags.dtype == np.bool_
             assert np.array_equal(flags, expected[block])
+            assert (bit, end) == (widths[: block.start].sum(), widths[: block.stop].sum())
+        assert read[-1][2] == c.payload_bit_length
 
 
 class TestPackedFlags:
