@@ -222,24 +222,26 @@ def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,
         raise ValueError("rounded chunk counts exceed the total chunk count")
 
     out = _zeroed(n)  # before the draws, so a matrix too big for memory fails at once
-    rng = np.random.default_rng(seed)
-    singles = 1 << (31 - rng.integers(0, 32, size=n_single, dtype=np.int64))
-    pairs = (1 << 31) | (1 << (31 - rng.integers(1, 32, size=n_pair, dtype=np.int64)))
-    # three distinct positions per filler chunk: draw from shrinking ranges and
-    # shift past the positions already taken
-    p1 = rng.integers(0, 32, size=n_filler, dtype=np.int64)
-    p2 = rng.integers(0, 31, size=n_filler, dtype=np.int64)
-    p2 += p2 >= p1
-    lo = np.minimum(p1, p2)
-    hi = np.maximum(p1, p2)
-    p3 = rng.integers(0, 30, size=n_filler, dtype=np.int64)
-    p3 += p3 >= lo
-    p3 += p3 >= hi
-    fillers = (1 << (31 - p1)) | (1 << (31 - p2)) | (1 << (31 - p3))
-
-    chunks = np.concatenate([np.zeros(n_zero, dtype=np.int64), singles, pairs, fillers])
-    with out.getbuffer() as view:
-        np.frombuffer(view, ">u4")[:] = rng.permutation(chunks)
+    rng = np.random.default_rng(seed)  # uint32 draws take the int64 draws' stream
+    with out.getbuffer() as view:  # every view of it must go before the block ends
+        chunks = np.frombuffer(view, ">u4")  # led by the zero chunks, which it holds already
+        singles, pairs, fillers = np.split(chunks[n_zero:], (n_single, n_single + n_pair))
+        singles[:] = 1 << (31 - rng.integers(0, 32, size=n_single, dtype=np.uint32))
+        pairs[:] = (1 << 31) | (1 << (31 - rng.integers(1, 32, size=n_pair, dtype=np.uint32)))
+        # three distinct positions per filler chunk: draw from shrinking ranges and
+        # shift past the positions already taken
+        p1 = rng.integers(0, 32, size=n_filler, dtype=np.uint32)
+        p2 = rng.integers(0, 31, size=n_filler, dtype=np.uint32)
+        p2 += p2 >= p1
+        lo = np.minimum(p1, p2)
+        hi = np.maximum(p1, p2)
+        p3 = rng.integers(0, 30, size=n_filler, dtype=np.uint32)
+        p3 += p3 >= lo
+        p3 += p3 >= hi
+        del lo, hi
+        fillers[:] = (1 << (31 - p1)) | (1 << (31 - p2)) | (1 << (31 - p3))
+        rng.shuffle(chunks)  # in place, in the order permutation would give
+        del chunks, singles, pairs, fillers, p1, p2, p3
     return BitMatrix(n, out.getvalue())
 
 

@@ -15,6 +15,7 @@ from gpmc import (BitMatrix, EdgeList, EdgeRangeError, ParseError,
 from gpmc import bitmatrix
 from gpmc.bitmatrix import row_block
 from gpmc.codec import matrix_chunks
+from gpmc.metrics import CALIBRATION_MIXES
 
 from conftest import chunk_popcounts
 
@@ -325,6 +326,21 @@ class TestGenerateChunkMix:
     def test_deterministic(self):
         args = (96, 0.2, 0.2, 0.2, 21)
         assert generate_chunk_mix(*args) == generate_chunk_mix(*args)
+
+    @pytest.mark.parametrize("set_id, bound", ((3, 2.0), (1, 6.0)))
+    def test_peak_is_the_buffer_and_its_draws(self, set_id, bound):
+        # the chunks are drawn as uint32 into the matrix's own buffer and shuffled there:
+        # 1.6x for set 3's mix and 5.3x for set 1's, 71% fillers, at n = 2048; int64
+        # draws, concatenated and then permuted beside it, held 7.0x and 13.75x
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m = generate_chunk_mix(2048, *CALIBRATION_MIXES[set_id], seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(m.data)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

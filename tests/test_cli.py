@@ -5,8 +5,7 @@ from pathlib import Path
 import pytest
 
 from gpmc import (BitMatrix, GeneratorSpec, compress, format_edge_list_text, from_edge_list,
-                  generate_chunk_mix, parse_edge_list_text, pattern_set, query_edge,
-                  read_container, write_container)
+                  generate_chunk_mix, parse_edge_list_text, pattern_set, read_container)
 from gpmc.cli import main
 from gpmc.metrics import make_matrix
 
@@ -24,6 +23,66 @@ def small_graph(tmp_path):
     assert main(["generate", str(path), "--kind", "er", "--n", "96",
                  "--p", "0.03", "--seed", "9"]) == 0
     return path
+
+
+def trip(name, n, p, seed, set_id, *cells):
+    return pytest.param(n, p, seed, set_id, cells, id=f"{name}-set{set_id}")
+
+
+# Every stream shape the CLI's round trip must carry: generate --n --p --seed, compress
+# under a set, and the cells to query, each row with the shape it exists for
+ROUND_TRIPS = (
+    # a small ER graph under each set; (99, 99) is the stream's last field, read in place
+    # from the payload's last bytes
+    *(trip("n100", 100, 0.05, 1, set_id, (5, 7), (99, 99)) for set_id in (1, 2, 3)),
+    # the shape the other tests here use: three whole chunks a row, queried at its first
+    # cell, an inner one and its last
+    *(trip("n96", 96, 0.03, 9, set_id, (0, 0), (3, 77), (95, 95)) for set_id in (1, 2, 3)),
+    # a mixed stream long enough for the walk to leave its first runs and take lanes
+    trip("mixed", 1024, 0.02, 1, 3, (1023, 1023)),
+    # a mixed set-1 stream: k = 5, so its lanes start on the true path's residue mod 3,
+    # and its first lanes pass stops early, so the walk then steps field by field
+    trip("mixed1", 1024, 0.03, 1, 1, (1023, 1023)),
+    # a set-1 stream whose lanes passes are all whole: k = 5, so each segment is cut
+    # from the pass's start bit, on the residue mod 3 that the true path keeps
+    trip("sparse1", 4096, 0.005, 1, 1),
+    # an edge-query-shaped stream: several whole lanes passes, each writing its flags
+    # packed from the field the one before it ended at, which need not start a byte
+    trip("edge", 4096, 0.02, 1, 3, (4095, 4095)),
+    # 33 * 33 bits end in a partial byte: the block writer's last byte and padded rows,
+    # and the last field of a partial-byte payload
+    trip("odd", 33, 0.1, 1, 3, (32, 32)),
+    # n % 8 = 1 at n = 2049: 16 row blocks of 128 rows, then a block of one row that
+    # ends inside a byte, on the way in and on the way out; its 65 fields end one bit
+    # into the last byte of the packed flags that stats and decompress read
+    trip("rows", 2049, 0.01, 1, 3),
+    # all raw: 7 row blocks of 128 rows and one of 104, each decoded from a copy of its
+    # own payload words, which ends mid-word
+    trip("raw", 1000, 0.5, 1, 1),
+)
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("n, p, seed, set_id, cells", ROUND_TRIPS)
+    def test_every_verb_agrees_with_the_text(self, tmp_path, capsys, n, p, seed, set_id,
+                                             cells):
+        edges, container, restored = (str(tmp_path / f) for f in ("g.txt", "g.gpmc", "out.txt"))
+        assert main(["generate", edges, "--n", str(n), "--p", str(p), "--seed", str(seed)]) == 0
+        assert main(["compress", edges, container, "--set", str(set_id)]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith(f"n={n} set={set_id} chunks=")
+        assert main(["verify", edges, container]) == 0
+        assert capsys.readouterr().out == "OK\n"
+        # the census stats reads back from the container is the one compress counted
+        assert main(["stats", container]) == 0
+        assert capsys.readouterr().out == summary
+        lines = Path(edges).read_text().splitlines()
+        # and the text's last edge, so that some query must print 1
+        for u, v in (*cells, lines[-1].split()):
+            assert main(["query", container, str(u), str(v)]) == 0
+            assert capsys.readouterr().out == f"{int(f'{u} {v}' in lines)}\n"
+        assert main(["decompress", container, restored]) == 0
+        assert Path(restored).read_bytes() == Path(edges).read_bytes()
 
 
 class TestGenerate:
@@ -137,16 +196,6 @@ class TestCompress:
 
 
 class TestDecompress:
-    def test_round_trip_edge_set(self, tmp_path, small_graph):
-        container = tmp_path / "g.gpmc"
-        restored = tmp_path / "restored.edges"
-        assert main(["compress", str(small_graph), str(container), "--set", "3"]) == 0
-        assert main(["decompress", str(container), str(restored)]) == 0
-        original = parse_edge_list_text(small_graph.read_text())
-        back = parse_edge_list_text(restored.read_text())
-        assert back.n == original.n
-        assert back.edges == sorted(set(original.edges))
-
     def test_empty_graph_yields_header_only(self, tmp_path):
         edges = tmp_path / "zero.edges"
         write_zero_graph(edges, 64)
@@ -164,28 +213,7 @@ class TestDecompress:
         assert "error" in capsys.readouterr().err
 
 
-class TestStats:
-    def test_matches_compress_summary(self, tmp_path, small_graph, capsys):
-        container = tmp_path / "g.gpmc"
-        assert main(["compress", str(small_graph), str(container), "--set", "2"]) == 0
-        compress_line = capsys.readouterr().out.strip()
-        assert main(["stats", str(container)]) == 0
-        stats_line = capsys.readouterr().out.strip()
-        assert stats_line == compress_line
-
-
 class TestQuery:
-    def test_agrees_with_library(self, tmp_path, small_graph, capsys):
-        container = tmp_path / "g.gpmc"
-        assert main(["compress", str(small_graph), str(container), "--set", "3"]) == 0
-        capsys.readouterr()
-        graph = read_container(container.read_bytes())
-        pset = pattern_set(graph.pattern_set_id)
-        for u, v in [(0, 0), (3, 77), (95, 95)]:
-            assert main(["query", str(container), str(u), str(v)]) == 0
-            printed = capsys.readouterr().out.strip()
-            assert printed == str(query_edge(graph, pset, u, v))
-
     def test_out_of_range(self, tmp_path, small_graph, capsys):
         container = tmp_path / "g.gpmc"
         assert main(["compress", str(small_graph), str(container), "--set", "1"]) == 0
@@ -194,13 +222,6 @@ class TestQuery:
 
 
 class TestVerify:
-    def test_ok(self, tmp_path, small_graph, capsys):
-        container = tmp_path / "g.gpmc"
-        assert main(["compress", str(small_graph), str(container), "--set", "1"]) == 0
-        capsys.readouterr()
-        assert main(["verify", str(small_graph), str(container)]) == 0
-        assert capsys.readouterr().out.strip() == "OK"
-
     def test_mismatch_prints_coordinates(self, tmp_path, capsys):
         a = tmp_path / "a.edges"
         b = tmp_path / "b.edges"
@@ -242,9 +263,17 @@ class TestExperiment:
                      "--generator", "calibrated", "--seed", "2"])
         assert code == 0
         lines = out.read_text().splitlines()
+        assert lines[0] == ("n,pattern_set,total_chunks,matched,unmatched,original_bits,"
+                            "compressed_bits,ratio")
         assert len(lines) == 5
         assert lines[1].startswith("64,1,")
         assert lines[4].startswith("128,3,")
+
+    def test_unknown_set_id_is_named(self, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        assert main(["experiment", str(out), "--sets", "9"]) == 1
+        assert "unknown pattern set id 9" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_sizes_is_usage_error(self, tmp_path):
         assert main(["experiment", str(tmp_path / "x.csv"), "--sizes", ""]) == 1
