@@ -58,24 +58,6 @@ def _zeroed(n: int) -> io.BytesIO:
         raise MemoryError(f"a matrix of n={n} vertices needs {(n * n + 7) // 8} bytes") from None
 
 
-def _packed(n: int, blocks) -> bytes:
-    """An n x n matrix's bits packed MSB-first from 0/1 arrays that hold them in order, each
-    but the last a whole number of bytes, and each packed whole into its bytes as it arrives."""
-    out, seen = _zeroed(n), 0
-    for block in blocks:
-        if seen % 8:
-            raise ValueError(f"a block before the last ends at bit {seen}, not on a byte")
-        block = np.asarray(block, np.uint8).reshape(-1)
-        seen += block.size
-        if seen > n * n:
-            break
-        out.write(np.packbits(block))
-        del block  # before the next one is made
-    if seen != n * n:
-        raise ValueError(f"expected {n * n} bits, got {seen}")
-    return out.getvalue()
-
-
 class BitMatrix:
     """Immutable n x n bit matrix; bit (i*n + j) = 1 iff edge (i, j) exists."""
 
@@ -103,8 +85,21 @@ class BitMatrix:
     def from_bit_array(cls, n: int, blocks) -> "BitMatrix":
         """Build from n*n bits in row-major order, held in turn by an iterable of 0/1 arrays
         of any shape, each but the last a whole number of bytes: a generator of row blocks
-        needs only one of them to exist at a time, and one array of all bits is [bits]."""
-        return cls(n, _packed(n, blocks))
+        needs only one of them to exist at a time, and one array of all bits is [bits].
+        Each is packed MSB-first into the matrix's bytes as it arrives."""
+        out, seen = _zeroed(n), 0
+        for block in blocks:
+            if seen % 8:
+                raise ValueError(f"a block before the last ends at bit {seen}, not on a byte")
+            block = np.asarray(block, np.uint8).reshape(-1)
+            seen += block.size
+            if seen > n * n:
+                break
+            out.write(np.packbits(block))
+            del block  # before the next one is made
+        if seen != n * n:
+            raise ValueError(f"expected {n * n} bits, got {seen}")
+        return cls(n, out.getvalue())
 
     def bit_array(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Row-major 0/1 uint8 array of rows start to stop (as a slice takes them), n bits
@@ -191,7 +186,7 @@ def generate_er(n: int, p: float, seed: int) -> BitMatrix:
     rng = np.random.default_rng(seed)  # the blocks draw from it in turn: one stream
     total, step = n * n, _PACK_BLOCK_BITS
     blocks = (rng.random(min(step, total - at)) < p for at in range(0, total, step))
-    return BitMatrix(n, _packed(n, blocks))
+    return BitMatrix.from_bit_array(n, blocks)
 
 
 def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,
@@ -229,19 +224,23 @@ def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,
         singles[:] = 1 << (31 - rng.integers(0, 32, size=n_single, dtype=np.uint32))
         pairs[:] = (1 << 31) | (1 << (31 - rng.integers(1, 32, size=n_pair, dtype=np.uint32)))
         # three distinct positions per filler chunk: draw from shrinking ranges and
-        # shift past the positions already taken
+        # shift past the positions already taken. A filler's bits do not depend on which
+        # of the first two came first, so they are put in order in place
         p1 = rng.integers(0, 32, size=n_filler, dtype=np.uint32)
         p2 = rng.integers(0, 31, size=n_filler, dtype=np.uint32)
         p2 += p2 >= p1
         lo = np.minimum(p1, p2)
-        hi = np.maximum(p1, p2)
+        hi = np.maximum(p1, p2, out=p2)
+        del p1, p2
         p3 = rng.integers(0, 30, size=n_filler, dtype=np.uint32)
         p3 += p3 >= lo
         p3 += p3 >= hi
-        del lo, hi
-        fillers[:] = (1 << (31 - p1)) | (1 << (31 - p2)) | (1 << (31 - p3))
+        for p in (lo, hi, p3):  # each position to its bit, in place, then into the fillers
+            np.left_shift(np.uint32(1), np.subtract(np.uint32(31), p, out=p), out=p)
+        np.bitwise_or(lo, hi, out=fillers)
+        fillers |= p3
         rng.shuffle(chunks)  # in place, in the order permutation would give
-        del chunks, singles, pairs, fillers, p1, p2, p3
+        del chunks, singles, pairs, fillers, lo, hi, p3, p
     return BitMatrix(n, out.getvalue())
 
 

@@ -34,10 +34,10 @@ _BLOCK_BITS = 1 << 18  # the most payload bits in the walk's reused unpack windo
 _RUN_FIELDS = 24
 _PROBE_RUNS = 128
 _SLICE_BITS = 1 << 15  # the least bits unpacked by one call; a multiple of 8
-# The lanes pass walks a region of up to _REGION_BITS bits with one lane per
-# _LANE_BITS. That is a multiple of 33, so each lane starts on the residue the true
-# path keeps modulo gcd(1 + k, 33), and long enough that lanes meet the true path on
-# the mixed streams measured. Below _MIN_LANES lanes (at least 2), stepping costs less.
+# The lanes pass walks a region of up to _REGION_BITS bits with one lane per _LANE_BITS,
+# a multiple of 8 * 33: each lane starts on the residue the true path keeps modulo
+# gcd(1 + k, 33), on the pass's bit of its byte, and is long enough to meet the true path
+# on the mixed streams measured. Below _MIN_LANES lanes (at least 2), stepping costs less.
 _REGION_BITS = 1 << 21
 _LANE_BITS = 32 * RAW_FIELD_BITS
 _MIN_LANES = 256
@@ -256,28 +256,26 @@ def _lanes(src: np.ndarray, start: int, stop: int, k: int) -> tuple[np.ndarray, 
     """Flags of the fields from bit start that begin before stop - 32, so end by stop,
     the bit after the last one found, and whether all of them were found.
 
-    The bits from start are cut into segments of _LANE_BITS, laid out one row per
-    segment: the field width at each of its bits, then a sink of 0s one field wide, on
-    which a walk that has left its segment stays. First one lane per segment walks from
-    its first bit to its exit, all in step; that exit guesses where the true path enters
-    the next segment. Then every segment is walked again from its guess, the first from
-    start, which is exact, recording its widths. Segments are right up to the first whose
-    guess is not where the walk of the one before it left: their widths are the flags.
+    The bits from start are cut into segments of _LANE_BITS, whole bytes that each start
+    on bit start & 7, laid out one row per segment from one strided view of the bytes:
+    the field width at each of its bits, then a sink of 0s one field wide, on which a
+    walk that has left its segment stays. First one lane per segment walks from its first
+    bit to its exit, all in step; that exit guesses where the true path enters the next
+    segment. Then every segment is walked again from its guess, the first from start,
+    which is exact, recording its widths. Segments are right up to the first whose guess
+    is not where the walk of the one before it left: their widths are the flags.
     """
     segments = (stop - CHUNK_WIDTH - start) // _LANE_BITS  # whole ones only
-    first = start + _LANE_BITS * np.arange(segments)
-    lead = first & 7  # each segment's first bit in its row, which starts at that bit's byte
+    lead = start & 7  # every segment's first bit in its row, which starts at that bit's byte
     size = _LANE_BITS + 14 >> 3  # bytes that hold a segment from there
     rows = np.zeros((segments, _LANE_BITS + 47 >> 3), np.uint8)  # then zeros, for a 33-bit sink
     spans = np.lib.stride_tricks.sliding_window_view(src, size)  # the size bytes from each byte
-    for row in range(min(8, segments)):  # rows 8 apart start _LANE_BITS bytes apart
-        rows[row::8, :size] = spans[first[row] >> 3 :: _LANE_BITS][: segments - row + 7 >> 3]
+    rows[:, :size] = spans[start >> 3 :: _LANE_BITS >> 3][:segments]
     width = np.unpackbits(rows).reshape(segments, -1)
     del rows
     width *= np.uint8(CHUNK_WIDTH - k)
     np.subtract(np.uint8(RAW_FIELD_BITS), width, out=width)  # the width of a field at each bit
-    for row in range(min(8, segments)):
-        width[row::8, lead[row] + _LANE_BITS :] = 0
+    width[:, lead + _LANE_BITS :] = 0
     base = lead + width.shape[1] * np.arange(segments)  # each segment's first bit in width
     width = width.reshape(-1)
     walked = np.empty((-(-_LANE_BITS // (1 + k)), segments), np.uint8)  # a row per step
@@ -322,10 +320,11 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     short runs instead, choosing again every _PROBE_RUNS runs and, on short runs, at each
     refill from the flags it set. Short runs go by lanes (_lanes), a region of up to
     _REGION_BITS bits at a time, whose lanes guess where the true path enters each segment
-    and then walk each from its guess, all in lockstep, with no window held. The window
+    and then walk each from its guess, all in lockstep, with no window held: the walk
+    looks for a pass before it refills one, so runs and steps alone make it. The window
     holds an eighth of the payload's bits, up to _BLOCK_BITS and at least 40, so that it
-    never outweighs the payload. Where fewer than _MIN_LANES lanes fit, and once
-    a pass stops early, the walk steps field by field in unchecked batches that fit in the
+    never outweighs the payload. Where fewer than _MIN_LANES lanes fit, and once a pass
+    stops early, the walk steps field by field in unchecked batches that fit in the
     window, as a field takes at most 33 bits. The last few fields go by runs.
     """
     matched_width, src = 1 + k, np.frombuffer(payload, np.uint8)
@@ -347,11 +346,6 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
                 runs = int.from_bytes(flags[seen >> 3 : (done + 7) >> 3], "big") >> (-done % 8)
                 runs = 1 + ((runs ^ runs >> 1) & (1 << max(done - seen - 1, 0)) - 1).bit_count()
             short_runs, seen, runs = runs * _RUN_FIELDS > done - seen, done, 0
-        if refill:
-            window = window or bytearray(room)
-            base, at = base + (at & ~7), at & 7
-            size = min(bit_length - base, len(window))
-            _unpack(src, base, np.frombuffer(window, np.uint8)[:size])
         if short_runs and min(bit_length - base - at, region) >= _MIN_LANES * _LANE_BITS:
             window = None  # the pass holds a region of its own
             found, end, whole = _lanes(src, base + at, min(bit_length, base + at + region), k)
@@ -362,8 +356,13 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
             _put(flags, done, found)
             done, region = done + found.size, max(region, _REGION_BITS) if whole else 0
             del found  # before the next pass
-            base, at, size = end & ~7, end & 7, 0  # a window is made and filled from end
+            base, at, size = end & ~7, end & 7, 0  # the window is empty from end
             continue
+        if refill:  # runs and steps read the window; a lanes pass does not
+            window = window or bytearray(room)
+            base, at = base + (at & ~7), at & 7
+            size = min(bit_length - base, len(window))
+            _unpack(src, base, np.frombuffer(window, np.uint8)[:size])
         if short_runs and (batch := min(count - done, (size - at) // RAW_FIELD_BITS)):
             step = bytearray(batch)
             for d in range(batch):

@@ -1,4 +1,8 @@
+import gc
+import tracemalloc
+
 import numpy as np
+import numpy.random  # noqa: F401 (see peak)
 import pytest
 
 from gpmc import BitMatrix, pattern_set
@@ -36,6 +40,20 @@ def chunk_popcounts(chunks: np.ndarray) -> np.ndarray:
     as_bytes = np.ascontiguousarray(chunks, dtype=np.uint32).astype(">u4")
     bits = np.unpackbits(as_bytes.view(np.uint8)).reshape(-1, 32)
     return bits.sum(axis=1)
+
+
+def peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call above what was live before it.
+    numpy imports numpy.random at the first default_rng, so it is imported above: its
+    module objects would otherwise fall in the window of whichever test draws first."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

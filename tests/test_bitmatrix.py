@@ -1,8 +1,6 @@
-import gc
 import hashlib
 import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +15,7 @@ from gpmc.bitmatrix import row_block
 from gpmc.codec import matrix_chunks
 from gpmc.metrics import CALIBRATION_MIXES
 
-from conftest import chunk_popcounts
+from conftest import chunk_popcounts, peak
 
 
 class TestFromEdgeList:
@@ -101,17 +99,9 @@ class TestFromEdgeList:
         # indices, 1.41x to 1.42x the matrix. A zeroed numpy array that was then copied
         # to bytes held 2.21x to 2.22x
         m = generate_er(n, 0.001, 1)
-        edges = EdgeList(n, list(m.edges()))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            built = from_edge_list(edges)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        built, used = peak(from_edge_list, EdgeList(n, list(m.edges())))
         assert built == m
-        assert peak < 1.6 * len(m.data)
+        assert used < 1.6 * len(m.data)
 
 
 class TestGet:
@@ -173,17 +163,10 @@ class TestConstruction:
         # decompress feeds them: 1.17x the packed matrix at n = 1024, where packing all
         # bits and then copying them to bytes held 2x
         bits = generate_er(1024, 0.3, seed=1).bit_array()
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            m = BitMatrix.from_bit_array(1024, (bits[at : at + 128 * 1024]
-                                                for at in range(0, bits.size, 128 * 1024)))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        m, used = peak(BitMatrix.from_bit_array, 1024, (
+            bits[at : at + 128 * 1024] for at in range(0, bits.size, 128 * 1024)))
         assert m.bit_array().tolist() == bits.tolist()
-        assert peak < 1.25 * len(m.data)
+        assert used < 1.25 * len(m.data)
 
     def test_masks_tail_bits(self):
         # 3x3 uses 9 bits; stray bits past the tail must not affect equality
@@ -271,15 +254,8 @@ class TestGenerateEr:
         # the float64 draws for a block of 2^16 bits are 1x the packed matrix at
         # n = 2048, and the result 1x: 2.13x; blocks of a 32nd of the bits held 3.25x,
         # blocks of 2^22 bits, whose draws are 64x the matrix at this n, 73x
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            m = generate_er(2048, 0.3, 5)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * len(m.data)
+        m, used = peak(generate_er, 2048, 0.3, 5)
+        assert used < 2.5 * len(m.data)
 
     def test_rejects_bad_probability(self):
         for p in (-0.1, 1.1):
@@ -327,20 +303,18 @@ class TestGenerateChunkMix:
         args = (96, 0.2, 0.2, 0.2, 21)
         assert generate_chunk_mix(*args) == generate_chunk_mix(*args)
 
-    @pytest.mark.parametrize("set_id, bound", ((3, 2.0), (1, 6.0)))
-    def test_peak_is_the_buffer_and_its_draws(self, set_id, bound):
-        # the chunks are drawn as uint32 into the matrix's own buffer and shuffled there:
-        # 1.6x for set 3's mix and 5.3x for set 1's, 71% fillers, at n = 2048; int64
-        # draws, concatenated and then permuted beside it, held 7.0x and 13.75x
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            m = generate_chunk_mix(2048, *CALIBRATION_MIXES[set_id], seed=1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * len(m.data)
+    @pytest.mark.parametrize("mix, bound", ((CALIBRATION_MIXES[3], 2.0),
+                                            (CALIBRATION_MIXES[1], 4.0), ((0, 0, 0), 5.0)),
+                             ids=("set3", "set1", "fillers"))
+    def test_peak_is_the_buffer_and_its_draws(self, mix, bound):
+        # the chunks are drawn as uint32 into the matrix's own buffer and shuffled there,
+        # and the fillers' positions turned into their bits in place, at most three draw
+        # arrays at a time: at n = 2048, 1.6x for set 3's mix, 3.4x for set 1's (71%
+        # fillers) and 4.3x for all fillers. With five filler arrays alive together and
+        # then three shift temporaries, they held 1.6x, 5.3x and 7.0x; int64 draws,
+        # concatenated and then permuted beside the matrix, 7.0x, 13.75x and 17.0x
+        m, used = peak(generate_chunk_mix, 2048, *mix, 1)
+        assert used < bound * len(m.data)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

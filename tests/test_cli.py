@@ -1,5 +1,3 @@
-import gc
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -8,6 +6,8 @@ from gpmc import (BitMatrix, GeneratorSpec, compress, format_edge_list_text, fro
                   generate_chunk_mix, parse_edge_list_text, pattern_set, read_container)
 from gpmc.cli import main
 from gpmc.metrics import make_matrix
+
+from conftest import peak
 
 # the one message for a matrix that no address space holds
 PAST_MEMORY = "a matrix of n=3000000000 vertices needs 1125000000000000000 bytes"
@@ -137,16 +137,9 @@ class TestGenerate:
     def test_every_builder_past_memory_names_the_size(self, make):
         # the buffer is taken before any draw, so each call fails at once, having
         # allocated nothing
-        gc.collect()
-        tracemalloc.start()
-        try:
-            with pytest.raises(MemoryError) as error:
-                make(3_000_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        error, used = peak(pytest.raises, MemoryError, make, 3_000_000_000)
         assert str(error.value) == PAST_MEMORY
-        assert peak < 1 << 20
+        assert used < 1 << 20
 
 
 class TestCompress:

@@ -1,6 +1,3 @@
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +10,8 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError,
 from gpmc import codec
 from gpmc.bitmatrix import PIECE_ROWS
 from gpmc.codec import _walk, chunks_per_row, matrix_chunks, chunks_to_matrix
+
+from conftest import peak
 
 
 def whole_matrix_chunks(m):
@@ -366,62 +365,26 @@ class TestQueryEdge:
 
 
 class TestPeakMemory:
-    """tracemalloc peak of each call above what was live, against the packed
-    matrix: 1.61x to 1.66x for compress, 2.17x to 2.23x for decompress and 1.02x to
-    1.06x for scan_stats on numpy 2.4, at n = 1024 and at n = 1000. The walk's window
-    holds an eighth of the payload's bits, one byte per bit; while it held 2^18 bits,
-    2x the matrix at these n, scan_stats held 2.09x to 2.14x, and while the walk wrote
-    its flags one byte per field, a quarter of the matrix, and the decoders packed
-    them after it, both decoders held 2.31x to 2.37x. A row block goes through one
-    byte per bit PIECE_ROWS rows at a time, a quarter of a block at these n; while a
-    whole block did, an eighth of the rows and 1x the matrix at these n (at n = 8192,
-    a 32nd of the rows, 0.25x), with its fields' int64 ranks and classes, its
-    indices alive beside their offsets and their bit offsets beside their word
-    indices, compress held 2.45x to 2.52x and decompress 2.69x to 2.73x. Both
-    decoders hold the walk's flags packed, one bit per field; kept at one byte per
-    field through the decode, with each block's matched and raw field indices alive
-    together and the raw fields' bit offsets beside their word indices, decompress
-    held 2.88x to 2.92x. compress held 2.70x to 2.78x while it kept each block's
-    match indices, and each placement its bit offsets, to the end; and
-    3.41x to 3.53x while it placed every field in one word array sized for an
-    all-raw stream, copied the payload out of it and write_container copied it again
-    after the header. Blocks of
-    2^18 bits, a quarter of the rows, held 5.9x to 6.3x and 4.3x to 4.5x; a
-    whole-matrix chunk array with field blocks of their own 4.10x to 4.20x and
-    4.13x to 4.27x. Converting the whole matrix at once held 9.05x and 10.13x to
-    10.16x; decompress measured 11.03x to 11.05x while from_bit_array packed the
-    whole matrix into one array and then copied it to bytes. For scan_stats it was
-    3.8x to 3.9x
-    when the walk's window was refilled by one unpack of its size. The walk
-    sets scan_stats' peak: after it, reading only matched fields, scan_stats
-    held 1.73x with the walk's flags at n = 1024, where laying out every field
-    and cutting an 8-byte window for each matched one held 2.26x. Padding rows
-    one bit at a time measures 16.2x and 18.3x at n = 1000, and byte-swapping
-    the chunks before the repack 12.0x at n = 1024. A decoder that keeps its
-    8-byte-per-field windows alive while it repacks the matrix measures 13x
-    or more, and a walk that unpacks the whole payload to one byte per bit 8x
-    or more."""
-
-    @staticmethod
-    def peak(fn, *args):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = fn(*args)
-            return out, tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+    """tracemalloc peak of each call above what was live (conftest.peak), against the
+    packed matrix: 1.63x to 1.66x for compress, 2.19x to 2.23x for decompress and 1.02x
+    to 1.07x for scan_stats on numpy 2.4, at n = 1024 and at n = 1000. compress writes
+    its payload straight into its container's bytes. A row block goes through one byte
+    per bit PIECE_ROWS rows at a time, a quarter of a block at these n, and its field
+    temporaries are narrow and freed as they are used. The walk holds a window of an
+    eighth of the payload's bits, one byte per bit, and writes its flags packed, one bit
+    per field, which both decoders keep so. The walk sets scan_stats' peak: after it,
+    scan_stats reads only the matched fields. Each test below names what the designs it
+    replaced held; CHANGES.md keeps the rest."""
 
     @pytest.mark.parametrize("n", [1024, 1000])
     def test_compress_and_decompress_peaks(self, set3, n):
         m = generate_er(n, 0.001, 1)
-        (c, _), compress_peak = self.peak(compress, m, set3)
-        decoded, decompress_peak = self.peak(decompress, c, set3)
+        (c, _), compress_peak = peak(compress, m, set3)
+        decoded, decompress_peak = peak(decompress, c, set3)
         assert decoded == m
         assert compress_peak <= 1.85 * len(m.data)
         assert decompress_peak <= 2.3 * len(m.data)
-        stats, stats_peak = self.peak(scan_stats, c, set3)
+        stats, stats_peak = peak(scan_stats, c, set3)
         assert stats == compress(m, set3)[1]
         assert stats_peak < 1.15 * len(m.data)
 
@@ -431,9 +394,9 @@ class TestPeakMemory:
         # container and one block's field temporaries. With the whole block at one byte
         # per bit and its int64 temporaries it held 0.77x
         m = generate_er(4096, 0.001, 1)
-        (c, _), peak = self.peak(compress, m, set3)
+        (c, _), used = peak(compress, m, set3)
         assert decompress(c, set3) == m
-        assert peak < 0.6 * len(m.data)
+        assert used < 0.6 * len(m.data)
 
     def test_scan_stats_holds_packed_flags(self, set3):
         # at n = 4096 the walk's window is an eighth of the matrix and its flags, packed
@@ -442,9 +405,9 @@ class TestPeakMemory:
         # 0.43x; kept at one byte per field through the census, 0.56x
         m = generate_er(4096, 0.001, 1)
         c, stats = compress(m, set3)
-        result, peak = self.peak(scan_stats, c, set3)
+        result, used = peak(scan_stats, c, set3)
         assert result == stats
-        assert peak < 0.3 * len(m.data)
+        assert used < 0.3 * len(m.data)
 
     def test_all_raw_decompress_holds_no_payload_copy(self, set1):
         # all raw, so the payload is 1.03x the matrix: decompress(read_container(blob))
@@ -457,9 +420,9 @@ class TestPeakMemory:
         m = generate_er(1024, 0.5, 1)
         blob = codec.write_container(compress(m, set1)[0])
         assert len(blob) > 1.03 * len(m.data)
-        decoded, peak = self.peak(lambda b: decompress(codec.read_container(b), set1), blob)
+        decoded, used = peak(lambda b: decompress(codec.read_container(b), set1), blob)
         assert decoded == m
-        assert peak < 2.8 * len(m.data)
+        assert used < 2.8 * len(m.data)
 
     def test_all_raw_compress_writes_its_container_in_place(self, set1):
         # all raw, so the container is 1.03x the matrix: write_container(compress(m))
@@ -469,9 +432,9 @@ class TestPeakMemory:
         # the end). A word array sized for an all-raw stream, the payload copied out of
         # it and the header copied in front held 2.13x
         m = generate_er(4096, 0.5, 1)
-        blob, peak = self.peak(lambda: codec.write_container(compress(m, set1)[0]))
+        blob, used = peak(lambda: codec.write_container(compress(m, set1)[0]))
         assert codec.read_container(blob) == compress(m, set1)[0]
-        assert peak < 1.5 * len(m.data)
+        assert used < 1.5 * len(m.data)
 
     @pytest.mark.parametrize("n, bound", ((4096, 0.33), (1024, 1.45)))
     def test_walk_holds_one_window_not_the_payload(self, set1, n, bound):
@@ -487,7 +450,7 @@ class TestPeakMemory:
         c, stats = compress(m, set1)
         assert stats.matched == 0
         count, k = total_chunks(m.n), set1.indicator_bits
-        (flags, end), walk_peak = self.peak(_walk, c.payload, c.payload_bit_length, count, k)
+        (flags, end), walk_peak = peak(_walk, c.payload, c.payload_bit_length, count, k)
         assert flags == bytes(count // 8) and end == c.payload_bit_length
         assert walk_peak < bound * len(m.data)
 
@@ -505,7 +468,7 @@ class TestPeakMemory:
         # 3.0x, while the lanes marked their steps.
         m = generate_er(4096, 0.02, 1)
         c, stats = compress(m, set3)
-        result, stats_peak = self.peak(scan_stats, c, set3)
+        result, stats_peak = peak(scan_stats, c, set3)
         assert result == stats
         assert stats_peak < 1.3 * len(m.data)
 
@@ -516,9 +479,9 @@ class TestPeakMemory:
         # one byte per field and its window held through each pass too, 1.70x
         m = generate_er(4096, 0.02, 1)
         blob = codec.write_container(compress(m, set3)[0])
-        decoded, peak = self.peak(lambda b: decompress(codec.read_container(b), set3), blob)
+        decoded, used = peak(lambda b: decompress(codec.read_container(b), set3), blob)
         assert decoded == m
-        assert peak < 1.3 * len(m.data)
+        assert used < 1.3 * len(m.data)
 
     def test_query_edge_reads_the_payload_in_place(self, set1):
         # the last cell walks the whole stream: its flags packed one bit per field
@@ -527,6 +490,6 @@ class TestPeakMemory:
         # measures 1.24x
         m = generate_er(4096, 0.25, 1)
         c, _ = compress(m, set1)
-        bit, query_peak = self.peak(query_edge, c, set1, 4095, 4095)
+        bit, query_peak = peak(query_edge, c, set1, 4095, 4095)
         assert bit == m.get(4095, 4095)
         assert query_peak < 0.35 * len(c.payload)

@@ -1,7 +1,5 @@
 import copy
-import gc
 import pickle
-import tracemalloc
 from unittest.mock import Mock, patch
 
 import numpy as np
@@ -13,6 +11,8 @@ from gpmc import (PatternSet, classify_chunks, compress, generate_er, pattern_se
                   read_container, write_container)
 from gpmc.codec import matrix_chunks
 from gpmc.patterns import _MULTIPLIER, SET_IDS, _bit
+
+from conftest import peak
 
 LEADING = 1 << 31
 
@@ -248,12 +248,4 @@ class TestSlotTable:
         # the chunks of either byte order are read in place, not copied first
         chunks = matrix_chunks(generate_er(4096, 0.02, 1)).astype(dtype)
         for pset in all_sets:
-            gc.collect()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                classify_chunks(chunks, pset)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * chunks.nbytes
+            assert peak(classify_chunks, chunks, pset)[1] < 4 * chunks.nbytes

@@ -38,10 +38,10 @@ from gpmc.patterns import _ENTRIES, SET_IDS
 
 TYPED = (FormatError, TruncationError, CorruptStreamError)
 
-# Lanes of two raw fields whenever two fit, in regions of 1024 bits (the first a
-# quarter of that): segment edges fall mid-field for every k, and a stream of a
-# few hundred fields takes several passes.
-SMALL_LANES = {"_LANE_BITS": 66, "_MIN_LANES": 2, "_REGION_BITS": 1 << 10}
+# Lanes of eight raw fields, the shortest whole bytes (8 * 33 bits), whenever two fit,
+# in regions of 1024 bits: segment edges fall mid-field in mixed streams, and a stream
+# of a few hundred fields takes several passes.
+SMALL_LANES = {"_LANE_BITS": 264, "_MIN_LANES": 2, "_REGION_BITS": 1 << 10}
 # Routing constants that force each strategy. The walk always starts by runs:
 # with _RUN_FIELDS at 0 it never leaves them, and with _RUN_FIELDS this large
 # and _PROBE_RUNS at 1 it walks short runs from the end of its first run, which
@@ -296,7 +296,7 @@ class TestWalkAgainstReference:
     def test_lanes_pass_from_inside_a_byte(self, m, j, set3):
         # lanes forced from the end of the first run: 8m + j matched fields, then a raw one
         # and a tenth of the rest matched, at random, so the first pass writes its flags
-        # from field 8m + j, inside a byte, and the 66-bit lanes meet the true path often
+        # from field 8m + j, inside a byte, and the 264-bit lanes meet the true path often
         # enough that a later pass writes from wherever the one before it ended
         rest = np.random.default_rng(j).random(399 - 8 * m - j) < 0.1
         flags = [True] * (8 * m + j) + [False] + rest.tolist()
@@ -445,10 +445,10 @@ class TestWindowBoundaries:
                 patch("gpmc.codec.np.unpackbits", spy):
             assert _walk(packed(bits), len(bits), 3000, 5) == (bytes(3000 // 8), len(bits))
         assert 64 in sizes
-        # a lanes region reaches at most 1024 bits past the walk's bit: 15 whole segments
-        # of 66 bits, each unpacked in a row of 112 bits, from the byte of its first bit
+        # a lanes region reaches at most 1024 bits past the walk's bit: 3 whole segments
+        # of 264 bits, each unpacked in a row of 304 bits, from the byte of its first bit
         # on and then a sink
-        assert max(sizes) <= (15 * 112 if routing == "lanes" else 64)
+        assert max(sizes) <= (3 * 304 if routing == "lanes" else 64)
         assert len([size for size in sizes if size <= 64]) <= 3000
         assert len(bits) <= sum(sizes) <= 2 * len(bits)
 
@@ -526,8 +526,8 @@ class TestLanes:
     @settings(max_examples=300, deadline=None)
     @given(region=regions())
     def test_pass_matches_the_reference_walk(self, region):
-        # segments of 66 bits: a lane's edges fall mid-field and passes stop early
-        # as often as they are whole
+        # segments of 264 bits, from every bit of a byte: a lane's edges fall mid-field
+        # and some passes stop early
         bits, start, stop, k = region
         with patch.multiple("gpmc.codec", **SMALL_LANES):
             found, end, whole = _lanes(np.frombuffer(packed(bits), np.uint8), start, stop, k)
@@ -550,7 +550,7 @@ class TestLanes:
         assert end == c.payload_bit_length
         assert unpacked(flags, total_chunks(m.n)).sum() == stats.matched
 
-    @pytest.mark.parametrize("lane_bits", (99, 231, 1056))
+    @pytest.mark.parametrize("lane_bits", (264, 528, 1056))
     def test_period_40_stream_steps_from_the_first_lane_that_never_meets(self, set3, lane_bits):
         # none of the segment lengths is a multiple of 40, so some lane starts off the
         # true residues and the pass stops there: each of the three walks takes one
@@ -587,6 +587,24 @@ class TestLanes:
         # With segments cut from the byte, the second pass here stopped after 115 fields
         check_whole_passes(generate_er(4096, 0.005, 1), set1)
 
+    def test_lanes_are_whole_bytes_of_raw_fields(self):
+        # a multiple of 8 * 33 bits, so every segment starts on the pass's bit of its
+        # byte and one strided view cuts them all; the lengths patched here are too
+        assert codec._LANE_BITS % 264 == 0 and SMALL_LANES["_LANE_BITS"] % 264 == 0
+
+    def test_no_window_is_made_between_passes(self, set3):
+        # ER n = 4096, p = 0.02 under set 3: the walk unpacks a window for its first runs,
+        # takes whole passes back to back, then unpacks one for its last fields. With the
+        # window refilled before the walk looked for a pass, each pass dropped one
+        # unpacked after the pass before it: ULULULULU
+        c, _ = compress(generate_er(4096, 0.02, 1), set3)
+        calls = []
+        with patch("gpmc.codec._unpack", side_effect=lambda *a: calls.append("U") or _unpack(*a)), \
+                patch("gpmc.codec._lanes", side_effect=lambda *a: calls.append("L") or _lanes(*a)):
+            _walk(c.payload, c.payload_bit_length, total_chunks(4096), 6)
+        calls = "".join(calls)
+        assert calls.count("L") >= 3 and "U" not in calls[calls.find("L") : calls.rfind("L")]
+
     @pytest.mark.parametrize("start", range(8))
     def test_lanes_start_on_the_true_paths_residue(self, start):
         # every bit 1 under k = 5: every field is 6 bits, so a lane meets the true path
@@ -600,15 +618,15 @@ class TestLanes:
     @pytest.mark.parametrize("seed", (0, 2, 3))
     def test_mixed_streams_take_later_passes_from_inside_a_byte(self, seed, set3):
         # half of 1,400 flags matched at random, so 7- and 33-bit fields mix, under lanes
-        # of 59 * 33 bits in regions of 8 lanes: of the multiples of 33 from 330 to 2640
-        # in steps of 231, the least at which each of 10 such streams took three passes
-        # (the 66-bit lanes of SMALL_LANES seldom meet the true path here, so their second
-        # pass stops early). Every pass starts inside a byte.
+        # of 9 * 264 bits in regions of 8 lanes: of the multiples of 264, the least at
+        # which each of these streams takes three passes that all start inside a byte
+        # (at 1,848 bits seed 0 put a pass on bit 1,944, and under SMALL_LANES on bit
+        # 4,432, where seed 3's second pass stops early)
         rng = np.random.default_rng(seed)
         bits = stream([False] + (rng.random(1399) < 0.5).tolist(), 6)
         starts = []
-        with routed("lanes"), patch.multiple("gpmc.codec", _LANE_BITS=1947,
-                                             _REGION_BITS=8 * 1947), \
+        with routed("lanes"), patch.multiple("gpmc.codec", _LANE_BITS=2376,
+                                             _REGION_BITS=8 * 2376), \
                 patch("gpmc.codec._lanes", side_effect=lambda *a: starts.append(a[1])
                       or _lanes(*a)):
             check_walk(bits, 200, set3)
