@@ -373,8 +373,8 @@ class TestPeakMemory:
     temporaries are narrow and freed as they are used. The walk holds a window of an
     eighth of the payload's bits, one byte per bit, and writes its flags packed, one bit
     per field, which both decoders keep so. The walk sets scan_stats' peak: after it,
-    scan_stats reads only the matched fields. Each test below names what the designs it
-    replaced held; CHANGES.md keeps the rest."""
+    scan_stats reads only the matched fields. Each test below names what its bound
+    holds; CHANGES.md keeps what the designs before these held."""
 
     @pytest.mark.parametrize("n", [1024, 1000])
     def test_compress_and_decompress_peaks(self, set3, n):
@@ -391,8 +391,7 @@ class TestPeakMemory:
     def test_compress_holds_one_piece_per_bit(self, set3):
         # at n = 4096 a row block is 128 rows, 0.25x the matrix at one byte per bit, and
         # a piece of PIECE_ROWS rows a quarter of that: compress peaks at 0.52x, its
-        # container and one block's field temporaries. With the whole block at one byte
-        # per bit and its int64 temporaries it held 0.77x
+        # container and one block's field temporaries
         m = generate_er(4096, 0.001, 1)
         (c, _), used = peak(compress, m, set3)
         assert decompress(c, set3) == m
@@ -400,9 +399,7 @@ class TestPeakMemory:
 
     def test_scan_stats_holds_packed_flags(self, set3):
         # at n = 4096 the walk's window is an eighth of the matrix and its flags, packed
-        # as the walk finds them, a 32nd: scan_stats peaks at 0.25x. With the walk's
-        # flags at one byte per field, a quarter of the matrix, packed after it, it held
-        # 0.43x; kept at one byte per field through the census, 0.56x
+        # as the walk finds them, a 32nd: scan_stats peaks at 0.25x
         m = generate_er(4096, 0.001, 1)
         c, stats = compress(m, set3)
         result, used = peak(scan_stats, c, set3)
@@ -412,11 +409,8 @@ class TestPeakMemory:
     def test_all_raw_decompress_holds_no_payload_copy(self, set1):
         # all raw, so the payload is 1.03x the matrix: decompress(read_container(blob))
         # peaks at 2.69x after the walk (2.56x), with the packed flags, the result and
-        # one row block's field arrays alive (2.94x with the block's bits at one byte
-        # per bit and its chunks held twice at each block's turn). With byte flags and
-        # each field's index, bit offset and word index alive together it held 3.46x.
-        # A copy of the whole payload, by read_container or padded for the decode, adds
-        # 1.03x; with both and a whole-matrix chunk array it held 5.16x
+        # one row block's field arrays alive. A copy of the whole payload, by
+        # read_container or padded for the decode, would add 1.03x
         m = generate_er(1024, 0.5, 1)
         blob = codec.write_container(compress(m, set1)[0])
         assert len(blob) > 1.03 * len(m.data)
@@ -427,10 +421,7 @@ class TestPeakMemory:
     def test_all_raw_compress_writes_its_container_in_place(self, set1):
         # all raw, so the container is 1.03x the matrix: write_container(compress(m))
         # peaks at 1.40x, the container, the buffer's growth slack and one row block's
-        # temporaries (1.57x with the block's bits at one byte per bit and its indices
-        # beside their offsets, 1.63x with its match indices and bit offsets held to
-        # the end). A word array sized for an all-raw stream, the payload copied out of
-        # it and the header copied in front held 2.13x
+        # temporaries
         m = generate_er(4096, 0.5, 1)
         blob, used = peak(lambda: codec.write_container(compress(m, set1)[0]))
         assert codec.read_container(blob) == compress(m, set1)[0]
@@ -442,10 +433,8 @@ class TestPeakMemory:
         # of an eighth of the payload's bits, up to 2^18, one byte per bit, its flags
         # packed one bit per field (a 32nd of the matrix) and a slice of unpacking:
         # 0.285x at n = 4096, while one byte per payload bit would be 8.25x. At
-        # n = 1024 the window is 1.03x: the walk takes 1.37x, and took 2.34x with a
-        # window of 2^18 bits there, 2x the matrix. With one flag byte per field (a
-        # quarter of the matrix) it took 0.503x and 2.56x; with one window-sized
-        # unpack per refill 4.3x at n = 1024.
+        # n = 1024 the window is 1.03x: the walk takes 1.37x, where a window of 2^18
+        # bits, 2x the matrix there, would cross the bound
         m = generate_er(n, 0.5, 1)
         c, stats = compress(m, set1)
         assert stats.matched == 0
@@ -458,14 +447,8 @@ class TestPeakMemory:
         # short runs: the lanes pass holds one region of 2^21 bits, one byte per
         # bit in rows of 1,056 bits and a 40-bit sink (1.04x), one pass's recorded
         # field widths (0.14x) and the walk's packed flags, 1.26x, which is
-        # scan_stats' peak. With the lanes' step-number marks, each lane's widths and
-        # then its walker's held 1.36x; with the flags at one byte per field (0.25x)
-        # and the walk's 2^18-byte window (0.125x) held through each pass too it was
-        # 1.70x, and its field blocks and the walk's flags held 1.65x (2.03x when the
-        # blocks laid out every field and cut an 8-byte window for each matched one).
-        # Keeping the previous pass's flags, or the flag changes counted at a probe,
-        # through a pass added 0.1x each (1.90x with both), and regions of 2^22 bits
-        # 3.0x, while the lanes marked their steps.
+        # scan_stats' peak. The previous pass's flags, kept through a pass, add 0.1x
+        # and cross the bound
         m = generate_er(4096, 0.02, 1)
         c, stats = compress(m, set3)
         result, stats_peak = peak(scan_stats, c, set3)
@@ -474,9 +457,7 @@ class TestPeakMemory:
 
     def test_lanes_stream_decompress_holds_one_region(self, set3):
         # the same stream: the walk, one region at a time, sets decompress' peak too,
-        # 1.28x, above the decode's 1.24x. With the lanes' step-number marks and each
-        # lane's widths and then its walker's it was 1.36x; with the walk's flags at
-        # one byte per field and its window held through each pass too, 1.70x
+        # 1.28x, above the decode's 1.24x
         m = generate_er(4096, 0.02, 1)
         blob = codec.write_container(compress(m, set3)[0])
         decoded, used = peak(lambda b: decompress(codec.read_container(b), set3), blob)
@@ -485,9 +466,8 @@ class TestPeakMemory:
 
     def test_query_edge_reads_the_payload_in_place(self, set1):
         # the last cell walks the whole stream: its flags packed one bit per field
-        # and the walk's window, 0.28x the payload (0.49x with one flag byte per
-        # field); copying the payload up to the chunk, and that copy again padded,
-        # measures 1.24x
+        # and the walk's window, 0.28x the payload; a copy of the payload up to the
+        # chunk, and that copy again padded, measures 1.24x
         m = generate_er(4096, 0.25, 1)
         c, _ = compress(m, set1)
         bit, query_peak = peak(query_edge, c, set1, 4095, 4095)

@@ -23,7 +23,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, TruncationError,
@@ -146,6 +146,12 @@ def graph_of(bits, n, pset):
     return CompressedGraph(n, pset.id, packed(bits), len(bits))
 
 
+def drawn_bytes(draw, least, most):
+    """least to most bytes drawn in one go, as uint8s: random bit strings are made from
+    them whole, not one Hypothesis draw per bit."""
+    return np.frombuffer(draw(st.binary(min_size=least, max_size=most)), np.uint8)
+
+
 @st.composite
 def streams(draw, shapes=("random", "runs", "switch", "ones", "zeros", "alternating", "noise")):
     """(bits, n, pset): a stream of fields with the given flag shape, then
@@ -157,14 +163,13 @@ def streams(draw, shapes=("random", "runs", "switch", "ones", "zeros", "alternat
     n = draw(st.integers(1, 90))
     count = total_chunks(n)
     shape = draw(st.sampled_from(shapes))
-    pool = np.unpackbits(np.frombuffer(draw(st.binary(min_size=5 * count, max_size=5 * count)),
-                                       dtype=np.uint8)).tolist()
+    pool = np.unpackbits(drawn_bytes(draw, 5 * count, 5 * count)).tolist()
     if shape == "noise":
         return pool[: draw(st.integers(0, len(pool)))], n, pset
     if shape == "random":
-        flags = draw(st.lists(st.booleans(), min_size=count, max_size=count))
-    elif shape == "runs":
-        lengths = draw(st.lists(st.integers(1, 200), min_size=1, max_size=count))
+        flags = (drawn_bytes(draw, count, count) >= 128).tolist()
+    elif shape == "runs":  # lengths 1 to 200, each from one byte
+        lengths = (1 + drawn_bytes(draw, 1, count).astype(int) * 200 // 256).tolist()
         flags = [r % 2 == 0 for r, length in enumerate(lengths) for _ in range(length)]
         flags = (flags * count)[:count]
     elif shape == "switch":
@@ -327,20 +332,15 @@ class TestWalkAgainstReference:
     def test_query_edge_agrees_or_raises_typed(self, routing, stream, data):
         bits, n, pset = stream
         with routed(routing):
-            check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
-                        data.draw(st.integers(0, n - 1)))
+            check_query(bits, n, pset, [(data.draw(st.integers(0, n - 1)),
+                                         data.draw(st.integers(0, n - 1)))])
 
 
 def check_every_reader(bits, n, pset):
     """decompress and scan_stats, then query_edge at one bit of every row, against the
     reference."""
     check_against_reference(bits, n, pset)
-    c = graph_of(bits, n, pset)
-    for i in range(n):
-        j = 37 * i % n
-        got, expected = outcome(query_edge, c, pset, i, j), outcome(
-            reference_query, bits, n, pset, i, j)
-        assert got == expected if expected[0] == "ok" else got[0] == expected[0]
+    check_query(bits, n, pset, [(i, 37 * i % n) for i in range(n)])
 
 
 def check_walk(bits, n, pset):
@@ -365,23 +365,11 @@ def check_every_cut():
         check_against_reference(bits[:cut], len(flags), pset)
 
 
-def check_query(bits, n, pset, i, j):
+def check_query(bits, n, pset, cells):
+    """query_edge at each (i, j) of cells reads the reference's bit or raises its error."""
     c = graph_of(bits, n, pset)
-    target = i * chunks_per_row(n) + j // 32
-    try:
-        offsets, flags, _ = reference_walk(bits, len(bits), target + 1, pset.indicator_bits)
-    except TruncationError as exc:
-        # the walk to chunk (i, j) stops with the reference's own message
-        with pytest.raises(TruncationError) as raised:
-            query_edge(c, pset, i, j)
-        assert str(raised.value) == str(exc)
-        return
-    pos = offsets[-1] + 1
-    if not flags[-1]:
-        assert query_edge(c, pset, i, j) == bits[pos + j % 32]
-        return
-    index = int("".join(map(str, bits[pos : pos + pset.indicator_bits])), 2)
-    assert query_edge(c, pset, i, j) == (pset.patterns[index] >> (31 - j % 32)) & 1
+    for i, j in cells:
+        assert outcome(query_edge, c, pset, i, j) == outcome(reference_query, bits, n, pset, i, j)
 
 
 def row_blocks(rows):
@@ -427,8 +415,8 @@ class TestWindowBoundaries:
     def test_query_edge_agrees_or_raises_typed(self, window, routing, stream, data):
         bits, n, pset = stream
         with patch("gpmc.codec._BLOCK_BITS", window), routed(routing):
-            check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
-                        data.draw(st.integers(0, n - 1)))
+            check_query(bits, n, pset, [(data.draw(st.integers(0, n - 1)),
+                                         data.draw(st.integers(0, n - 1)))])
 
     @pytest.mark.parametrize("routing", ROUTINGS)
     def test_window_is_refilled_per_window_of_bits(self, routing):
@@ -471,8 +459,8 @@ class TestStrategySwitch:
                             _RUN_FIELDS=run_fields, **(SMALL_LANES if lanes == "small" else {})):
             check_walk(bits, n, pset)
             check_against_reference(bits, n, pset)
-            check_query(bits, n, pset, data.draw(st.integers(0, n - 1)),
-                        data.draw(st.integers(0, n - 1)))
+            check_query(bits, n, pset, [(data.draw(st.integers(0, n - 1)),
+                                         data.draw(st.integers(0, n - 1)))])
 
     def test_default_routing_switches_across_windows(self, set3):
         # top half sparse (runs of hundreds of matched fields), bottom half at
@@ -506,9 +494,9 @@ def regions(draw):
     region in them, from a drawn start to a drawn stop at least as far on as the
     walk asks of a pass under SMALL_LANES."""
     k = draw(st.sampled_from(WIDTHS))
-    share = draw(st.sampled_from(((0, 1), (0, 1, 1, 1), (0, 1, 1, 1, 1, 1, 1, 1))))
+    below = draw(st.sampled_from((128, 192, 224)))  # a byte under it is a 1: 1/2, 3/4 or 7/8
     least = SMALL_LANES["_MIN_LANES"] * SMALL_LANES["_LANE_BITS"]
-    bits = draw(st.lists(st.sampled_from(share), min_size=least, max_size=1500))
+    bits = (drawn_bytes(draw, least, 1500) < below).tolist()
     start = draw(st.integers(0, len(bits) - least))
     return bits, start, draw(st.integers(start + least, len(bits))), k
 
@@ -531,6 +519,7 @@ class TestLanes:
         bits, start, stop, k = region
         with patch.multiple("gpmc.codec", **SMALL_LANES):
             found, end, whole = _lanes(np.frombuffer(packed(bits), np.uint8), start, stop, k)
+            event("whole pass" if whole else "stopped early")
             check_pass(bits, start, stop, k, found, end, whole)
 
     def test_set_1_pass_that_stops_early_matches_the_reference(self, set1):
