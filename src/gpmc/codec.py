@@ -41,7 +41,7 @@ _SLICE_BITS = 1 << 15  # the least bits unpacked by one call; a multiple of 8
 _REGION_BITS = 1 << 21
 _LANE_BITS = 32 * RAW_FIELD_BITS
 _MIN_LANES = 256
-_TALLIES = 4  # histograms the census counts in (_count)
+_TALLIES = 4  # histograms the census counts in (_count); a power of two
 
 
 class FormatError(ValueError):
@@ -145,7 +145,7 @@ def _field_blocks(n: int, k: int):
     for _offsets and j's tally for _count."""
     count, step = total_chunks(n), row_block(n) * chunks_per_row(n)
     j = np.arange(min(step, count), dtype=np.int32 if CHUNK_WIDTH * step < 1 << 31 else np.int64)
-    tally = ((j % _TALLIES) << k).astype(np.min_scalar_type((_TALLIES - 1) << k))
+    tally = ((j & (_TALLIES - 1)) << k).astype(np.min_scalar_type((_TALLIES - 1) << k))
     j *= CHUNK_WIDTH - k
     return (slice(s, s + step) for s in range(0, count, step)), j, tally
 
@@ -315,10 +315,11 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     The walk takes one of three paths at a time. It starts by runs, from a window of
     unpacked bits, one byte per bit, refilled from the walk's byte whenever fewer than 33
     bits are left, so it holds a whole field or the rest of the stream. In a run the flags
-    sit at a fixed stride, so bytes.find over strided slices, doubling while the run lasts,
-    finds its end or the window's. While runs average under _RUN_FIELDS fields it walks
-    short runs instead, choosing again every _PROBE_RUNS runs and, on short runs, at each
-    refill from the flags it set. Short runs go by lanes (_lanes), a region of up to
+    sit at a fixed stride, so bytes.find over strided slices finds its end or the window's,
+    in spans that start at the length of the last run of its kind (at least 64) and double
+    while the run lasts. While runs average under _RUN_FIELDS fields it walks short runs
+    instead, choosing again every _PROBE_RUNS runs and, on short runs, at each refill from
+    the flags it set. Short runs go by lanes (_lanes), a region of up to
     _REGION_BITS bits at a time, whose lanes guess where the true path enters each segment
     and then walk each from its guess, all in lockstep, with no window held: the walk
     looks for a pass before it refills one, so runs and steps alone make it. The window
@@ -335,6 +336,7 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     flags = bytearray(-(-min(count, -(-bit_length // matched_width)) // 8))
     done = base = at = size = 0  # window: bits base to base + size; walk: bit base + at
     short_runs, seen, runs = False, 0, 0  # strategy, the field it was chosen at, runs since
+    last = [64, 64]  # the first span of a raw, and of a matched, run's search
     # bits of the next lanes pass, each room for _MIN_LANES lanes at least: a quarter of a
     # region at first, as a pass that stops early costs most of a whole one, then whole
     # regions; none once a pass stops early
@@ -381,7 +383,7 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
         fit = min(count - done, (size - at) // width)
         if not fit:
             raise TruncationError(f"chunk {done} field truncated")
-        run, span = 1, 64
+        run, span = 1, last[flag]
         while run < fit:
             stop = min(fit, run + span)
             r = window[at + run * width : at + stop * width : width].find(
@@ -390,6 +392,7 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
                 run += r
                 break
             run, span = stop, 2 * span
+        last[flag] = max(64, run)
         if flag:
             _set(flags, done, done + run)
         at += run * width
@@ -414,15 +417,24 @@ def _gather(words: np.ndarray, at: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 
 def _indicators(src: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
-    """Indicator of the matched field at each bit offset, read from the 2 payload bytes of
-    src from its flag's on, which hold flag and indicator as k is at most 6. A paper set
-    has 2 ** k entries, so every indicator names one. The offsets are consumed in place."""
+    """Indicator of the matched field at each bit offset of src, the bytes of its field block,
+    read from the 2 bytes from its flag's on, which hold flag and indicator as k is at most 6.
+    Where the fields are at least half as many as the bytes, each byte's 16-bit window is
+    built once and one gathered per field; fewer read their 2 bytes each. A byte past src
+    holds none of a field's bits. A paper set has 2 ** k entries, so every indicator names
+    one. The offsets are consumed in place."""
     shift = offsets.astype(np.uint8) & 7
     offsets >>= 3
-    words = src[offsets].astype(np.uint16)
-    offsets += 1
-    words <<= 8
-    words |= np.take(src, offsets, mode="clip")  # a byte past the payload holds none of its bits
+    if 2 * offsets.size >= src.size:
+        words = src.astype(np.uint16)
+        words <<= 8
+        words[:-1] |= src[1:]
+        words = words.take(offsets)
+    else:
+        words = src[offsets].astype(np.uint16)
+        offsets += 1
+        words <<= 8
+        words |= np.take(src, offsets, mode="clip")
     words <<= shift  # the flag to bit 15
     words >>= 15 - k
     words &= (1 << k) - 1  # drop the flag and the bits before it
@@ -484,9 +496,10 @@ def scan_stats(c: CompressedGraph, pset: PatternSet) -> CompressionStats:
     matched, k = _flags(c, pset), pset.indicator_bits
     blocks, rank, tally = _field_blocks(c.n, k)
     hist, src = np.zeros(_TALLIES << k, np.int64), np.frombuffer(c.payload, np.uint8)
-    for flags, bit, _ in _block_spans(matched, blocks, total_chunks(c.n), k):
+    for flags, bit, end in _block_spans(matched, blocks, total_chunks(c.n), k):
         hits = np.flatnonzero(flags)
-        _count(hist, _indicators(src, _offsets(hits, True, rank, k, bit), k), tally)
+        _count(hist, _indicators(src[bit >> 3 : (end + 7) >> 3],
+                                 _offsets(hits, True, rank, k, bit & 7), k), tally)
     return _stats(c.n, hist, c.payload_bit_length)
 
 

@@ -734,6 +734,93 @@ class TestFieldBlocks:
                 assert scan_stats(graph_of(bits, n, pset), pset).per_pattern[top] == 2
 
 
+def reference_indicators(src, offsets, k):
+    """Indicator of the matched field at each bit offset of src, read one bit at a time."""
+    bits = np.unpackbits(src).tolist()
+    return [int("".join(map(str, bits[at + 1 : at + 1 + k])), 2) for at in offsets]
+
+
+def window_path(src, offsets):
+    """Whether _indicators reads these fields through one 16-bit window per byte of src."""
+    return 2 * len(offsets) >= src.size
+
+
+class TestIndicators:
+    """The indicator reader takes the bytes of one field block: where its matched fields are
+    at least half as many as its bytes, it reads one 16-bit window per byte; where fewer,
+    each field's 2 bytes. Both must read what a per-bit read of the same fields reads."""
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_both_paths_match_a_per_bit_read(self, k):
+        # 400 fields, 9 in 10 matched and the last one matched, from each bit of the first
+        # byte: all matched offsets take the window path, every 16th the byte-pair path, and
+        # for some leads the last field's flag is in the block's last byte, so its 2-byte
+        # window runs past the block
+        rng = np.random.default_rng(k)
+        flags = rng.random(400) < 0.9
+        flags[-1] = True
+        starts = np.concatenate(([0], np.cumsum(np.where(flags, 1 + k, 33))))
+        past = []
+        for lead in range(8):
+            offsets = (lead + starts[:-1])[flags]
+            src = rng.integers(0, 256, (lead + starts[-1] + 7) >> 3, dtype=np.uint8)
+            past.append(offsets[-1] >> 3 == src.size - 1)
+            for subset, dense in ((offsets, True), (offsets[::-16][::-1], False)):
+                assert window_path(src, subset) == dense
+                got = codec._indicators(src, subset.copy(), k)
+                assert got.tolist() == reference_indicators(src, subset, k)
+        assert any(past)
+
+    @pytest.mark.parametrize("set_id", (1, 3))  # their entries include the zero chunk
+    def test_blocks_on_both_sides_of_the_rule(self, set_id):
+        # n = 64 in row blocks of 8 rows, 16 fields: the top block's rows hold a dense
+        # first chunk and an empty second, 8 matched fields in about 40 bytes, read by byte
+        # pairs; the empty blocks below are 16 matched fields in at most 14 bytes, read by
+        # windows, in scan_stats and in decompress's padded block copies alike
+        pset, n = pattern_set(set_id), 64
+        top = np.random.default_rng(set_id).integers(0, 256, (8, 8), dtype=np.uint8)
+        top[:, 4:] = 0
+        m = BitMatrix(n, top.tobytes() + bytes(n * n // 8 - top.size))
+        with row_blocks(8):
+            c, _ = compress(m, pset)
+            bits = np.unpackbits(np.frombuffer(c.payload, np.uint8))[: c.payload_bit_length]
+            check_every_reader(bits.tolist(), n, pset)
+            sides, read = [], codec._indicators
+            with patch("gpmc.codec._indicators",
+                       lambda src, at, k: sides.append(window_path(src, at)) or read(src, at, k)):
+                scan_stats(c, pset)
+                decompress(c, pset)
+        assert sides == ([False] + [True] * 7) * 2
+
+
+class TestSeededSpan:
+    """Under runs, each run's search starts at the length of the last run of its kind, at
+    least 64 fields: after a long run, a short run of the same kind is searched past its
+    end; after a short run, a long one doubles its span from there. In windows of 2^12 bits,
+    which hold more than 64 fields of either kind, the long runs cross refills, and at
+    some leads so does a short one."""
+
+    @pytest.mark.parametrize("kind", (True, False))
+    @pytest.mark.parametrize("lengths", ((3000, 100), (100, 3000)))
+    def test_runs_match_the_reference(self, kind, lengths):
+        k, short, crossed = 6, min(lengths), 0
+        for lead in range(0, 800, 50):  # fields of the other kind before the first run
+            flags, firsts = [not kind] * lead, []
+            for length in lengths * 2:
+                firsts += [len(flags)] if length == short else []
+                flags += [kind] * length + [not kind]
+            bits, refills, unpack = stream(flags, k), [], codec._unpack
+            offsets, expected, end = reference_walk(bits, len(bits), len(flags), k)
+            with routed("runs"), patch("gpmc.codec._BLOCK_BITS", 1 << 12), patch(
+                    "gpmc.codec._unpack",
+                    lambda src, bit, out: refills.append(bit) or unpack(src, bit, out)):
+                got, stop = _walk(packed(bits), len(bits), len(flags), k)
+            assert stop == end and unpacked(got, len(flags)).tolist() == expected
+            crossed += any(offsets[first] < bit < offsets[first + short]
+                           for first in firsts for bit in refills)
+        assert crossed
+
+
 def check_block_flags(m, pset):
     """decompress and scan_stats hold the walk's flags packed, one bit per field, and read
     them through one generator: the flags it gives, one row block at a time, are _flags'
