@@ -198,7 +198,7 @@ def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, Compressi
         block = matrix_chunks(m, part.start // cpr, part.stop // cpr)
         idx = classify_chunks(block, pset)
         hits, misses = np.flatnonzero(idx >= 0), np.flatnonzero(idx < 0)
-        fields, raw = idx.take(hits).astype(np.uint8), block.take(misses)  # 2^k | index <= 127
+        fields, raw = idx.take(hits).view(np.uint8), block.take(misses)  # 2^k | index <= 127
         del idx, block
         _count(hist, fields, tally)
         fields |= 1 << k  # flag 1, then the k-bit index; a raw field is flag 0, then its chunk

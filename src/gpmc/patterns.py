@@ -37,16 +37,17 @@ class PatternSet:
     2 ** indicator_bits entries, so every indicator names one. values holds
     the patterns as a read-only uint32 array, in declaration order.
 
-    The constructor also builds the slot table classify_chunks looks chunks
-    up in: 2 ** (indicator_bits + 1) slots, so it is at most half full.
-    _MULTIPLIER gives each entry a home slot, _slot(value), of its own. A free
-    slot holds index 0: a lookup accepts a slot only if the entry it names
-    equals the chunk.
+    The constructor also builds the slot tables classify_chunks looks chunks
+    up in: 2 ** (indicator_bits + 1) slots, so they are at most half full.
+    _MULTIPLIER gives each entry a home slot, _slot(value), of its own.
+    _table holds each slot's int8 entry index, and _entries the uint32 value
+    of the entry that index names. A free slot names entry 0: a lookup
+    accepts a slot only if its _entries value equals the chunk.
 
     A built set is read-only, and copies and pickles are the shared set.
     """
 
-    __slots__ = ("id", "patterns", "indicator_bits", "values", "_shift", "_table")
+    __slots__ = ("id", "patterns", "indicator_bits", "values", "_shift", "_entries", "_table")
 
     def __init__(self, set_id: int):
         if set_id not in _ENTRIES:
@@ -58,9 +59,10 @@ class PatternSet:
         self.values.flags.writeable = False
         table_bits = self.indicator_bits + 1
         self._shift = np.uint32(CHUNK_WIDTH - table_bits)
-        table = np.zeros(1 << table_bits, dtype=np.int64)
+        table = np.zeros(1 << table_bits, dtype=np.int8)
         table[_slot(self.values, self._shift)] = np.arange(len(self.values))
-        table.flags.writeable = False
+        self._entries = self.values.take(table)
+        self._entries.flags.writeable = table.flags.writeable = False
         self._table = table  # the last attribute set: from here on the set is read-only
 
     def __setattr__(self, name, value):
@@ -102,17 +104,22 @@ def pattern_set(set_id: int) -> PatternSet:
 
 
 def classify_chunks(chunks: np.ndarray, pset: PatternSet) -> np.ndarray:
-    """Index of the dictionary entry bit-equal to each chunk: int64, -1 where
+    """Index of the dictionary entry bit-equal to each chunk: int8, -1 where
     nothing matches.
 
-    Each chunk is looked up in the set's slot table: one multiply, one shift
-    and one table gather, then one check that the entry found equals the
-    chunk. The cost does not depend on what the chunks hold. A uint32 array
-    of either byte order is read as it lies.
+    One multiply and one shift give each chunk's home slot, made intp once;
+    two take gathers on it read the slot's entry index and entry value, and a
+    chunk unequal to that value gets -1. The cost does not depend on what the
+    chunks hold. A uint32 array of either byte order is read as it lies; for
+    other input ValueError names the first value not an integer in [0, 2**32).
     """
     arr = chunks
     if not (isinstance(chunks, np.ndarray) and chunks.dtype in _WORDS):
-        arr = np.ascontiguousarray(chunks, dtype=np.uint32)
-    idx = pset._table[_slot(arr, pset._shift)]
-    idx[pset.values[idx] != arr] = -1
+        given = np.asarray(chunks)
+        arr = np.where((given >= 0) & (given < 1 << CHUNK_WIDTH), given, 0).astype(np.uint32)
+        if (bad := arr != given).any():
+            raise ValueError(f"chunk {given[bad][0]} is not an integer in [0, 2**32)")
+    slot = _slot(arr, pset._shift).astype(np.intp)  # once: each take would convert uint32 slots
+    idx = pset._table.take(slot)
+    idx[pset._entries.take(slot) != arr] = -1
     return idx

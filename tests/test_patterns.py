@@ -105,7 +105,8 @@ class TestConstruction:
                 assert compress(m, pattern_set(set_id))[0] == read_container(blob)
                 assert pattern_set(set_id) is pattern_set(set_id)
         assert not rebuild.called
-        for name, value in (("indicator_bits", 5), ("patterns", ()), ("_table", None)):
+        for name, value in (("indicator_bits", 5), ("patterns", ()), ("_entries", None),
+                            ("_table", None)):
             with pytest.raises(AttributeError, match="read-only"):
                 setattr(pattern_set(3), name, value)
         assert pattern_set(3).indicator_bits == 6 and len(pattern_set(3).patterns) == 64
@@ -186,6 +187,39 @@ class TestClassify:
             for dtype in ("<u4", ">u4"):
                 assert classify_chunks(np.array(sample, dtype), pset).tolist() == expected
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 32) - 1), max_size=3000), st.randoms())
+    def test_strided_chunks_agree_with_scan(self, all_sets, random_chunks, rnd):
+        # the gathers and the equality check read strided views of either byte order in place
+        salted = random_chunks + popcount_le_2_chunks()
+        rnd.shuffle(salted)
+        chunks = np.array(salted, np.uint32)
+        for pset in all_sets:
+            for view in (chunks[::3], chunks.astype(">u4")[1::2]):
+                assert not view.flags.contiguous
+                assert (classify_chunks(view, pset) == scan_classify_bulk(view, pset)).all()
+
+    @pytest.mark.parametrize("chunks, first", (
+        (np.array([1 << 32], np.uint64), "4294967296"),
+        (np.array([-(1 << 31)], np.int64), "-2147483648"),
+        (np.array([0.5]), "0.5"),
+        ([1 << 32], "4294967296"),
+        ([5, 7, -1, 1 << 40], "-1"),
+    ), ids=("uint64-2**32", "int64-negative", "float-half", "list-2**32", "list-first-bad"))
+    def test_values_outside_uint32_are_rejected(self, set3, chunks, first):
+        message = rf"^chunk {first} is not an integer in \[0, 2\*\*32\)$"
+        with pytest.raises(ValueError, match=message):
+            classify_chunks(chunks, set3)
+
+    def test_in_range_conversions_classify_as_uint32(self, all_sets):
+        sample = popcount_le_2_chunks() + [(1 << 32) - 1, 12345, 3 << 30]
+        for pset in all_sets:
+            expected = classify_chunks(np.array(sample, np.uint32), pset).tolist()
+            assert expected == [-1 if i is None else i
+                                for i in (scan_classify(pset.patterns, c) for c in sample)]
+            for chunks in (np.array(sample, np.int64), np.array(sample, np.uint64), sample):
+                assert classify_chunks(chunks, pset).tolist() == expected
+
 
 def home_slot(value, pset, multiplier=int(_MULTIPLIER)):
     """Multiply-shift home slot, in plain integers."""
@@ -223,6 +257,16 @@ class TestSlotTable:
             assert np.array_equal(first._table, pset._table)
             assert first.patterns == pset.patterns
 
+    def test_entries_table_names_each_slots_entry(self, all_sets):
+        for pset in all_sets:
+            assert pset._table.dtype == np.int8 and pset._entries.dtype == np.uint32
+            assert pset._entries.shape == pset._table.shape
+            for s in range(pset._table.size):
+                assert pset._entries[s] == pset.values[pset._table[s]]
+            for table in (pset._table, pset._entries):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = table[0]  # the same value: a writable table stays intact
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_slot_mates_of_entries_do_not_match(self, data):
@@ -238,7 +282,7 @@ class TestSlotTable:
         others = data.draw(st.lists(st.integers(0, (1 << 32) - 1), max_size=100))
         chunks = data.draw(st.permutations(entries + mates + others))
         fast = classify_chunks(np.array(chunks, dtype=np.uint32), pset)
-        assert fast.dtype == np.int64
+        assert fast.dtype == np.int8
         assert classify_chunks(np.array(mates, dtype=np.uint32), pset).tolist() == [-1] * len(mates)
         expected = [scan_classify(pset.patterns, c) for c in chunks]
         assert fast.tolist() == [-1 if i is None else i for i in expected]
