@@ -167,8 +167,8 @@ def _count(hist: np.ndarray, indicators: np.ndarray, tally: np.ndarray) -> None:
 
 
 def _split(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bit offsets as _scatter and _gather take them, cut in place so that no copy lives beside
-    them: the 32-bit word that holds each one's first bit, and its place in it as a uint8."""
+    """Bit offsets as _scatter and the raw decode take them, cut in place so that no copy lives
+    beside them: the 32-bit word that holds each one's first bit, and its place in it as a uint8."""
     shift = offsets.astype(np.uint8) & 31  # before the offsets become word indices
     return np.right_shift(offsets, 5, out=offsets), shift
 
@@ -401,16 +401,18 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     return flags, base + at
 
 
-def _words(payload) -> np.ndarray:
-    """The big-endian 32-bit words compress wrote, copied from payload bytes that start on
-    a word (any bytes-like object), zero-padded to whole words and then one zero word."""
-    return np.frombuffer(b"".join((payload, bytes(8 - len(payload) % 4))), ">u4")
+def _windows(payload) -> np.ndarray:
+    """The 64 bits from each big-endian 32-bit word compress wrote on, as a uint64: the word,
+    then the next, the last one then zeros. Payload bytes that start on a word (any bytes-like
+    object) are copied, zero-padded to whole words and one more, and read as overlapping
+    big-endian 64-bit words 4 bytes apart by one cast; the copy is freed on return."""
+    words = b"".join((payload, bytes(4 + -len(payload) % 4)))
+    return np.ndarray(len(words) // 4 - 1, ">u8", words, strides=(4,)).astype(np.uint64)
 
 
-def _gather(words: np.ndarray, at: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Inverse of _scatter: the 33-bit window shift bits into word at (_split) and the next."""
-    fields = np.left_shift(words.take(at), 32, dtype=np.uint64)
-    fields |= words[1:].take(at)
+def _gather(fields: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Inverse of _scatter: the 33 bits shift bits into each window (_windows) taken at its
+    word (_split), cut in place."""
     fields <<= shift
     fields >>= np.uint64(64 - RAW_FIELD_BITS)
     return fields
@@ -441,16 +443,21 @@ def _indicators(src: np.ndarray, offsets: np.ndarray, k: int) -> np.ndarray:
     return words
 
 
-def _decode(words: np.ndarray, matched: np.ndarray, rank: np.ndarray, pset: PatternSet,
+def _decode(payload, matched: np.ndarray, rank: np.ndarray, pset: PatternSet,
             bit: int, out: np.ndarray) -> np.ndarray:
-    """Chunk of each field of a field block from bit, into out, matched fields first; out.
+    """Chunk of each field of a field block from bit of payload, bytes from a word on, into out,
+    matched fields first; out. Each temporary goes in the frame that made it, as Python 3.10
+    frees no argument before its call returns: windows and word indices right after the take.
     Values are cast to out's dtype first: an indexed assignment that converts takes 2x."""
     k, hits = pset.indicator_bits, np.flatnonzero(matched)
     out[hits] = pset.values.astype(out.dtype).take(
-        _indicators(words.view(np.uint8), _offsets(hits, True, rank, k, bit), k))
+        _indicators(np.frombuffer(payload, np.uint8), _offsets(hits, True, rank, k, bit), k))
     del hits
     misses = np.flatnonzero(~matched)
-    out[misses] = _gather(words, *_split(_offsets(misses, False, rank, k, bit))).astype(out.dtype)
+    at, shift = _split(_offsets(misses, False, rank, k, bit))
+    fields = _windows(payload).take(at)
+    del at
+    out[misses] = _gather(fields, shift).astype(out.dtype)
     return out
 
 
@@ -485,7 +492,7 @@ def decompress(c: CompressedGraph, pset: PatternSet) -> BitMatrix:
     src = np.frombuffer(c.payload, np.uint8)
     chunks = np.empty(rank.size, ">u4")  # reused: the repack takes each block before the next
     return chunks_to_matrix((
-        _decode(_words(src[bit >> 5 << 2 : (end + 7) >> 3]), flags, rank, pset, bit & 31,
+        _decode(src[bit >> 5 << 2 : (end + 7) >> 3], flags, rank, pset, bit & 31,
                 chunks[: flags.size])
         for flags, bit, end in _block_spans(matched, blocks, total_chunks(c.n), k)), c.n)
 
@@ -519,7 +526,7 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     matched = np.array([flags[target >> 3] >> (~target & 7) & 1], np.bool_)
     offset = end - (1 + k if matched[0] else RAW_FIELD_BITS)
     at, chunk = 4 * (offset >> 5), np.empty(1, np.uint32)
-    _decode(_words(c.payload[at : at + 8]), matched, np.zeros(1, int), pset, offset & 31, chunk)
+    _decode(c.payload[at : at + 8], matched, np.zeros(1, int), pset, offset & 31, chunk)
     return (int(chunk[0]) >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
 
 

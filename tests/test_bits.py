@@ -9,8 +9,9 @@ the offsets, so no copy of them lives beside it; both sides take these in
 place of the offsets. _scatter adds such windows, fields of 1 to 33 bits
 back to back, into 32-bit words, in one call or block by block, and the same fields given
 as values of their own width, as compress gives matched fields, to the same
-words; _gather cuts the 33 bits at each offset out again from the payload's
-words as _words reads them, which end in a zero word.
+words; _gather cuts the 33 bits at each offset out again from the 64-bit
+windows _windows builds over the payload's words, one per word: that word,
+then the next, the last one then zeros.
 Each must undo the other, and the bits past the last field must stay zero,
 since read_container rejects a payload with dirty padding. Neither of those
 two changes an array it is given.
@@ -20,7 +21,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpmc.codec import _gather, _scatter, _split, _words
+from gpmc.codec import _gather, _scatter, _split, _windows
 
 
 @st.composite
@@ -74,7 +75,7 @@ def test_gather_undoes_scatter(case, block):
     assert payload == int(expected, 2).to_bytes(len(payload), "big")
     # each gathered window is the 33 bits from its offset, zeros past the payload,
     # so its top bits are the field
-    gathered = _gather(_words(payload), at, shift).tolist()
+    gathered = _gather(_windows(payload).take(at), shift).tolist()
     assert all(np.array_equal(a, b) for a, b in zip((at, shift), held))
     bits = expected + "0" * 33
     assert gathered == [int(bits[o : o + 33], 2) for o in offsets.tolist()]

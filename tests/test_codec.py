@@ -408,15 +408,16 @@ class TestPeakMemory:
 
     def test_all_raw_decompress_holds_no_payload_copy(self, set1):
         # all raw, so the payload is 1.03x the matrix: decompress(read_container(blob))
-        # peaks at 2.69x after the walk (2.56x), with the packed flags, the result and
-        # one row block's field arrays alive. A copy of the whole payload, by
+        # peaks at 2.46x after the walk, with the packed flags, the result and one row
+        # block's field arrays alive; the decode frees its copy of the block's words
+        # before the take and the windows right after it. A copy of the whole payload, by
         # read_container or padded for the decode, would add 1.03x
         m = generate_er(1024, 0.5, 1)
         blob = codec.write_container(compress(m, set1)[0])
         assert len(blob) > 1.03 * len(m.data)
         decoded, used = peak(lambda b: decompress(codec.read_container(b), set1), blob)
         assert decoded == m
-        assert used < 2.8 * len(m.data)
+        assert used < 2.55 * len(m.data)
 
     def test_all_raw_compress_writes_its_container_in_place(self, set1):
         # all raw, so the container is 1.03x the matrix: write_container(compress(m))
