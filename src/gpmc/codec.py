@@ -317,7 +317,11 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     bits are left, so it holds a whole field or the rest of the stream. In a run the flags
     sit at a fixed stride, so bytes.find over strided slices finds its end or the window's,
     in spans that start at the length of the last run of its kind (at least 64) and double
-    while the run lasts. While runs average under _RUN_FIELDS fields it walks short runs
+    while the run lasts. Where a search stops on a lone field of the other kind, the walk
+    steps over it, counts it as one more run, and searches on, unless it is the last field
+    asked for, fewer than 33 window bits follow it, or one more run would reach
+    _PROBE_RUNS: there the outer loop refills, stops or chooses again, as for any run's end.
+    While runs average under _RUN_FIELDS fields it walks short runs
     instead, choosing again every _PROBE_RUNS runs and, on short runs, at each refill from
     the flags it set. Short runs go by lanes (_lanes), a region of up to
     _REGION_BITS bits at a time, whose lanes guess where the true path enters each segment
@@ -388,10 +392,21 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
             stop = min(fit, run + span)
             r = window[at + run * width : at + stop * width : width].find(
                 b"\x00" if flag else b"\x01")
-            if r >= 0:
-                run += r
+            if r < 0:
+                run, span = stop, 2 * span
+                continue
+            run += r  # on a field of the other kind: a lone one is stepped over here
+            past = at + run * width + RAW_FIELD_BITS + matched_width - width
+            if (done + run + 1 == count or size - past < RAW_FIELD_BITS
+                    or runs + 2 >= _PROBE_RUNS or window[past] != flag):
                 break
-            run, span = stop, 2 * span
+            if flag:
+                _set(flags, done, done + run)
+            else:
+                flags[done + run >> 3] |= 0x80 >> (done + run & 7)
+            last[flag], last[1 - flag] = max(64, run), 64
+            at, done, runs = past, done + run + 1, runs + 2  # the run and the lone field
+            run, span, fit = 1, last[flag], min(count - done, (size - at) // width)
         last[flag] = max(64, run)
         if flag:
             _set(flags, done, done + run)
@@ -530,8 +545,17 @@ def query_edge(c: CompressedGraph, pset: PatternSet, i: int, j: int) -> int:
     return (int(chunk[0]) >> (CHUNK_WIDTH - 1 - j % CHUNK_WIDTH)) & 1
 
 
+def _check_pad(c: CompressedGraph) -> None:
+    """The pad after the payload's last bit, in its final byte, is 0, as compress writes it."""
+    pad = (-c.payload_bit_length) % 8
+    if pad and c.payload[-1] & ((1 << pad) - 1):
+        raise CorruptStreamError("nonzero padding bits in final payload byte")
+
+
 def write_container(c: CompressedGraph) -> bytes:
-    """Serialize: the header, then the packed payload; bytes that hold both already come back."""
+    """Serialize: the header, then the packed payload; bytes that hold both already come back.
+    A payload with a nonzero pad bit is refused, as read_container would refuse its bytes."""
+    _check_pad(c)
     header = _HEADER.pack(MAGIC, VERSION, c.pattern_set_id, CHUNK_WIDTH, 0,
                           c.n, c.payload_bit_length)
     base = getattr(c.payload, "obj", None)
@@ -568,7 +592,5 @@ def read_container(data: bytes) -> CompressedGraph:
         raise TruncationError(f"{bit_length} payload bits cannot hold {count} chunks")
     if bit_length > count * RAW_FIELD_BITS:
         raise CorruptStreamError(f"{bit_length} payload bits exceed {count} raw chunks")
-    pad = (-bit_length) % 8
-    if pad and c.payload[-1] & ((1 << pad) - 1):
-        raise CorruptStreamError("nonzero padding bits in final payload byte")
+    _check_pad(c)
     return c

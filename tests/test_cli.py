@@ -59,6 +59,11 @@ ROUND_TRIPS = (
     # all raw: 7 row blocks of 128 rows and one of 104, each decoded from a copy of its
     # own payload words, which ends mid-word
     trip("raw", 1000, 0.5, 1, 1),
+    # long-run streams, whose walk goes by runs and steps over each lone field of the
+    # other kind: a sparse-archive-shaped one, long matched runs broken by 59 lone raw
+    # fields, and a dense-raw-shaped one, long raw runs broken by 3 lone matched fields
+    trip("sparse", 2048, 0.001, 1, 3, (2047, 2047)),
+    trip("dense", 512, 0.25, 1, 1, (511, 511)),
 )
 
 

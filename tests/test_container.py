@@ -129,10 +129,15 @@ class TestInPlaceWrite:
         data = bytearray(blob)
         out = write_container(read_container(data))
         assert out == blob and type(out) is bytes and out is not data
-        # views of the container's head and of a bytearray's tail hold other bytes
+        # views of the container's head and of a bytearray's tail hold other bytes; the
+        # head's last byte may set a pad bit, and then its bytes would not read back
         size, bits = len(c.payload), c.payload_bit_length
         for view in (memoryview(blob)[:size], memoryview(bytearray(blob))[24:]):
             other = CompressedGraph(n, set_id, view, bits)
+            if view[-1] & (1 << -bits % 8) - 1:
+                with pytest.raises(CorruptStreamError, match="nonzero padding bits"):
+                    write_container(other)
+                continue
             out = write_container(other)
             assert out == self.by_hand(other) and out is not blob
         for clone in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
@@ -251,6 +256,19 @@ class TestRead:
         blob[-1] |= 0b00000001
         with pytest.raises(CorruptStreamError):
             read_container(bytes(blob))
+
+    def test_graph_with_a_nonzero_pad_bit_is_not_written(self, set3):
+        # such a graph decodes as the clean one does, but its bytes would not read back:
+        # write_container refuses it with read_container's error
+        m = generate_er(64, 0.05, seed=1)
+        c, stats = compress(m, set3)
+        assert c.payload_bit_length % 8
+        payload = bytearray(c.payload)
+        payload[-1] |= 1
+        dirty = CompressedGraph(c.n, c.pattern_set_id, bytes(payload), c.payload_bit_length)
+        assert decompress(dirty, set3) == m and scan_stats(dirty, set3) == stats
+        with pytest.raises(CorruptStreamError, match="^nonzero padding bits in final payload byte$"):
+            write_container(dirty)
 
     def test_corruption_classes_are_distinct(self):
         assert not issubclass(FormatError, TruncationError)

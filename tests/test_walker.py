@@ -343,8 +343,10 @@ def check_every_reader(bits, n, pset):
     check_query(bits, n, pset, [(i, 37 * i % n) for i in range(n)])
 
 
-def check_walk(bits, n, pset):
-    count, k = total_chunks(n), pset.indicator_bits
+def check_walk(bits, n, pset, count=None):
+    """The walk of the first count fields (all of n's by default) finds the reference's
+    fields and end, or stops with its error."""
+    count, k = count or total_chunks(n), pset.indicator_bits
     expected = outcome(reference_walk, bits, len(bits), count, k)
     got = outcome(_walk, packed(bits), len(bits), count, k)
     if expected[0] == "ok":
@@ -819,6 +821,114 @@ class TestSeededSpan:
             crossed += any(offsets[first] < bit < offsets[first + short]
                            for first in firsts for bit in refills)
         assert crossed
+
+
+def lone_fields(kind, count, lone):
+    """count flags of one kind, but for those at the indices in lone, of the other."""
+    lone = set(lone)
+    return [kind != (i in lone) for i in range(count)]
+
+
+# the walk's own routing, and runs forced: lone fields are stepped over only by runs
+RUN_ROUTINGS = ("natural", "runs")
+
+
+class TestLoneFieldStepOver:
+    """Under runs, a run whose search stops on a lone field of the other kind steps over it
+    and searches on in the same loop, unless the outer loop has work there: the lone
+    field's follower starts fewer than 33 bits before the window's end, the lone field is
+    the last one asked for, or one more run would reach _PROBE_RUNS. The streams here are
+    runs of one kind broken by lone fields of the other, most walked in windows of 264
+    bits."""
+
+    @pytest.mark.parametrize("routing", RUN_ROUTINGS)
+    @pytest.mark.parametrize("kind", (True, False))
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_follower_at_a_window_edge(self, k, kind, routing):
+        # a lone field every 9 to 13 fields, from 16 leads: some lone field's follower is
+        # the last whole field of the window its lone field was read from, and some
+        # starts the next window
+        pset, edges = sets_of(k)[0], set()
+        width = 1 + k if kind else 33
+        for gap in range(9, 14):
+            for lead in range(16):
+                flags = lone_fields(kind, 400, range(lead, 400, gap))
+                bits, refills, unpack = stream(flags, k), [], codec._unpack
+                with patch("gpmc.codec._BLOCK_BITS", 264), routed(routing), patch(
+                        "gpmc.codec._unpack", lambda src, bit, out:
+                        refills.append((bit, out.size)) or unpack(src, bit, out)):
+                    check_walk(bits, 100, pset)
+                offsets = reference_walk(bits, len(bits), 400, k)[0]
+                for i in range(lead, 399, gap):
+                    start, size = max(r for r in refills if r[0] <= offsets[i])
+                    left = start + size - offsets[i + 1]  # the window's bits from the follower
+                    edges.add("last whole" if width <= left < 2 * width else
+                              "next window" if left < width else None)
+        assert {"last whole", "next window"} <= edges
+
+    @pytest.mark.parametrize("routing", RUN_ROUTINGS)
+    @pytest.mark.parametrize("kind", (True, False))
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_lone_field_at_the_count(self, k, kind, routing):
+        # n = 100, 4 fields a row: the walk of the first count fields, the last of them or
+        # the one before it lone, after runs longer than the first span of 64 fields; and
+        # query_edge at the last field's chunk, whose walk asks for the fields up to it
+        pset, n = sets_of(k)[0], 100
+        for target in range(90, 106):
+            for lone in (target, target - 1):
+                bits = stream(lone_fields(kind, total_chunks(n), (20, lone, lone + 70)), k)
+                row, col = divmod(target, 4)
+                with patch("gpmc.codec._BLOCK_BITS", 264), routed(routing):
+                    check_walk(bits, n, pset, count=target + 1)
+                    check_query(bits, n, pset, [(row, 32 * col), (row, min(32 * col + 31, 99))])
+
+    @pytest.mark.parametrize("routing", RUN_ROUTINGS)
+    @pytest.mark.parametrize("kind", (True, False))
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_two_of_the_other_kind_in_a_row(self, k, kind, routing):
+        # every 20 fields, from each lead, two fields of the other kind, then 9 fields on
+        # a lone one: the search stops on the first of the two and does not step over it
+        pset = sets_of(k)[0]
+        for lead in range(20):
+            others = [i + d for i in range(lead, 400, 20) for d in (0, 1, 11)]
+            with patch("gpmc.codec._BLOCK_BITS", 264), routed(routing):
+                check_walk(stream(lone_fields(kind, 400, others), k), 100, pset)
+
+    @pytest.mark.parametrize("prefix", ((), (True,) * 10 + (False,) * 2, (False,) * 3,
+                                        (True, True, False, False, False)))
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_step_over_stops_before_the_probe(self, k, prefix):
+        # n = 200, 1,400 fields: after the prefix every field is lone, so the walk by runs
+        # steps over them until one more run would take it to _PROBE_RUNS. Each lone field
+        # counts as a run, so the routing probes where the _PROBE_RUNS-th run of flags ends,
+        # and then steps the rest field by field. The window, an eighth of the stream,
+        # holds the runs up to the probe, so no refill cuts one
+        pset, count = sets_of(k)[0], total_chunks(200)
+        flags = list(prefix) + [i % 2 == 0 for i in range(count - len(prefix))]
+        ends = [i for i in range(1, count) if flags[i] != flags[i - 1]]  # where each run ends
+        bits, starts, put = stream(flags, k), [], codec._put
+        with patch("gpmc.codec._put", lambda out, start, found: starts.append(start)
+                   or put(out, start, found)):
+            check_walk(bits, 200, pset)
+        assert starts[0] == ends[codec._PROBE_RUNS - 1]
+
+    @pytest.mark.parametrize("routing", RUN_ROUTINGS)
+    @pytest.mark.parametrize("kind", (True, False))
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_lone_field_ends_the_stream(self, k, kind, routing):
+        # a stream of 300 to 319 fields whose last is lone, walked for its fields and for
+        # all 400 of n = 100; and the same streams with a lone field before the last and
+        # cut inside that last field, its follower
+        pset = sets_of(k)[0]
+        width = 1 + k if kind else 33
+        for size in range(300, 320):
+            bits = stream(lone_fields(kind, size, (size // 2, size - 1)), k)
+            cut = stream(lone_fields(kind, size, (size // 2, size - 2)), k)
+            with patch("gpmc.codec._BLOCK_BITS", 264), routed(routing):
+                for count in (size, 400):
+                    check_walk(bits, 100, pset, count=count)
+                for short in range(1, width):
+                    check_walk(cut[:-short], 100, pset, count=size)
 
 
 def check_block_flags(m, pset):
