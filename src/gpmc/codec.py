@@ -11,6 +11,7 @@ byte of the whole payload is padded.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import struct
 from collections.abc import Iterator
@@ -28,12 +29,11 @@ _HEADER = struct.Struct(">4s4B2Q")
 HEADER_LEN = _HEADER.size
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
-_BLOCK_BITS = 1 << 18  # the most payload bits in the walk's reused unpack window; a multiple of 8
+_BLOCK_BITS = 1 << 18  # the most payload bits in one unpacked window of the walk; a multiple of 8
 # The walk by runs chooses again every _PROBE_RUNS runs, the short-run walk at each
 # refill: under _RUN_FIELDS fields per run, a walk by runs costs more.
 _RUN_FIELDS = 24
 _PROBE_RUNS = 128
-_SLICE_BITS = 1 << 15  # the least bits unpacked by one call; a multiple of 8
 # The lanes pass walks a region of up to _REGION_BITS bits with one lane per _LANE_BITS,
 # a multiple of 8 * 33: each lane starts on the residue the true path keeps modulo
 # gcd(1 + k, 33), on the pass's bit of its byte, and is long enough to meet the true path
@@ -58,8 +58,8 @@ class CorruptStreamError(ValueError):
 
 @dataclass(frozen=True)
 class CompressedGraph:
-    """Encoded adjacency matrix: header fields plus the packed payload, a read-only bytes-like
-    object (compress and read_container leave it a view of a bytes container's tail)."""
+    """Encoded adjacency matrix: header fields plus the packed payload, any bytes-like object
+    (compress and read_container leave it a read-only view of a bytes container's tail)."""
 
     n: int
     pattern_set_id: int
@@ -73,7 +73,7 @@ class CompressedGraph:
             raise FormatError(f"vertex count must be < 2**64 to fit the header, got {self.n}")
         if self.pattern_set_id not in SET_IDS:
             raise FormatError(f"pattern set id must be in {SET_IDS}, got {self.pattern_set_id}")
-        if len(self.payload) != (self.payload_bit_length + 7) // 8:
+        if memoryview(self.payload).nbytes != (self.payload_bit_length + 7) // 8:
             raise FormatError("payload byte length disagrees with payload_bit_length")
 
     def __reduce__(self):  # a view does not pickle; its bytes do
@@ -227,18 +227,15 @@ def _check_set(c: CompressedGraph, pset: PatternSet) -> None:
             f"container names pattern set {c.pattern_set_id}, got set {pset.id}")
 
 
-def _unpack(src: np.ndarray, bit: int, out: np.ndarray) -> None:
-    """Unpack out.size payload bits from bit, a multiple of 8, into out, one byte per bit.
-
-    np.unpackbits has no out=, so this goes in slices of _SLICE_BITS bits or a 32nd
-    of the payload's bits, whichever is more: a window that is a large share of
-    the payload gets small temporaries, and a payload of 32 windows or
-    more, next to which one window weighs little, pays no call per slice.
-    """
-    cut = max(_SLICE_BITS, src.size // 32 * 8)
-    for at in range(0, out.size, cut):
-        part = min(cut, out.size - at)
-        out[at : at + part] = np.unpackbits(src[(bit + at) >> 3 :], count=part)
+def _window(src: np.ndarray, base: int, size: int) -> tuple[memoryview, ctypes._Pointer]:
+    """size payload bits from bit base, a multiple of 8, unpacked one byte per bit and read in
+    place: a memoryview reads single bits as ints, and a ctypes char pointer turns strided
+    slices into bytes as fast as a bytearray (a memoryview, ~10x slower). A char array would
+    make a ctypes type per size, which outlives the walk until a garbage collection. The
+    pointer checks no bounds and its empty strided slice reads one byte, so every slice must
+    be nonempty and end by size. The unpacked array lives as long as either view."""
+    bits = np.unpackbits(src[base >> 3 :], count=size)
+    return memoryview(bits), ctypes.pointer(ctypes.c_char.from_buffer(bits))
 
 
 def _steps(width: np.ndarray, pos: np.ndarray, walked: np.ndarray) -> int:
@@ -313,9 +310,10 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     the last field.
 
     The walk takes one of three paths at a time. It starts by runs, from a window of
-    unpacked bits, one byte per bit, refilled from the walk's byte whenever fewer than 33
-    bits are left, so it holds a whole field or the rest of the stream. In a run the flags
-    sit at a fixed stride, so bytes.find over strided slices finds its end or the window's,
+    unpacked bits, one byte per bit, unpacked afresh from the walk's byte (_window), the last
+    one let go first, whenever fewer than 33 bits are left, so it holds a whole field or the
+    rest of the stream. In a run the flags sit at a fixed stride, so bytes.find over strided
+    slices, taken in place by _window's pointer, finds its end or the window's,
     in spans that start at the length of the last run of its kind (at least 64) and double
     while the run lasts. Where a search stops on a lone field of the other kind, the walk
     steps over it, counts it as one more run, and searches on, unless it is the last field
@@ -333,8 +331,8 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     window, as a field takes at most 33 bits. The last few fields go by runs.
     """
     matched_width, src = 1 + k, np.frombuffer(payload, np.uint8)
-    # the window, in whole bytes: made at a refill, let go before each lanes pass
-    window, room = None, min(_BLOCK_BITS, bit_length, max(40, -(-bit_length // 64) * 8))
+    # the most bits in a window (_window), made at a refill and let go before each lanes pass
+    room = min(_BLOCK_BITS, bit_length, max(40, -(-bit_length // 64) * 8))
     # field d starts at bit d * (1 + k) or later, so no more can start in the
     # stream; all start raw, and the walk sets the matched ones' bits in order
     flags = bytearray(-(-min(count, -(-bit_length // matched_width)) // 8))
@@ -353,7 +351,7 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
                 runs = 1 + ((runs ^ runs >> 1) & (1 << max(done - seen - 1, 0)) - 1).bit_count()
             short_runs, seen, runs = runs * _RUN_FIELDS > done - seen, done, 0
         if short_runs and min(bit_length - base - at, region) >= _MIN_LANES * _LANE_BITS:
-            window = None  # the pass holds a region of its own
+            window = chars = None  # the pass holds a region of its own
             found, end, whole = _lanes(src, base + at, min(bit_length, base + at + region), k)
             if found.size > count - done:  # end after the count-th field
                 found = found[: count - done]
@@ -365,10 +363,9 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
             base, at, size = end & ~7, end & 7, 0  # the window is empty from end
             continue
         if refill:  # runs and steps read the window; a lanes pass does not
-            window = window or bytearray(room)
             base, at = base + (at & ~7), at & 7
-            size = min(bit_length - base, len(window))
-            _unpack(src, base, np.frombuffer(window, np.uint8)[:size])
+            size, window, chars = min(bit_length - base, room), None, None  # the last goes first
+            window, chars = _window(src, base, size)
         if short_runs and (batch := min(count - done, (size - at) // RAW_FIELD_BITS)):
             step = bytearray(batch)
             for d in range(batch):
@@ -389,8 +386,8 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
             raise TruncationError(f"chunk {done} field truncated")
         run, span = 1, last[flag]
         while run < fit:
-            stop = min(fit, run + span)
-            r = window[at + run * width : at + stop * width : width].find(
+            stop = min(fit, run + span)  # > run: the slice is nonempty and ends in the window
+            r = chars[at + run * width : at + stop * width : width].find(
                 b"\x00" if flag else b"\x01")
             if r < 0:
                 run, span = stop, 2 * span
@@ -564,7 +561,7 @@ def write_container(c: CompressedGraph) -> bytes:
             and np.frombuffer(c.payload, np.uint8).ctypes.data
             == np.frombuffer(base, np.uint8, offset=HEADER_LEN).ctypes.data):
         return base
-    return header + c.payload
+    return b"".join((header, c.payload))
 
 
 def read_container(data: bytes) -> CompressedGraph:

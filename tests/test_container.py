@@ -2,13 +2,14 @@ import copy
 import hashlib
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError,
-                  TruncationError, compress, decompress, generate_er, pattern_set, read_container,
-                  scan_stats, write_container)
+                  TruncationError, compress, decompress, generate_er, pattern_set, query_edge,
+                  read_container, scan_stats, write_container)
 
 # two n=100 matrices built without the RNG: rows end in pad bits, and each set
 # meets both matched and raw chunks in the first
@@ -145,9 +146,28 @@ class TestInPlaceWrite:
             assert write_container(clone) == blob
 
 
+class TestBytesLikePayload:
+    """A graph's payload may be any bytes-like object: it is measured in bytes, and written,
+    read and compared as the bytes it holds. Anything else is refused when the graph is made."""
+
+    @pytest.mark.parametrize("wrap", (bytearray, memoryview, lambda b: np.frombuffer(b, np.uint8)),
+                             ids=("bytearray", "memoryview", "ndarray"))
+    def test_payload_is_written_and_decoded_as_its_bytes(self, wrap, set3):
+        m = generate_er(100, 0.05, 1)
+        c, stats = compress(m, set3)
+        payload = wrap(bytes(c.payload))
+        other = CompressedGraph(c.n, c.pattern_set_id, payload, c.payload_bit_length)
+        assert write_container(other) == write_container(c) and other == c
+        assert decompress(other, set3) == m and scan_stats(other, set3) == stats
+        assert query_edge(other, set3, 99, 99) == m.get(99, 99)
+
+    def test_list_payload_is_refused_when_made(self):
+        with pytest.raises(TypeError, match="bytes-like"):
+            CompressedGraph(1, 1, [0], 6)
+
+
 class TestRead:
     def test_round_trip_random_matrices(self, all_sets):
-        import numpy as np
         rng = np.random.default_rng(41)
         for _ in range(100):
             n = int(rng.integers(1, 65))

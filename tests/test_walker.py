@@ -18,6 +18,7 @@ them and checks that the pad after the last field is 0.
 """
 
 import struct
+import weakref
 from contextlib import nullcontext
 from unittest.mock import patch
 
@@ -32,7 +33,7 @@ from gpmc import (BitMatrix, CompressedGraph, CorruptStreamError, FormatError, T
 from gpmc import codec
 from gpmc.cli import build_parser
 from gpmc.bitmatrix import row_block
-from gpmc.codec import (_MIN_LANES, _field_blocks, _flags, _lanes, _offsets, _unpack, _walk,
+from gpmc.codec import (_MIN_LANES, _field_blocks, _flags, _lanes, _offsets, _walk, _window,
                         chunks_per_row, chunks_to_matrix)
 from gpmc.patterns import _ENTRIES, SET_IDS
 
@@ -442,6 +443,28 @@ class TestWindowBoundaries:
         assert len([size for size in sizes if size <= 64]) <= 3000
         assert len(bits) <= sum(sizes) <= 2 * len(bits)
 
+    @pytest.mark.parametrize("base, size", ((0, 512), (0, 77), (8, 504), (24, 437), (40, 1)))
+    def test_window_reads_the_unpacked_bits_in_place(self, base, size):
+        # size bits from base, to the payload's end (512 bits) or ending mid-byte: the
+        # memoryview reads each as an int, and each nonempty strided slice of the ctypes
+        # char pointer that ends within the window, as the walk's find takes them, is the
+        # bytearray slice it replaces
+        src = np.random.default_rng(size).integers(0, 256, 64, dtype=np.uint8)
+        bits = np.unpackbits(src)[base : base + size].tobytes()
+        window, chars = _window(src, base, size)
+        assert window.tolist() == list(bits) and chars[:size] == bits
+        copy = bytearray(bits)
+        for width in (6, 7, 33):
+            for start in range(min(40, size)):
+                for stop in range(start + 1, size + 1):
+                    assert chars[start:stop:width] == copy[start:stop:width]
+        # both views read the one array np.unpackbits made, which goes with the last of them
+        array = weakref.ref(window.obj)
+        del window
+        assert array() is not None and chars[:size] == bits
+        del chars
+        assert array() is None
+
 
 class TestStrategySwitch:
     """The walk's own routing switches strategy partway through a stream and
@@ -590,7 +613,7 @@ class TestLanes:
         # unpacked after the pass before it: ULULULULU
         c, _ = compress(generate_er(4096, 0.02, 1), set3)
         calls = []
-        with patch("gpmc.codec._unpack", side_effect=lambda *a: calls.append("U") or _unpack(*a)), \
+        with patch("gpmc.codec._window", side_effect=lambda *a: calls.append("U") or _window(*a)), \
                 patch("gpmc.codec._lanes", side_effect=lambda *a: calls.append("L") or _lanes(*a)):
             _walk(c.payload, c.payload_bit_length, total_chunks(4096), 6)
         calls = "".join(calls)
@@ -623,20 +646,6 @@ class TestLanes:
             check_walk(bits, 200, set3)
             check_against_reference(bits, 200, set3)
         assert len(set(starts)) >= 3 and all(start % 8 for start in starts)
-
-    @pytest.mark.parametrize("size, cut", ((64, 16), (4096, 1024)))
-    def test_unpack_slices_grow_with_the_payload(self, size, cut):
-        # slices of 16 bits, or of a 32nd of the payload's bits if that is more: the
-        # temporaries of a window refill stay small next to the payload (a lanes pass
-        # unpacks its own rows, not through _unpack)
-        src = np.arange(size).astype(np.uint8)
-        out = np.zeros(8 * size - 24, np.uint8)
-        with patch("gpmc.codec._SLICE_BITS", 16), \
-                patch("gpmc.codec.np.unpackbits", wraps=np.unpackbits) as unpack:
-            _unpack(src, 8, out)
-        counts = [call.kwargs["count"] for call in unpack.call_args_list]
-        assert max(counts) == cut and sum(counts) == out.size
-        assert np.array_equal(out, np.unpackbits(src)[8 : 8 + out.size])
 
 
 def check_whole_passes(m, pset):
@@ -811,11 +820,11 @@ class TestSeededSpan:
             for length in lengths * 2:
                 firsts += [len(flags)] if length == short else []
                 flags += [kind] * length + [not kind]
-            bits, refills, unpack = stream(flags, k), [], codec._unpack
+            bits, refills = stream(flags, k), []
             offsets, expected, end = reference_walk(bits, len(bits), len(flags), k)
             with routed("runs"), patch("gpmc.codec._BLOCK_BITS", 1 << 12), patch(
-                    "gpmc.codec._unpack",
-                    lambda src, bit, out: refills.append(bit) or unpack(src, bit, out)):
+                    "gpmc.codec._window",
+                    lambda src, base, size: refills.append(base) or _window(src, base, size)):
                 got, stop = _walk(packed(bits), len(bits), len(flags), k)
             assert stop == end and unpacked(got, len(flags)).tolist() == expected
             crossed += any(offsets[first] < bit < offsets[first + short]
@@ -853,10 +862,10 @@ class TestLoneFieldStepOver:
         for gap in range(9, 14):
             for lead in range(16):
                 flags = lone_fields(kind, 400, range(lead, 400, gap))
-                bits, refills, unpack = stream(flags, k), [], codec._unpack
+                bits, refills = stream(flags, k), []
                 with patch("gpmc.codec._BLOCK_BITS", 264), routed(routing), patch(
-                        "gpmc.codec._unpack", lambda src, bit, out:
-                        refills.append((bit, out.size)) or unpack(src, bit, out)):
+                        "gpmc.codec._window", lambda src, base, size:
+                        refills.append((base, size)) or _window(src, base, size)):
                     check_walk(bits, 100, pset)
                 offsets = reference_walk(bits, len(bits), 400, k)[0]
                 for i in range(lead, 399, gap):
