@@ -940,6 +940,76 @@ class TestLoneFieldStepOver:
                     check_walk(cut[:-short], 100, pset, count=size)
 
 
+# Where the walk of each ER stream, n = 4096 and seed 1, takes its 524,288 fields, by
+# (set, p): fields walked by runs, by lanes and by steps, lanes passes whole and stopped
+# early, and window refills
+ROUTING_TABLE = {
+    (1, 0.001): (1834, 522308, 146, 3, 0, 2),
+    (2, 0.001): (1829, 65, 522394, 0, 1, 66),
+    (3, 0.001): (524288, 0, 0, 0, 0, 15),
+    (1, 0.005): (510, 523676, 102, 4, 0, 2),
+    (2, 0.005): (509, 69, 523710, 0, 1, 60),
+    (3, 0.005): (524288, 0, 0, 0, 0, 15),
+    (1, 0.01): (351, 508420, 15517, 4, 0, 2),
+    (2, 0.01): (381, 192, 523715, 0, 1, 55),
+    (3, 0.01): (1447, 522740, 101, 3, 0, 2),
+    (1, 0.02): (254, 107713, 416321, 1, 1, 31),
+    (2, 0.02): (294, 130, 523864, 0, 1, 49),
+    (3, 0.02): (597, 523664, 27, 4, 0, 2),
+    (1, 0.03): (282, 5126, 518880, 0, 1, 46),
+    (2, 0.03): (301, 2639, 521348, 0, 1, 47),
+    (3, 0.03): (354, 466149, 57785, 3, 1, 4),
+    (1, 0.05): (370, 73, 523845, 0, 1, 56),
+    (2, 0.05): (301, 832, 523155, 0, 1, 50),
+    (3, 0.05): (234, 322, 523732, 0, 1, 40),
+    (1, 0.1): (1496, 101, 522691, 0, 1, 65),
+    (2, 0.1): (606, 71, 523611, 0, 1, 61),
+    (3, 0.1): (493, 72, 523723, 0, 1, 59),
+    (1, 0.25): (524288, 0, 0, 0, 0, 66),
+    (2, 0.25): (524288, 0, 0, 0, 0, 66),
+    (3, 0.25): (524288, 0, 0, 0, 0, 66),
+}
+
+
+def routing_of(c, pset):
+    """Where the walk of c's whole stream takes its fields, as ROUTING_TABLE counts them: a
+    _put right after a _lanes call writes a pass's fields, any other a steps batch's, and
+    the runs walk the rest."""
+    calls, cell = [], dict.fromkeys(("lanes", "steps", "whole", "early", "refills"), 0)
+
+    def lanes(*args):
+        found = _lanes(*args)
+        calls.append("lanes")
+        cell["whole" if found[2] else "early"] += 1
+        return found
+
+    def put(flags, start, bits, put=codec._put):
+        cell["lanes" if calls[-1:] == ["lanes"] else "steps"] += bits.size
+        calls.append("put")
+        put(flags, start, bits)
+
+    def window(*args):
+        cell["refills"] += 1
+        return _window(*args)
+
+    count = total_chunks(c.n)
+    with patch.multiple("gpmc.codec", _lanes=lanes, _put=put, _window=window):
+        _walk(c.payload, c.payload_bit_length, count, pset.indicator_bits)
+    return (count - cell["lanes"] - cell["steps"], cell["lanes"], cell["steps"],
+            cell["whole"], cell["early"], cell["refills"])
+
+
+class TestRoutingTable:
+    def test_every_stream_keeps_its_routes(self, all_sets):
+        # a change that moves a cell, toward steps above all, shows here with no timing
+        table = {}
+        for p in sorted({p for _, p in ROUTING_TABLE}):
+            m = generate_er(4096, p, 1)
+            for pset in all_sets:
+                table[pset.id, p] = routing_of(compress(m, pset)[0], pset)
+        assert table == ROUTING_TABLE
+
+
 def check_block_flags(m, pset):
     """decompress and scan_stats hold the walk's flags packed, one bit per field, and read
     them through one generator: the flags it gives, one row block at a time, are _flags'
