@@ -41,9 +41,11 @@ class EdgeList:
 
 
 def row_block(n: int) -> int:
-    """Rows per block where an n x n matrix goes through one byte per bit: a 32nd of the
-    rows, or more, up to an eighth of them, to hold _ROW_BLOCK_BITS bits, rounded up to a
-    multiple of 8 rows, so every block but the last is a whole number of bytes."""
+    """Rows per block of an n x n matrix: the codec takes each block's fields in one pass,
+    unpacking PIECE_ROWS rows at a time, and sizes its per-field temporaries by the block;
+    only edges() unpacks a whole block. A 32nd of the rows, or more, up to an eighth of
+    them, to hold _ROW_BLOCK_BITS bits, rounded up to a multiple of 8 rows, so every block
+    but the last is a whole number of bytes."""
     rows = max(-(-n // 32), min(-(-_ROW_BLOCK_BITS // n), -(-n // 8)))
     return -(-rows // 8) * 8
 
@@ -54,7 +56,7 @@ def _zeroed(n: int) -> io.BytesIO:
     hands over as bytes without a copy. A matrix past memory fails here, naming n."""
     try:
         return io.BytesIO(bytes((n * n + 7) // 8))
-    except MemoryError:  # which bytes() raises with no message
+    except (MemoryError, OverflowError):  # bytes() names no n, and overflows past the address space
         raise MemoryError(f"a matrix of n={n} vertices needs {(n * n + 7) // 8} bytes") from None
 
 
@@ -244,6 +246,14 @@ def generate_chunk_mix(n: int, f_zero: float = 0.0, f_single: float = 0.0,
     return BitMatrix(n, out.getvalue())
 
 
+def _decimal(token: str) -> int:
+    """An optional sign and ASCII digits as an int; int() alone also takes "_" between
+    digits and the digits of other scripts, so a mistyped token would read as a number."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list_text(text: str | bytes) -> EdgeList:
     """Parse edge-list text: a vertex-count line, then one "u v" line per edge.
 
@@ -251,6 +261,8 @@ def parse_edge_list_text(text: str | bytes) -> EdgeList:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    # where no token can hold "_" or a digit of another script, int() reads each as it is
+    number = int if text.isascii() and "_" not in text else _decimal
     n = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -262,7 +274,7 @@ def parse_edge_list_text(text: str | bytes) -> EdgeList:
             if len(parts) != 1:
                 raise ParseError(f"line {lineno}: expected vertex count, got {raw!r}")
             try:
-                n = int(parts[0])
+                n = number(parts[0])
             except ValueError:
                 raise ParseError(f"line {lineno}: bad vertex count {parts[0]!r}") from None
             if n < 1:
@@ -271,7 +283,7 @@ def parse_edge_list_text(text: str | bytes) -> EdgeList:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = number(parts[0]), number(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer endpoint in {raw!r}") from None
         if not (0 <= u < n and 0 <= v < n):

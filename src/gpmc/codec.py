@@ -313,15 +313,15 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     unpacked bits, one byte per bit, unpacked afresh from the walk's byte (_window), the last
     one let go first, whenever fewer than 33 bits are left, so it holds a whole field or the
     rest of the stream. In a run the flags sit at a fixed stride, so bytes.find over strided
-    slices, taken in place by _window's pointer, finds its end or the window's,
-    in spans that start at the length of the last run of its kind (at least 64) and double
-    while the run lasts. Where a search stops on a lone field of the other kind, the walk
-    steps over it, counts it as one more run, and searches on, unless it is the last field
-    asked for, fewer than 33 window bits follow it, or one more run would reach
-    _PROBE_RUNS: there the outer loop refills, stops or chooses again, as for any run's end.
-    While runs average under _RUN_FIELDS fields it walks short runs
-    instead, choosing again every _PROBE_RUNS runs and, on short runs, at each refill from
-    the flags it set. Short runs go by lanes (_lanes), a region of up to
+    slices, taken in place by _window's pointer, finds where a run stops, at its end or the
+    window's, in spans that start at the length of the last run of its kind (at least 64)
+    and double while it lasts. The walk then records the run; where it stopped on a lone
+    field of the other kind and the field after is of the run's kind again, it records the
+    lone one as one more run and searches on, unless it is the last field asked for, fewer
+    than 33 window bits follow it, or one more run would reach _PROBE_RUNS: there the outer
+    loop refills, stops or chooses again. While runs average under _RUN_FIELDS fields it
+    walks short runs instead, choosing again every _PROBE_RUNS runs and, on short runs, at
+    each refill from the flags it set. Short runs go by lanes (_lanes), a region of up to
     _REGION_BITS bits at a time, whose lanes guess where the true path enters each segment
     and then walk each from its guess, all in lockstep, with no window held: the walk
     looks for a pass before it refills one, so runs and steps alone make it. The window
@@ -381,35 +381,32 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
             raise TruncationError(f"stream ended after {done} of {count} chunks")
         flag = window[at]
         width = matched_width if flag else RAW_FIELD_BITS
-        fit = min(count - done, (size - at) // width)
-        if not fit:
-            raise TruncationError(f"chunk {done} field truncated")
-        run, span = 1, last[flag]
-        while run < fit:
-            stop = min(fit, run + span)  # > run: the slice is nonempty and ends in the window
-            r = chars[at + run * width : at + stop * width : width].find(
-                b"\x00" if flag else b"\x01")
-            if r < 0:
+        while True:  # one run, then one more past each lone field of the other kind
+            run, span, fit = 1, last[flag], min(count - done, (size - at) // width)
+            if not fit:
+                raise TruncationError(f"chunk {done} field truncated")
+            while run < fit:
+                stop = min(fit, run + span)  # > run: the slice is nonempty and ends in the window
+                r = chars[at + run * width : at + stop * width : width].find(
+                    b"\x00" if flag else b"\x01")
+                if r >= 0:  # on a field of the other kind
+                    run += r
+                    break
                 run, span = stop, 2 * span
-                continue
-            run += r  # on a field of the other kind: a lone one is stepped over here
-            past = at + run * width + RAW_FIELD_BITS + matched_width - width
-            if (done + run + 1 == count or size - past < RAW_FIELD_BITS
-                    or runs + 2 >= _PROBE_RUNS or window[past] != flag):
-                break
+            last[flag] = max(64, run)
             if flag:
                 _set(flags, done, done + run)
-            else:
-                flags[done + run >> 3] |= 0x80 >> (done + run & 7)
-            last[flag], last[1 - flag] = max(64, run), 64
-            at, done, runs = past, done + run + 1, runs + 2  # the run and the lone field
-            run, span, fit = 1, last[flag], min(count - done, (size - at) // width)
-        last[flag] = max(64, run)
-        if flag:
-            _set(flags, done, done + run)
-        at += run * width
-        done += run
-        runs += 1
+            at += run * width
+            done += run
+            runs += 1
+            past = at + RAW_FIELD_BITS + matched_width - width  # the field after a lone one
+            if (done + 1 >= count or size - past < RAW_FIELD_BITS
+                    or runs + 1 >= _PROBE_RUNS or window[past] != flag):
+                break
+            if not flag:
+                flags[done >> 3] |= 0x80 >> (done & 7)
+            last[1 - flag] = 64
+            at, done, runs = past, done + 1, runs + 1
     return flags, base + at
 
 

@@ -389,10 +389,28 @@ class TestEdgeListText:
         ("four\n0 1\n", "line 1: bad vertex count 'four'"),
         ("0\n", "line 1: vertex count must be >= 1, got 0"),
         ("-2\n", "line 1: vertex count must be >= 1, got -2"),
+        # int() alone reads these as 20, 4 and 12: "_" between digits, and the digits of
+        # other scripts (full-width, Arabic-Indic)
+        ("2_0\n", "line 1: bad vertex count '2_0'"),
+        ("\uff14\n0 1\n", "line 1: bad vertex count '\uff14'"),
+        ("# n\n\u0661\u0662\n", "line 2: bad vertex count '\u0661\u0662'"),
     ])
     def test_bad_header(self, text, message):
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_edge_list_text(text)
+
+    @pytest.mark.parametrize("line", ("1 2_0", "\uff14 1", "\u0661 \u0662"))
+    def test_endpoint_only_int_reads_is_a_parse_error(self, line):
+        # each endpoint is an optional sign and ASCII digits, as the header is
+        message = f"line 3: non-integer endpoint in {line!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_edge_list_text(f"30\n0 1\n{line}\n")
+
+    # a comment may hold "_" and other scripts, which sends every token through the
+    # per-token check
+    @pytest.mark.parametrize("comment", ("", "# g_1, café\n"))
+    def test_signed_ascii_digits_still_read(self, comment):
+        assert parse_edge_list_text(f"{comment}+3\n+1 -0\n0 02\n").edges == [(1, 0), (0, 2)]
 
     def test_accepts_bytes(self):
         el = parse_edge_list_text(b"3\n1 2\n")

@@ -11,6 +11,8 @@ from conftest import peak
 
 # the one message for a matrix that no address space holds
 PAST_MEMORY = "a matrix of n=3000000000 vertices needs 1125000000000000000 bytes"
+# and for one whose byte count no index holds, where bytes() overflows before it allocates
+PAST_SPACE = "a matrix of n=10000000000 vertices needs 12500000000000000000 bytes"
 
 
 def write_zero_graph(path: Path, n: int) -> None:
@@ -141,10 +143,11 @@ class TestGenerate:
     @pytest.mark.parametrize("make", (BitMatrix, BitMatrix.zeros, generate_chunk_mix))
     def test_every_builder_past_memory_names_the_size(self, make):
         # the buffer is taken before any draw, so each call fails at once, having
-        # allocated nothing
-        error, used = peak(pytest.raises, MemoryError, make, 3_000_000_000)
-        assert str(error.value) == PAST_MEMORY
-        assert used < 1 << 20
+        # allocated nothing, past memory or past the address space
+        for n, message in ((3_000_000_000, PAST_MEMORY), (10**10, PAST_SPACE)):
+            error, used = peak(pytest.raises, MemoryError, make, n)
+            assert str(error.value) == message
+            assert used < 1 << 20
 
 
 class TestCompress:
@@ -180,6 +183,16 @@ class TestCompress:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_token_only_int_reads_is_a_parse_error(self, tmp_path, capsys):
+        # int() reads "2_0" as 20, so this file compressed as n = 20 and decompressed
+        # to "20"
+        bad = tmp_path / "bad.edges"
+        bad.write_text("2_0\n0 1\n")
+        out = tmp_path / "o.gpmc"
+        assert main(["compress", str(bad), str(out), "--set", "1"]) == 2
+        assert capsys.readouterr().err == "error: line 1: bad vertex count '2_0'\n"
+        assert not out.exists()
+
     def test_vertex_count_past_memory_is_input_error(self, tmp_path, capsys):
         # the matrix of 3e9 vertices needs 999 PiB, past any address space, so numpy
         # refuses it at once, allocating nothing; the line names n and the bytes, as
@@ -190,6 +203,21 @@ class TestCompress:
         assert main(["compress", str(edges), str(out), "--set", "3"]) == 2
         err = capsys.readouterr().err
         assert err == "error: a matrix of n=3000000000 vertices needs 1125000000000000000 bytes\n"
+        assert not out.exists()
+
+
+class TestPastTheAddressSpace:
+    @pytest.mark.parametrize("verb", ("compress", "generate", "experiment"))
+    def test_each_verb_prints_one_line_naming_n(self, tmp_path, capsys, verb):
+        # n = 10**10: the matrix's 1.25e19 bytes overflow an index, where 3e9's run out
+        # of memory; either way the one buffer fails first, having allocated nothing
+        edges, out = tmp_path / "huge.edges", tmp_path / "out"
+        edges.write_text("10000000000\n0 1\n")
+        argv = {"compress": ["compress", str(edges), str(out), "--set", "3"],
+                "generate": ["generate", str(out), "--n", "10000000000"],
+                "experiment": ["experiment", str(out), "--sizes", "10000000000"]}[verb]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {PAST_SPACE}\n"
         assert not out.exists()
 
 
