@@ -41,11 +41,12 @@ class EdgeList:
 
 
 def row_block(n: int) -> int:
-    """Rows per block of an n x n matrix: the codec takes each block's fields in one pass,
-    unpacking PIECE_ROWS rows at a time, and sizes its per-field temporaries by the block;
-    only edges() unpacks a whole block. A 32nd of the rows, or more, up to an eighth of
-    them, to hold _ROW_BLOCK_BITS bits, rounded up to a multiple of 8 rows, so every block
-    but the last is a whole number of bytes."""
+    """Rows per block of an n x n matrix: decompress and scan_stats take each block's
+    fields in one pass, unpacking PIECE_ROWS rows at a time, and size their per-field
+    temporaries by the block; compress takes as many rows or fewer, to hold at most 2^20
+    bits (codec._encode_rows), and only edges() unpacks a whole block. A 32nd of the rows,
+    or more, up to an eighth of them, to hold _ROW_BLOCK_BITS bits, rounded up to a
+    multiple of 8 rows, so every block but the last is a whole number of bytes."""
     rows = max(-(-n // 32), min(-(-_ROW_BLOCK_BITS // n), -(-n // 8)))
     return -(-rows // 8) * 8
 
@@ -68,7 +69,9 @@ class BitMatrix:
     def __init__(self, n: int, data: bytes | None = None):
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        packed = _zeroed(n).getvalue() if data is None else bytes(data)
+        # bytes stay uncopied; a non-buffer, as an int bytes() takes as a size, raises TypeError
+        packed = (_zeroed(n).getvalue() if data is None
+                  else data if type(data) is bytes else bytes(memoryview(data)))
         nbytes = (n * n + 7) // 8
         if len(packed) != nbytes:
             raise ValueError(f"expected {nbytes} packed bytes for n={n}, got {len(packed)}")

@@ -30,6 +30,7 @@ HEADER_LEN = _HEADER.size
 RAW_FIELD_BITS = 1 + CHUNK_WIDTH
 
 _BLOCK_BITS = 1 << 18  # the most payload bits in one unpacked window of the walk; a multiple of 8
+_ENCODE_BITS = 1 << 20  # the most matrix bits in one of compress's row blocks (_encode_rows)
 # The walk by runs chooses again every _PROBE_RUNS runs, the short-run walk at each
 # refill: under _RUN_FIELDS fields per run, a walk by runs costs more.
 _RUN_FIELDS = 24
@@ -58,7 +59,8 @@ class CorruptStreamError(ValueError):
 
 @dataclass(frozen=True)
 class CompressedGraph:
-    """Encoded adjacency matrix: header fields plus the packed payload, any bytes-like object
+    """Encoded adjacency matrix: header fields plus the packed payload, any contiguous
+    bytes-like object, kept as a flat view of its bytes if its items are not single bytes
     (compress and read_container leave it a read-only view of a bytes container's tail)."""
 
     n: int
@@ -73,7 +75,12 @@ class CompressedGraph:
             raise FormatError(f"vertex count must be < 2**64 to fit the header, got {self.n}")
         if self.pattern_set_id not in SET_IDS:
             raise FormatError(f"pattern set id must be in {SET_IDS}, got {self.pattern_set_id}")
-        if memoryview(self.payload).nbytes != (self.payload_bit_length + 7) // 8:
+        view = memoryview(self.payload)  # a non-buffer is refused here, with TypeError
+        if not view.c_contiguous:
+            raise TypeError("payload must be a contiguous bytes-like object")
+        if view.format != "B" or view.ndim != 1:  # the readers index and slice it by bytes
+            object.__setattr__(self, "payload", view.cast("B"))
+        if view.nbytes != (self.payload_bit_length + 7) // 8:
             raise FormatError("payload byte length disagrees with payload_bit_length")
 
     def __reduce__(self):  # a view does not pickle; its bytes do
@@ -120,7 +127,8 @@ def total_chunks(n: int) -> int:
 def matrix_chunks(m: BitMatrix, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Chunks of rows start to stop (as a slice of the rows takes them; all by default) in
     encode order, as big-endian uint32 words: each row packed to bytes, zero-padded to whole
-    chunks. compress asks for a row block (row_block), PIECE_ROWS rows of it unpacked at a time."""
+    chunks. compress asks for one of its row blocks (_encode_rows), PIECE_ROWS rows of it
+    unpacked at a time."""
     n, packed, (start, stop, _) = m.n, (m.n + 7) >> 3, slice(start, stop).indices(m.n)
     rows = np.zeros((max(start, stop) - start, 4 * chunks_per_row(n)), np.uint8)  # pad included
     for at in range(start, stop, PIECE_ROWS):
@@ -139,11 +147,17 @@ def chunks_to_matrix(blocks, n: int) -> BitMatrix:
         for at in range(0, len(rows), PIECE_ROWS)))
 
 
-def _field_blocks(n: int, k: int):
-    """Slices of the fields of each row block (row_block), which compress, decompress and
-    scan_stats each take in one pass, then, for each j below a block's size, (32 - k) j
-    for _offsets and j's tally for _count."""
-    count, step = total_chunks(n), row_block(n) * chunks_per_row(n)
+def _encode_rows(n: int) -> int:
+    """Rows per row block of compress: row_block's, cut to hold at most _ENCODE_BITS bits, at
+    least 8 rows and a multiple of 8, so its per-field temporaries stop growing with n * n."""
+    return min(row_block(n), max(8, _ENCODE_BITS // n >> 3 << 3))
+
+
+def _field_blocks(n: int, k: int, rows: int | None = None):
+    """Slices of the fields of each block of rows rows, row_block(n) by default, which
+    decompress and scan_stats each take in one pass (compress takes _encode_rows), then,
+    for each j below a block's size, (32 - k) j for _offsets and j's tally for _count."""
+    count, step = total_chunks(n), (rows or row_block(n)) * chunks_per_row(n)
     j = np.arange(min(step, count), dtype=np.int32 if CHUNK_WIDTH * step < 1 << 31 else np.int64)
     tally = ((j & (_TALLIES - 1)) << k).astype(np.min_scalar_type((_TALLIES - 1) << k))
     j *= CHUNK_WIDTH - k
@@ -187,9 +201,10 @@ def _scatter(words: np.ndarray, at: np.ndarray, shift: np.ndarray, fields: np.nd
 
 def compress(m: BitMatrix, pset: PatternSet) -> tuple[CompressedGraph, CompressionStats]:
     """Encode a matrix against a dictionary; returns the stream and its census. The payload goes
-    into its container's bytes, as the view read_container gives, which write_container returns."""
+    into its container's bytes, as the view read_container gives, which write_container returns.
+    It takes the matrix in row blocks of _encode_rows, and the stream runs on across them."""
     n, k, bit = m.n, pset.indicator_bits, 0
-    blocks, rank, tally = _field_blocks(n, k)
+    blocks, rank, tally = _field_blocks(n, k, _encode_rows(n))
     hist, cpr = np.zeros(_TALLIES << k, np.int64), chunks_per_row(n)
     words = np.zeros((31 + RAW_FIELD_BITS * rank.size >> 5) + 2, np.uint32)  # a block's, reused
     out = io.BytesIO()
@@ -249,45 +264,48 @@ def _steps(width: np.ndarray, pos: np.ndarray, walked: np.ndarray) -> int:
     return len(walked)
 
 
-def _lanes(src: np.ndarray, start: int, stop: int, k: int) -> tuple[np.ndarray, int, bool]:
+def _lanes(src: np.ndarray, start: int, stop: int, k: int,
+           lane: int | None = None) -> tuple[np.ndarray, int, bool]:
     """Flags of the fields from bit start that begin before stop - 32, so end by stop,
     the bit after the last one found, and whether all of them were found.
 
-    The bits from start are cut into segments of _LANE_BITS, whole bytes that each start
-    on bit start & 7, laid out one row per segment from one strided view of the bytes:
-    the field width at each of its bits, then a sink of 0s one field wide, on which a
-    walk that has left its segment stays. First one lane per segment walks from its first
-    bit to its exit, all in step; that exit guesses where the true path enters the next
-    segment. Then every segment is walked again from its guess, the first from start,
-    which is exact, recording its widths. Segments are right up to the first whose guess
-    is not where the walk of the one before it left: their widths are the flags.
+    The bits from start are cut into segments of lane bits (by default _LANE_BITS, read at
+    the call), whole bytes that each start on bit start & 7, laid out one row per segment
+    from one strided view of the bytes: the field width at each of its bits, then a sink
+    of 0s one field wide, on which a walk that has left its segment stays. First one lane
+    per segment walks from its first bit to its exit, all in step; that exit guesses where
+    the true path enters the next segment. Then every segment is walked again from its
+    guess, the first from start, which is exact, recording its widths. Segments are right
+    up to the first whose guess is not where the walk of the one before it left: their
+    widths are the flags. A longer lane meets the true path more often, in more steps.
     """
-    segments = (stop - CHUNK_WIDTH - start) // _LANE_BITS  # whole ones only
+    lane = lane or _LANE_BITS
+    segments = (stop - CHUNK_WIDTH - start) // lane  # whole ones only
     lead = start & 7  # every segment's first bit in its row, which starts at that bit's byte
-    size = _LANE_BITS + 14 >> 3  # bytes that hold a segment from there
-    rows = np.zeros((segments, _LANE_BITS + 47 >> 3), np.uint8)  # then zeros, for a 33-bit sink
+    size = lane + 14 >> 3  # bytes that hold a segment from there
+    rows = np.zeros((segments, lane + 47 >> 3), np.uint8)  # then zeros, for a 33-bit sink
     spans = np.lib.stride_tricks.sliding_window_view(src, size)  # the size bytes from each byte
-    rows[:, :size] = spans[start >> 3 :: _LANE_BITS >> 3][:segments]
+    rows[:, :size] = spans[start >> 3 :: lane >> 3][:segments]
     width = np.unpackbits(rows).reshape(segments, -1)
     del rows
     width *= np.uint8(CHUNK_WIDTH - k)
     np.subtract(np.uint8(RAW_FIELD_BITS), width, out=width)  # the width of a field at each bit
-    width[:, lead + _LANE_BITS :] = 0
+    width[:, lead + lane :] = 0
     base = lead + width.shape[1] * np.arange(segments)  # each segment's first bit in width
     width = width.reshape(-1)
-    walked = np.empty((-(-_LANE_BITS // (1 + k)), segments), np.uint8)  # a row per step
+    walked = np.empty((-(-lane // (1 + k)), segments), np.uint8)  # a row per step
     pos = base.copy()
     _steps(width, pos, walked)  # the lanes: each exit, past its segment's end, guesses
-    guess = pos - base - _LANE_BITS  # the next one's entry
+    guess = pos - base - lane  # the next one's entry
     pos[0], pos[1:] = base[0], base[1:] + guess[:-1]
     steps = _steps(width, pos, walked)
     del width  # before the read-out's temporaries
-    left = pos - base - _LANE_BITS
+    left = pos - base - lane
     right = guess[:-1] == left[:-1]  # segment j + 1 enters where segment j's walk left
     found = segments if right.all() else 1 + int(right.argmin())
     walked = walked[:steps, :found].T  # each segment's widths in turn
     flags = (walked[walked != 0] < RAW_FIELD_BITS).view(np.uint8)
-    return flags, start + _LANE_BITS * found + int(left[found - 1]), found == segments
+    return flags, start + lane * found + int(left[found - 1]), found == segments
 
 
 def _put(flags: bytearray, start: int, bits: np.ndarray) -> None:
@@ -324,11 +342,14 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     each refill from the flags it set. Short runs go by lanes (_lanes), a region of up to
     _REGION_BITS bits at a time, whose lanes guess where the true path enters each segment
     and then walk each from its guess, all in lockstep, with no window held: the walk
-    looks for a pass before it refills one, so runs and steps alone make it. The window
-    holds an eighth of the payload's bits, up to _BLOCK_BITS and at least 40, so that it
-    never outweighs the payload. Where fewer than _MIN_LANES lanes fit, and once a pass
-    stops early, the walk steps field by field in unchecked batches that fit in the
-    window, as a field takes at most 33 bits. The last few fields go by runs.
+    looks for a pass before it refills one, so runs and steps alone make it. Lanes start
+    _LANE_BITS long; after a pass that stops early, where lanes that short missed the true
+    path, they double, up to 4 * _LANE_BITS, and the region grows to hold _MIN_LANES of
+    them. The window holds an eighth of the payload's bits, up to _BLOCK_BITS and at least
+    40, so that it never outweighs the payload. Where fewer than _MIN_LANES lanes fit, and
+    once a pass of the longest lanes stops early, the walk steps field by field in
+    unchecked batches that fit in the window, as a field takes at most 33 bits. The last
+    few fields go by runs.
     """
     matched_width, src = 1 + k, np.frombuffer(payload, np.uint8)
     # the most bits in a window (_window), made at a refill and let go before each lanes pass
@@ -339,10 +360,11 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
     done = base = at = size = 0  # window: bits base to base + size; walk: bit base + at
     short_runs, seen, runs = False, 0, 0  # strategy, the field it was chosen at, runs since
     last = [64, 64]  # the first span of a raw, and of a matched, run's search
-    # bits of the next lanes pass, each room for _MIN_LANES lanes at least: a quarter of a
-    # region at first, as a pass that stops early costs most of a whole one, then whole
-    # regions; none once a pass stops early
-    region = max(_REGION_BITS >> 2, _MIN_LANES * _LANE_BITS)
+    # the lanes' length, and bits of the next lanes pass, each room for _MIN_LANES lanes at
+    # least: a quarter of a region at first, as a pass that stops early costs most of a
+    # whole one, then whole regions; none once a pass of the longest lanes stops early
+    lane = _LANE_BITS
+    region = max(_REGION_BITS >> 2, _MIN_LANES * lane)
     while done < count:
         refill = size - at < RAW_FIELD_BITS and base + size < bit_length
         if short_runs and refill or runs == _PROBE_RUNS:
@@ -350,15 +372,23 @@ def _walk(payload: bytes, bit_length: int, count: int, k: int) -> tuple[bytearra
                 runs = int.from_bytes(flags[seen >> 3 : (done + 7) >> 3], "big") >> (-done % 8)
                 runs = 1 + ((runs ^ runs >> 1) & (1 << max(done - seen - 1, 0)) - 1).bit_count()
             short_runs, seen, runs = runs * _RUN_FIELDS > done - seen, done, 0
-        if short_runs and min(bit_length - base - at, region) >= _MIN_LANES * _LANE_BITS:
+        if short_runs and min(bit_length - base - at, region) >= _MIN_LANES * lane:
             window = chars = None  # the pass holds a region of its own
-            found, end, whole = _lanes(src, base + at, min(bit_length, base + at + region), k)
+            found, end, whole = _lanes(src, base + at, min(bit_length, base + at + region), k,
+                                       lane)
             if found.size > count - done:  # end after the count-th field
                 found = found[: count - done]
                 end = base + at + RAW_FIELD_BITS * found.size
                 end -= (CHUNK_WIDTH - k) * int(found.sum())
             _put(flags, done, found)
-            done, region = done + found.size, max(region, _REGION_BITS) if whole else 0
+            done += found.size
+            if whole:
+                region = max(region, _REGION_BITS)
+            elif lane < 4 * _LANE_BITS:  # longer lanes meet the true path more often
+                lane *= 2
+                region = max(region, _MIN_LANES * lane)
+            else:
+                region = 0
             del found  # before the next pass
             base, at, size = end & ~7, end & 7, 0  # the window is empty from end
             continue
@@ -562,7 +592,10 @@ def write_container(c: CompressedGraph) -> bytes:
 
 
 def read_container(data: bytes) -> CompressedGraph:
-    """Parse and validate a container byte stream."""
+    """Parse and validate a container byte stream, any bytes-like object, read as its bytes."""
+    # a bytes container, which cannot change, is kept; any other buffer is copied, so that a
+    # view of wider items, or a strided one, is measured and read in bytes
+    data = data if type(data) is bytes else bytes(memoryview(data))
     if len(data) < HEADER_LEN:
         raise TruncationError(
             f"container is {len(data)} bytes; the header alone needs {HEADER_LEN}")
@@ -578,8 +611,7 @@ def read_container(data: bytes) -> CompressedGraph:
         raise TruncationError(
             f"container is {len(data)} bytes, expected {expected} "
             f"for {bit_length} payload bits")
-    # bytes() keeps a bytes container, which cannot change, and copies any other input
-    c = CompressedGraph(n, set_id, memoryview(bytes(data))[HEADER_LEN:], bit_length)
+    c = CompressedGraph(n, set_id, memoryview(data)[HEADER_LEN:], bit_length)
     # every field takes 1 + k to 33 bits, so this bounds all decode work
     count, k = total_chunks(n), pattern_set(set_id).indicator_bits
     if bit_length < count * (1 + k):

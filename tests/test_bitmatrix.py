@@ -138,6 +138,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BitMatrix(4, bytes(3))
 
+    def test_rejects_data_that_is_not_a_buffer(self):
+        # bytes(2) is two zero bytes: BitMatrix(4, 2) was the empty 4-vertex matrix
+        for data in (2, 0, [0, 0], "ab"):
+            with pytest.raises(TypeError):
+                BitMatrix(4, data)
+
+    def test_keeps_bytes_and_copies_other_buffers(self):
+        # every constructor hands its bytes over here uncopied, decompress' repack included
+        data = bytes([0xA5, 0x5A])
+        assert BitMatrix(4, data).data is data
+        for other in (bytearray(data), memoryview(data), np.frombuffer(data, np.uint8),
+                      memoryview(data).cast("H")):
+            m = BitMatrix(4, other)
+            assert type(m.data) is bytes and m.data == data
+
     def test_from_bit_array_rejects_wrong_bit_count(self):
         with pytest.raises(ValueError, match="expected 9 bits, got 8"):
             BitMatrix.from_bit_array(3, [np.ones(8, np.uint8)])

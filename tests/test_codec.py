@@ -195,6 +195,7 @@ class TestChunking:
 
     @pytest.mark.parametrize("n", [1000, 2049, 4104])
     def test_per_bit_arrays_hold_one_piece(self, set3, monkeypatch, n):
+        # below n = 5,699, where compress's row blocks (_encode_rows) are row_block's,
         # compress and decompress cut the same pieces, each at most PIECE_ROWS rows, and
         # every bit goes through one of them once each way
         m, sizes = generate_er(n, 0.01, n), []
@@ -396,6 +397,19 @@ class TestPeakMemory:
         (c, _), used = peak(compress, m, set3)
         assert decompress(c, set3) == m
         assert used < 0.6 * len(m.data)
+
+    @pytest.mark.parametrize("p, set_id, bound", ((0.001, 3, 0.4), (0.25, 1, 1.25)))
+    def test_compress_blocks_stop_growing_with_the_matrix(self, p, set_id, bound):
+        # at n = 8192 compress takes blocks of 128 rows, 2^20 bits (_encode_rows), half of
+        # row_block's: write_container(compress(m)) peaks at 0.37x on the sparse stream
+        # (p = 0.001, set 3) and at 1.17x on the all-raw one (p = 0.25, set 1), each its
+        # container (0.22x and 1.03x), the buffer's growth slack and one block's chunks,
+        # field indices, offsets and 64-bit shifted fields, about 0.14x. In row_block's
+        # 256-row blocks, whose temporaries grow with n * n, they took 0.47x and 1.35x
+        m, pset = generate_er(8192, p, 1), pattern_set(set_id)
+        blob, used = peak(lambda: codec.write_container(compress(m, pset)[0]))
+        assert codec.read_container(blob) == compress(m, pset)[0]
+        assert used < bound * len(m.data)
 
     def test_scan_stats_holds_packed_flags(self, set3):
         # at n = 4096 the walk's window is an eighth of the matrix and its flags, packed

@@ -147,8 +147,9 @@ class TestInPlaceWrite:
 
 
 class TestBytesLikePayload:
-    """A graph's payload may be any bytes-like object: it is measured in bytes, and written,
-    read and compared as the bytes it holds. Anything else is refused when the graph is made."""
+    """A graph's payload may be any contiguous bytes-like object: it is measured in bytes,
+    and written, read and compared as the bytes it holds. Anything else is refused when the
+    graph is made."""
 
     @pytest.mark.parametrize("wrap", (bytearray, memoryview, lambda b: np.frombuffer(b, np.uint8)),
                              ids=("bytearray", "memoryview", "ndarray"))
@@ -165,8 +166,50 @@ class TestBytesLikePayload:
         with pytest.raises(TypeError, match="bytes-like"):
             CompressedGraph(1, 1, [0], 6)
 
+    def test_non_contiguous_payload_is_refused_when_made(self, set3):
+        # every other byte of a buffer twice the payload's size holds the payload: such a
+        # graph compared equal to the original, then write_container raised TypeError and
+        # the decoders BufferError
+        c, _ = compress(generate_er(100, 0.05, 1), set3)
+        spread = bytearray(2 * len(c.payload))
+        spread[::2] = c.payload
+        with pytest.raises(TypeError, match="contiguous bytes-like"):
+            CompressedGraph(c.n, c.pattern_set_id, memoryview(spread)[::2], c.payload_bit_length)
+
+    def test_wide_item_payload_is_read_as_its_bytes(self, set3):
+        # the payload's bytes as 32-bit items, or as rows of 4: the readers index and slice
+        # it by bytes, so they are given its bytes, not its items. query_edge raised
+        # IndexError on both, and write_container's pad check ValueError on the rows
+        m = generate_er(64, 0.05, 6)
+        c, stats = compress(m, set3)
+        assert len(c.payload) % 4 == 0
+        for payload in (memoryview(bytes(c.payload)).cast("I"),
+                        np.frombuffer(c.payload, np.uint8).reshape(-1, 4)):
+            other = CompressedGraph(c.n, c.pattern_set_id, payload, c.payload_bit_length)
+            assert other.payload.format == "B" and other.payload.ndim == 1 and other == c
+            assert write_container(other) == write_container(c)
+            assert decompress(other, set3) == m and scan_stats(other, set3) == stats
+            assert all(query_edge(other, set3, i, 63 - i) == m.get(i, 63 - i) for i in range(64))
+
 
 class TestRead:
+    def test_wide_item_container_is_measured_in_bytes(self, set3):
+        # a valid 312-byte container as 78 32-bit items was refused as "78 bytes"; a
+        # strided view of it is read as the bytes it selects
+        m = generate_er(64, 0.05, 6)
+        c, stats = compress(m, set3)
+        blob = write_container(c)
+        assert len(blob) == 312
+        spread = bytearray(2 * len(blob))
+        spread[::2] = blob
+        for data in (memoryview(blob).cast("I"), memoryview(spread)[::2]):
+            other = read_container(data)
+            assert other == c and decompress(other, set3) == m
+            assert scan_stats(other, set3) == stats
+        for cut in (4, 20, 308):  # whole items short: still measured, and refused, in bytes
+            with pytest.raises(TruncationError, match=f"container is {cut} bytes"):
+                read_container(memoryview(blob[:cut]).cast("I"))
+
     def test_round_trip_random_matrices(self, all_sets):
         rng = np.random.default_rng(41)
         for _ in range(100):

@@ -2,9 +2,10 @@
 
 The decoder's walker either skips whole runs of equal-width fields or walks
 short runs, and chooses between the two from the runs it has walked. Short
-runs go by lanes, many segments of the payload walked at once, or, where the
-lanes would be too few or have stopped early, field by field in unchecked
-batches. A naive walk that steps one field at a time, checking each, is kept
+runs go by lanes, many segments of the payload walked at once, whose length
+doubles after a pass that stops early, up to four times the first, or, where the
+lanes would be too few or the longest have stopped early, field by field in
+unchecked batches. A naive walk that steps one field at a time, checking each, is kept
 here as the reference: on any bit string the walker must find the same
 fields, or stop with the same error, under its own routing and with each
 strategy forced by patching its routing constants. It must do so too when its
@@ -514,25 +515,26 @@ def period_40_matrix():
 
 
 @st.composite
-def regions(draw):
+def regions(draw, lane=SMALL_LANES["_LANE_BITS"]):
     """(bits, start, stop, k): bits with a drawn share of ones, and a lanes pass's
     region in them, from a drawn start to a drawn stop at least as far on as the
-    walk asks of a pass under SMALL_LANES."""
+    walk asks of a pass of lanes of lane bits under SMALL_LANES."""
     k = draw(st.sampled_from(WIDTHS))
     below = draw(st.sampled_from((128, 192, 224)))  # a byte under it is a 1: 1/2, 3/4 or 7/8
-    least = SMALL_LANES["_MIN_LANES"] * SMALL_LANES["_LANE_BITS"]
-    bits = (drawn_bytes(draw, least, 1500) < below).tolist()
+    least = SMALL_LANES["_MIN_LANES"] * lane
+    bits = (drawn_bytes(draw, least, max(1500, least + 500)) < below).tolist()
     start = draw(st.integers(0, len(bits) - least))
     return bits, start, draw(st.integers(start + least, len(bits))), k
 
 
-def check_pass(bits, start, stop, k, found, end, whole):
+def check_pass(bits, start, stop, k, found, end, whole, lane=None):
     """A pass's flags are the reference walk's first ones from start, it ends after
-    the last of them, and a whole pass reaches the last segment's end."""
+    the last of them, and a whole pass reaches the last segment's end, lane bits long
+    (_LANE_BITS by default)."""
     _, expected, length = reference_walk(bits[start:], len(bits) - start, found.size, k)
     assert found.size and found.astype(bool).tolist() == expected
     assert end == start + length <= stop
-    assert not whole or end > stop - 32 - codec._LANE_BITS
+    assert not whole or end > stop - 32 - (lane or codec._LANE_BITS)
 
 
 class TestLanes:
@@ -547,9 +549,25 @@ class TestLanes:
             event("whole pass" if whole else "stopped early")
             check_pass(bits, start, stop, k, found, end, whole)
 
+    @pytest.mark.parametrize("lane", (528, 1056))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_grown_lanes_match_the_reference_walk(self, lane, data):
+        # the walk's doubled lanes, two and four times SMALL_LANES' 264 bits: the length
+        # passed in, not the patched default, cuts the segments
+        bits, start, stop, k = data.draw(regions(lane))
+        with patch.multiple("gpmc.codec", **SMALL_LANES):
+            found, end, whole = _lanes(np.frombuffer(packed(bits), np.uint8), start, stop, k,
+                                       lane)
+            event("whole pass" if whole else "stopped early")
+            check_pass(bits, start, stop, k, found, end, whole, lane)
+
     def test_set_1_pass_that_stops_early_matches_the_reference(self, set1):
-        # ER n = 1024, p = 0.03 under set 1 (k = 5): the walk's first pass stops early,
-        # after 5,126 of 32,768 fields, and the walk steps the rest
+        # ER n = 1024, p = 0.03 under set 1 (k = 5): the walk's first pass, of 1,056-bit
+        # lanes, stops early after 5,126 of 32,768 fields; its lanes then double, and a
+        # whole pass of 2,112-bit lanes takes the next 23,799. Fewer than _MIN_LANES such
+        # lanes fit in the rest, which the walk steps. Without the growth it stepped
+        # every field after the first pass's
         m = generate_er(1024, 0.03, 1)
         c, stats = compress(m, set1)
         bits = np.unpackbits(np.frombuffer(c.payload, np.uint8))[: c.payload_bit_length]
@@ -557,31 +575,34 @@ class TestLanes:
         with patch("gpmc.codec._lanes", side_effect=lambda *a: passes.append((a, _lanes(*a)))
                    or passes[-1][1]):
             flags, end = _walk(c.payload, c.payload_bit_length, total_chunks(m.n), 5)
-        assert [result[0].size for _, result in passes] == [5126]
-        (_, start, stop, k), result = passes[0]
-        assert not result[2]
-        check_pass(bits.tolist(), start, stop, k, *result)
+        assert [(args[4], result[0].size, result[2]) for args, result in passes] == [
+            (1056, 5126, False), (2112, 23799, True)]
+        for (_, start, stop, k, lane), result in passes:
+            check_pass(bits.tolist(), start, stop, k, *result, lane)
+        assert passes[1][0][1] == passes[0][1][1]  # the second pass starts where the first ended
         assert end == c.payload_bit_length
         assert unpacked(flags, total_chunks(m.n)).sum() == stats.matched
 
     @pytest.mark.parametrize("lane_bits", (264, 528, 1056))
     def test_period_40_stream_steps_from_the_first_lane_that_never_meets(self, set3, lane_bits):
-        # none of the segment lengths is a multiple of 40, so some lane starts off the
-        # true residues and the pass stops there: each of the three walks takes one
-        # pass, then steps per field
+        # none of the segment lengths, nor twice or four times one, is a multiple of 40, so
+        # some lane starts off the true residues and the pass stops there: each of the
+        # three walks takes a pass of each lane length, doubling after each early stop up
+        # to four times the first, then steps per field
         m = period_40_matrix()
         c, stats = compress(m, set3)
         count = total_chunks(m.n)
         bits = np.unpackbits(np.frombuffer(c.payload, np.uint8))[: c.payload_bit_length]
         assert bits[14::40].all() and not bits[33::40].any()
-        passes = []
+        passes = []  # each pass's lane length and result
         with patch("gpmc.codec._LANE_BITS", lane_bits), \
-                patch("gpmc.codec._lanes", side_effect=lambda *a: passes.append(_lanes(*a))
-                      or passes[-1]):
+                patch("gpmc.codec._lanes",
+                      side_effect=lambda *a: passes.append((a[4], _lanes(*a))) or passes[-1][1]):
             check_walk(bits.tolist(), m.n, set3)
             assert decompress(c, set3) == m
             assert scan_stats(c, set3) == stats
-        assert len(passes) == 3 and not any(whole for _, _, whole in passes)
+        assert [lane for lane, _ in passes] == [lane_bits, 2 * lane_bits, 4 * lane_bits] * 3
+        assert not any(whole for _, (_, _, whole) in passes)
         assert _walk(c.payload, c.payload_bit_length, count, 6) == (
             bytes([0b10101010]) * (count // 8), c.payload_bit_length)
 
@@ -672,6 +693,38 @@ class TestFieldBlocks:
         assert rank.size == min(step, total_chunks(n))
         if n == 8192:
             assert step == 1 << 16 and len(range(0, total_chunks(n), step)) == 32
+
+    @pytest.mark.parametrize("n, rows", ((1000, 128), (4096, 128), (5792, 176), (5800, 176),
+                                         (8192, 128), (16384, 64)))
+    def test_encode_block_rule(self, n, rows):
+        # compress's row blocks hold at most 2^20 bits, a multiple of 8 rows: row_block's
+        # below n = 5,699, where 2^20 // n rows, rounded down to a multiple of 8, first
+        # fall below them, and half of row_block's at n = 8192, a quarter at 16,384
+        assert codec._encode_rows(n) == rows <= row_block(n)
+        assert rows * n <= codec._ENCODE_BITS and rows % 8 == 0
+        blocks, rank, _ = _field_blocks(n, 6, rows)
+        assert rank.size == rows * chunks_per_row(n)
+        assert len(list(blocks)) == -(-n // rows)
+
+    def test_encode_blocks_are_row_blocks_below_n_5699(self):
+        assert all(codec._encode_rows(n) == row_block(n) for n in range(1, 5699))
+        assert not any(codec._encode_rows(n) == row_block(n) for n in range(5699, 20000))
+
+    @pytest.mark.parametrize("n", (100, 1000, 2049))
+    def test_encode_blocks_leave_the_bytes(self, n, all_sets):
+        # the stream runs on across compress's row blocks: blocks of 8, 16 or 128 rows
+        # (up to row_block's, 16 rows at n = 100) write the default's bytes and census
+        m = generate_er(n, 0.02, n)
+        for pset in all_sets:
+            expected = compress(m, pset)
+            for rows in (8, 16, 128):
+                starts = []
+                spy = (lambda m, start, stop, chunks=codec.matrix_chunks:
+                       starts.append(start) or chunks(m, start, stop))
+                with patch("gpmc.codec._ENCODE_BITS", rows * n), \
+                        patch("gpmc.codec.matrix_chunks", side_effect=spy):
+                    assert compress(m, pset) == expected
+                assert starts == list(range(0, n, min(rows, row_block(n))))
 
     def test_block_rule_follows_row_block(self):
         with row_blocks(8):
@@ -945,29 +998,42 @@ class TestLoneFieldStepOver:
 # early, and window refills
 ROUTING_TABLE = {
     (1, 0.001): (1834, 522308, 146, 3, 0, 2),
-    (2, 0.001): (1829, 65, 522394, 0, 1, 66),
+    (2, 0.001): (3986, 457, 519845, 0, 3, 66),
     (3, 0.001): (524288, 0, 0, 0, 0, 15),
     (1, 0.005): (510, 523676, 102, 4, 0, 2),
-    (2, 0.005): (509, 69, 523710, 0, 1, 60),
+    (2, 0.005): (509, 24976, 498803, 0, 3, 57),
     (3, 0.005): (524288, 0, 0, 0, 0, 15),
     (1, 0.01): (351, 508420, 15517, 4, 0, 2),
-    (2, 0.01): (381, 192, 523715, 0, 1, 55),
+    (2, 0.01): (381, 520316, 3591, 7, 2, 2),
     (3, 0.01): (1447, 522740, 101, 3, 0, 2),
-    (1, 0.02): (254, 107713, 416321, 1, 1, 31),
-    (2, 0.02): (294, 130, 523864, 0, 1, 49),
+    (1, 0.02): (254, 523928, 106, 5, 1, 2),
+    (2, 0.02): (294, 523910, 84, 7, 1, 2),
     (3, 0.02): (597, 523664, 27, 4, 0, 2),
-    (1, 0.03): (282, 5126, 518880, 0, 1, 46),
-    (2, 0.03): (301, 2639, 521348, 0, 1, 47),
-    (3, 0.03): (354, 466149, 57785, 3, 1, 4),
-    (1, 0.05): (370, 73, 523845, 0, 1, 56),
-    (2, 0.05): (301, 832, 523155, 0, 1, 50),
-    (3, 0.05): (234, 322, 523732, 0, 1, 40),
-    (1, 0.1): (1496, 101, 522691, 0, 1, 65),
-    (2, 0.1): (606, 71, 523611, 0, 1, 61),
-    (3, 0.1): (493, 72, 523723, 0, 1, 59),
+    (1, 0.03): (282, 523986, 20, 7, 1, 2),
+    (2, 0.03): (301, 523927, 60, 7, 1, 2),
+    (3, 0.03): (354, 523853, 81, 4, 1, 2),
+    (1, 0.05): (370, 14430, 509488, 0, 3, 55),
+    (2, 0.05): (301, 521905, 2082, 6, 2, 2),
+    (3, 0.05): (234, 516512, 7542, 5, 2, 2),
+    (1, 0.1): (1496, 1099, 521693, 0, 3, 65),
+    (2, 0.1): (606, 651, 523031, 0, 3, 61),
+    (3, 0.1): (493, 527, 523268, 0, 3, 59),
     (1, 0.25): (524288, 0, 0, 0, 0, 66),
     (2, 0.25): (524288, 0, 0, 0, 0, 66),
     (3, 0.25): (524288, 0, 0, 0, 0, 66),
+}
+
+
+# The same counts for ER streams at n = 8192, seed 1, 2,097,152 fields, by (p, set): the
+# benchmark's sparse-archive and dense-raw streams, which the lanes' growth left as they
+# were, then three of the slow band, which stepped all but their first pass's fields
+# before it
+ROUTING_TABLE_8192 = {
+    (0.001, 3): (2097152, 0, 0, 0, 0, 57),
+    (0.25, 1): (2097152, 0, 0, 0, 0, 264),
+    (0.01, 2): (381, 2091748, 5023, 27, 2, 2),
+    (0.03, 1): (282, 2075422, 21448, 23, 1, 3),
+    (0.05, 3): (234, 2055598, 41320, 19, 2, 4),
 }
 
 
@@ -1008,6 +1074,13 @@ class TestRoutingTable:
             for pset in all_sets:
                 table[pset.id, p] = routing_of(compress(m, pset)[0], pset)
         assert table == ROUTING_TABLE
+
+    def test_benchmark_and_slow_band_streams_at_n_8192_keep_their_routes(self):
+        table = {}
+        for p, set_id in ROUTING_TABLE_8192:
+            pset = pattern_set(set_id)
+            table[p, set_id] = routing_of(compress(generate_er(8192, p, 1), pset)[0], pset)
+        assert table == ROUTING_TABLE_8192
 
 
 def check_block_flags(m, pset):
